@@ -38,7 +38,8 @@ u = sc.schrodinger_kernel("interval", t, x, y, "image_sum", n_images=3)
 print(f"schrodinger image sum  {u.value:+.8f}   (truncated; every image has")
 print("          the main term's modulus, so the pointwise error estimate is")
 print(f"          infinite: {u.error_estimate}. Only smears of this kernel")
-print("          converge -- see demos/schrodinger_onset.py.")
+print("          converge -- see `spectral-cesaro verify")
+print("          schrodinger-averaged`.")
 print()
 
 phi = sc.make_bump(0.5, 2.5)

@@ -2,7 +2,7 @@
 
 from .errors import (AccuracyError, BoundaryError, DataError, DomainError,
                      ParameterError, SingularityError, UnsupportedOrderError)
-from .quadrature import QuadratureResult, integrate, lobe_sum, oscillatory_integrate
+from .quadrature import QuadratureResult, integrate, lobe_sum
 from .testfn import (TestFunction, finite_difference_derivative, from_callable,
                      make_bump, make_exp_decay, make_gaussian)
 from .special import bessel_j
@@ -10,20 +10,16 @@ from .measures import SpectralMeasure, riesz_mean
 from .summability import (CesaroReport, FinitePart, MomentList, cesaro_limit,
                           cesaro_order_test, finite_part_eval,
                           moment_expansion_partial, point_value)
-from .operators import (EigenPair, ModelOperator, Potential, WkbTable,
-                        apply_H_power, constant_potential, dirichlet_eigendata,
-                        dirichlet_interval, free_line, free_space, gaussian_well,
-                        quadratic_potential, schrodinger_line, wkb_coefficients)
-from .operators import from_config as operator_from_config
+from .operators import (Potential, WkbTable, constant_potential, gaussian_well,
+                        quadratic_potential, wkb_coefficients)
 from .spectral import (DensityEval, density_free_line, density_free_space,
                        density_smear_interval, diagonal_weyl_check,
                        evaluate_named_density, free_line_density_measure,
                        interval_measure, interval_minus_free_measure,
                        offdiagonal_equivalence_check, staircase_interval,
                        weyl_density_measure)
-from .kernels import (ExpansionCoefficients, KernelEval, KernelProfile,
-                      averaged_smear, cylinder_kernel, heat_kernel,
-                      schrodinger_kernel, small_t_coefficients, wightman_P,
-                      wightman_interval)
+from .kernels import (ExpansionCoefficients, KernelEval, averaged_smear,
+                      cylinder_kernel, heat_kernel, schrodinger_kernel,
+                      small_t_coefficients, wightman_P, wightman_interval)
 
 __version__ = "0.1.0"

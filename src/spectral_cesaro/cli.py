@@ -17,8 +17,10 @@ from pathlib import Path
 
 from . import kernels
 from .errors import ParameterError
-from .experiments import ExperimentConfig, experiment_names, run_experiment
+from .experiments import (ExperimentConfig, experiment_names, parse_grid,
+                          run_experiment)
 from .measures import SpectralMeasure, riesz_mean
+from .spectral import NAMED_DENSITIES, evaluate_named_density
 
 EX_USAGE = 64
 EX_IOERR = 74
@@ -53,12 +55,11 @@ def _build_parser():
 
     k = sub.add_parser("kernel", help="evaluate a Green kernel at a point")
     k.add_argument("kind", choices=["heat", "schrodinger", "cylinder", "wightman"])
-    k.add_argument("case", choices=["line", "interval"])
+    k.add_argument("case", choices=kernels.CASES)
     k.add_argument("--t", type=float, required=True)
     k.add_argument("--x", type=float, required=True)
     k.add_argument("--y", type=float, required=True)
-    k.add_argument("--method", default="closed_form",
-                   choices=["closed_form", "spectral_sum", "image_sum"])
+    k.add_argument("--method", default="closed_form", choices=kernels.METHODS)
     k.add_argument("--n-terms", type=int, default=10**4)
 
     r = sub.add_parser("riesz", help="Riesz mean of a CSV measure")
@@ -67,9 +68,7 @@ def _build_parser():
     r.add_argument("--lambda", dest="lam", type=float, required=True)
 
     d = sub.add_parser("density", help="sweep a named spectral density")
-    d.add_argument("name",
-                   choices=["free_line", "free_space", "interval_staircase",
-                            "weyl"])
+    d.add_argument("name", choices=NAMED_DENSITIES)
     d.add_argument("--x", type=float, required=True)
     d.add_argument("--y", type=float, required=True)
     d.add_argument("--dimension", type=int, default=1)
@@ -163,11 +162,8 @@ def _cmd_riesz(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    from .experiments import _parse_grid
-    from .spectral import evaluate_named_density
-
     try:
-        grid = _parse_grid(args.lambda_grid)
+        grid = parse_grid(args.lambda_grid)
         rows = []
         for lam in grid:
             ev = evaluate_named_density(args.name, args.x, args.y, float(lam),

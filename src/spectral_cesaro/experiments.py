@@ -27,12 +27,12 @@ from .summability import FinitePart, finite_part_eval
 from .testfn import make_bump
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment",
-           "experiment_names", "EXIT_CODES"]
+           "experiment_names", "parse_grid", "EXIT_CODES"]
 
 EXIT_CODES = {"pass": 0, "fail": 1, "inconclusive": 2}
 
 
-def _parse_grid(spec):
+def parse_grid(spec):
     """Geometric grid from 'start:stop:count' (or a ready sequence)."""
     if isinstance(spec, str):
         parts = spec.split(":")
@@ -141,7 +141,7 @@ def _exp_theta_sum(cfg):
     decays faster than any power of eps). Computed in mpmath: the remainder
     sits far below double rounding for the whole grid.
     """
-    eps_grid = _parse_grid(cfg.eps_grid)
+    eps_grid = parse_grid(cfg.eps_grid)
     slope_min = 3.0
     abs_tol = cfg.tol if cfg.tol is not None else 1e-10
     rows = []
@@ -187,7 +187,7 @@ def _exp_weyl_diagonal(cfg):
 
 def _exp_offdiag_equivalence(cfg):
     """Cesaro-order equivalence of sine-series and free-line densities."""
-    lams = _parse_grid(cfg.lambda_grid)
+    lams = parse_grid(cfg.lambda_grid)
     rep_in = spectral.offdiagonal_equivalence_check(
         cfg.x, cfg.y, cfg.k, lams, beta=-4.0, max_order=8, dps=30)
     rep_bd = spectral.offdiagonal_equivalence_check(
@@ -287,7 +287,7 @@ def _exp_schrodinger_averaged(cfg):
     1/(8 eps) radians across the support), so the slope criterion of 4 is
     not met there; see the notes field.
     """
-    eps_grid = _parse_grid(cfg.eps_grid)
+    eps_grid = parse_grid(cfg.eps_grid)
     phi = make_bump(1.0, 2.0)
     rows = []
     for eps in eps_grid:

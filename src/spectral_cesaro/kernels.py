@@ -21,15 +21,13 @@ from typing import Optional
 
 import numpy as np
 
-from .acceleration import fit_power_coefficients
-from .errors import (AccuracyError, BoundaryError, DomainError, ParameterError,
+from .errors import (BoundaryError, DomainError, ParameterError,
                      SingularityError)
 from .quadrature import integrate, lobe_sum
 from .testfn import TestFunction
 
 __all__ = [
     "KernelEval",
-    "KernelProfile",
     "ExpansionCoefficients",
     "heat_kernel",
     "schrodinger_kernel",
@@ -40,35 +38,8 @@ __all__ = [
     "averaged_smear",
 ]
 
-_CASES = ("line", "interval")
-_METHODS = ("spectral_sum", "closed_form", "image_sum")
-
-
-@dataclass(frozen=True)
-class KernelProfile:
-    """Profile g(t, lam) of a kernel and its behavior class at infinity."""
-    kind: str
-
-    _PROFILES = {
-        "heat": (lambda t, lam: math.exp(-t * lam), True),
-        "schrodinger": (lambda t, lam: cmath.exp(-1j * t * lam), False),
-        "cylinder": (lambda t, lam: math.exp(-t * math.sqrt(lam)), True),
-        # conjugate phase; see module docstring
-        "wightman": (lambda t, lam: cmath.exp(1j * t * math.sqrt(lam))
-                     / (2.0 * math.sqrt(lam)), False),
-    }
-
-    def __post_init__(self):
-        if self.kind not in self._PROFILES:
-            raise ParameterError(f"unknown kernel kind {self.kind!r}")
-
-    def g(self, t, lam):
-        return self._PROFILES[self.kind][0](t, lam)
-
-    @property
-    def in_class_K(self) -> bool:
-        """True when g decays with all derivatives (heat, cylinder)."""
-        return self._PROFILES[self.kind][1]
+CASES = ("line", "interval")
+METHODS = ("closed_form", "spectral_sum", "image_sum")
 
 
 @dataclass(frozen=True)
@@ -79,13 +50,13 @@ class KernelEval:
     error_estimate: float
 
     def __post_init__(self):
-        if self.method not in _METHODS:
+        if self.method not in METHODS:
             raise ParameterError(f"unknown method {self.method!r}")
 
 
 def _check_case(case, x, y):
-    if case not in _CASES:
-        raise ParameterError(f"case must be one of {_CASES}")
+    if case not in CASES:
+        raise ParameterError(f"case must be one of {CASES}")
     if case == "interval" and not (0.0 <= x <= math.pi and 0.0 <= y <= math.pi):
         raise DomainError("interval case needs x, y in [0, pi]")
 
@@ -327,13 +298,29 @@ class ExpansionCoefficients:
         }
 
 
+def _fit_power_coefficients(ts, values, powers):
+    """Least-squares fit values(t) = sum_p c_p t**p on a (geometric) ladder.
+
+    Columns are norm-scaled before solving, which keeps the Vandermonde
+    system well conditioned for the short ladders used here. Returns the
+    coefficient array in the order of ``powers``.
+    """
+    ts = np.asarray(ts, dtype=float)
+    vals = np.asarray(values)
+    A = np.array([ts**p for p in powers]).T
+    cn = np.linalg.norm(A, axis=0)
+    cn[cn == 0] = 1.0
+    coef, *_ = np.linalg.lstsq(A / cn, vals, rcond=None)
+    return coef / cn
+
+
 def _heat_coeffs(case: str, x: float, y: float, N: int) -> ExpansionCoefficients:
     # K(t) = (4 pi t)^{-1/2} h(t); extract h(t) = a0 + a1 t + ... on a ladder
     # chosen so the flat exp(-c/t) image terms are below 1e-12
     ts = np.geomspace(0.002, 0.03, 12)
     h = np.array([heat_kernel(case, t, x, y).value.real
                   * math.sqrt(4.0 * math.pi * t) for t in ts])
-    coef = fit_power_coefficients(ts, h, list(range(N + 1)))
+    coef = _fit_power_coefficients(ts, h, list(range(N + 1)))
     pref = 1.0 / math.sqrt(4.0 * math.pi)
     terms = tuple((j - 0.5, pref * coef[j]) for j in range(N + 1))
     return ExpansionCoefficients(terms, "pointwise", "local")
@@ -359,11 +346,11 @@ def _cylinder_coeffs(case: str, x: float, y: float, N: int) -> ExpansionCoeffici
     if diag:
         g = np.array([cylinder_kernel(case, t, x, y).value.real
                       - 1.0 / (math.pi * t) for t in ts])
-        coef = fit_power_coefficients(ts, g, powers)
+        coef = _fit_power_coefficients(ts, g, powers)
         terms = [(-1.0, 1.0 / math.pi)]
     else:
         g = np.array([cylinder_kernel(case, t, x, y).value.real for t in ts])
-        coef = fit_power_coefficients(ts, g, powers)
+        coef = _fit_power_coefficients(ts, g, powers)
         terms = []
     terms += [(float(p), float(c)) for p, c in zip(powers, coef)]
     terms = [(e, c) for e, c in terms if e <= N + 1e-9]
@@ -410,8 +397,8 @@ def averaged_smear(kind: str, case: str, x: float, y: float,
     """Smeared kernel value <G(eps t, x, y), phi(t)> over t in (0, inf).
 
     For the oscillatory Schrodinger profile the quadrature is split at the
-    phase lobes and the lobe sums are accelerated; decaying profiles use
-    plain adaptive quadrature.
+    phase lobes and the lobes are added in order (see :func:`lobe_sum`);
+    decaying profiles use plain adaptive quadrature.
     """
     if eps <= 0:
         raise ParameterError("eps must be positive")
@@ -462,12 +449,11 @@ def averaged_smear(kind: str, case: str, x: float, y: float,
             bps = _schrodinger_breakpoints(r2, eps, lo, hi)
             pts = [lo] + bps + [hi]
             if 3 <= len(pts) <= 1600:
-                # the lobe list covers [lo, hi] completely: sum exactly,
-                # acceleration is only for truncated infinite tails. Per-lobe
+                # the lobe list covers [lo, hi] completely. Per-lobe
                 # integration resolves the near-total cancellation that one
                 # adaptive pass cannot.
-                re = lobe_sum(f_re, pts, tol=tol, accelerate=False).value
-                im = lobe_sum(f_im, pts, tol=tol, accelerate=False).value
+                re = lobe_sum(f_re, pts, tol=tol).value
+                im = lobe_sum(f_im, pts, tol=tol).value
             else:
                 # extremely dense oscillation (distant images): the value is
                 # below any tolerance of interest; one budgeted adaptive pass

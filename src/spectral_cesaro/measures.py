@@ -165,8 +165,8 @@ class SpectralMeasure:
         """Float arrays (positions, weights) of the atoms of nonzero weight below lam.
 
         The arrays are read-only views of the float table (see
-        :meth:`atoms_below`). Complex weights come back real when every
-        imaginary part is negligible.
+        :meth:`atoms_below`). Complex weights come back real only when every
+        imaginary part is exactly zero.
         """
         lam = float(lam)
         if self.atom_fn is None:
@@ -174,7 +174,7 @@ class SpectralMeasure:
         t = self._float_table(lam)
         j = int(np.searchsorted(t.pos, lam))
         pos, wts = t.pos[:j], t.wts[:j]
-        if np.iscomplexobj(wts) and np.allclose(wts.imag, 0.0):
+        if np.iscomplexobj(wts) and not wts.imag.any():
             wts = wts.real
         return pos, wts
 
@@ -287,7 +287,9 @@ def riesz_mean(measure: SpectralMeasure, k: int, lam: float, dps: Optional[int] 
 
     Atoms exactly at lam are excluded (strict inequality). ``dps`` selects the
     mpmath backend with that many digits; default is the float backend with
-    exactly-rounded accumulation.
+    exactly-rounded accumulation. On the mpmath backend a continuous part
+    needs ``density_riesz``: a double-precision quadrature would not carry
+    the requested digits.
     """
     if k < 0 or int(k) != k:
         raise ParameterError("Riesz order k must be a nonnegative integer")
@@ -315,6 +317,8 @@ def riesz_mean(measure: SpectralMeasure, k: int, lam: float, dps: Optional[int] 
         return complex(total) if is_complex or total.imag != 0 else total.real
 
     # mp backend
+    if measure.density is not None and measure.density_riesz is None:
+        raise ParameterError("mpmath backend needs density_riesz")
     with mp.workdps(dps):
         lam_mp = mp.mpf(lam)
         total = mp.mpf(0)
@@ -324,8 +328,6 @@ def riesz_mean(measure: SpectralMeasure, k: int, lam: float, dps: Optional[int] 
             total += mp.fsum(terms)
         if measure.density_riesz is not None:
             total += measure.density_riesz(k, lam_mp, mp)
-        elif measure.density is not None:
-            total += mp.mpf(_density_riesz_quadrature(measure, k, lam))
         return total
 
 

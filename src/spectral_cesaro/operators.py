@@ -1,34 +1,24 @@
-"""Explicitly solvable model operators and their eigendata.
+"""Potentials V of one-dimensional Schrodinger operators -d2/dx2 + V.
 
-Kinds: the free line -d2/dx2 on R, the free Laplacian on R^d, the Dirichlet
-interval (0, pi), and one-dimensional Schrodinger operators -d2/dx2 + V with
-a smooth potential. Also hosts the one-dimensional phase-integral (WKB)
-spectral-density coefficients through second order.
+A :class:`Potential` carries V and its analytic derivatives; the three
+builders give a constant, a quadratic and a Gaussian well. From these,
+:func:`wkb_coefficients` fills the phase-integral (WKB) spectral-density
+coefficients through second order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedOrderError
-from .testfn import TestFunction, from_callable
+from .errors import UnsupportedOrderError
 
 __all__ = [
-    "ModelOperator",
-    "EigenPair",
     "Potential",
     "WkbTable",
-    "free_line",
-    "free_space",
-    "dirichlet_interval",
-    "schrodinger_line",
-    "dirichlet_eigendata",
     "wkb_coefficients",
-    "apply_H_power",
     "constant_potential",
     "quadratic_potential",
     "gaussian_well",
@@ -90,106 +80,6 @@ def gaussian_well(depth: float = 1.0, width: float = 1.0, center: float = 0.0) -
     )
 
 
-@dataclass(frozen=True)
-class ModelOperator:
-    kind: str                       # free_line | free_space | dirichlet_interval | schrodinger_line
-    dimension: int = 1
-    potential: Optional[Potential] = None
-
-    def __post_init__(self):
-        if self.kind not in ("free_line", "free_space", "dirichlet_interval",
-                             "schrodinger_line"):
-            raise ParameterError(f"unknown operator kind {self.kind!r}")
-        if self.kind == "free_space" and self.dimension < 1:
-            raise ParameterError("free_space needs dimension >= 1")
-        if self.kind in ("free_line", "dirichlet_interval", "schrodinger_line") \
-                and self.dimension != 1:
-            raise ParameterError(f"{self.kind} is one-dimensional")
-        if self.kind == "schrodinger_line":
-            if self.potential is None:
-                raise ParameterError("schrodinger_line needs a potential")
-            if self.potential.max_derivative_order < 2:
-                raise ParameterError("potential must supply V, V', V''")
-
-
-def free_line() -> ModelOperator:
-    return ModelOperator("free_line")
-
-
-def free_space(dimension: int) -> ModelOperator:
-    return ModelOperator("free_space", dimension=dimension)
-
-
-def dirichlet_interval() -> ModelOperator:
-    """-d2/dx2 with Dirichlet conditions on (0, pi)."""
-    return ModelOperator("dirichlet_interval")
-
-
-def schrodinger_line(potential: Potential) -> ModelOperator:
-    return ModelOperator("schrodinger_line", potential=potential)
-
-
-_POTENTIAL_FORMS = {
-    "constant": (constant_potential, ("c",)),
-    "quadratic": (quadratic_potential, ("a",)),
-    "gaussian_well": (gaussian_well, ("depth", "width", "center")),
-}
-
-
-def from_config(config: dict) -> ModelOperator:
-    """Build an operator from a kind + parameters mapping.
-
-    Examples: {"kind": "free_space", "dimension": 3} or
-    {"kind": "schrodinger_line", "potential": {"form": "constant", "c": 2.0}}.
-    """
-    cfg = dict(config)
-    kind = cfg.pop("kind", None)
-    if kind is None:
-        raise ParameterError("operator config needs a 'kind'")
-    if kind == "free_line":
-        return free_line()
-    if kind == "free_space":
-        return free_space(int(cfg.pop("dimension", 1)))
-    if kind == "dirichlet_interval":
-        return dirichlet_interval()
-    if kind == "schrodinger_line":
-        pot_cfg = dict(cfg.pop("potential", {}))
-        form = pot_cfg.pop("form", None)
-        if form not in _POTENTIAL_FORMS:
-            raise ParameterError(
-                f"unknown potential form {form!r}; known: "
-                f"{', '.join(_POTENTIAL_FORMS)}")
-        builder, keys = _POTENTIAL_FORMS[form]
-        kwargs = {key: float(pot_cfg.pop(key)) for key in list(pot_cfg)}
-        if any(key not in keys for key in kwargs):
-            raise ParameterError(f"potential {form!r} accepts {keys}")
-        return schrodinger_line(builder(**kwargs))
-    raise ParameterError(f"unknown operator kind {kind!r}")
-
-
-# -------------------------------------------------------------- eigendata
-
-@dataclass(frozen=True)
-class EigenPair:
-    eigenvalue: float
-    eigenfunction: Callable
-    index: int
-
-
-def dirichlet_eigendata(n: int) -> EigenPair:
-    """n-th Dirichlet eigenpair on (0, pi): eigenvalue n^2, sqrt(2/pi) sin(nx)."""
-    if n < 1 or int(n) != n:
-        raise ParameterError("index n must be an integer >= 1")
-    n = int(n)
-    amp = math.sqrt(2.0 / math.pi)
-
-    def psi(x):
-        return amp * np.sin(n * np.asarray(x, dtype=float)) if np.ndim(x) \
-            else amp * math.sin(n * x)
-
-    return EigenPair(eigenvalue=float(n * n), eigenfunction=psi, index=n)
-
-
 # ------------------------------------------------------------ WKB table
 
 @dataclass(frozen=True)
@@ -237,33 +127,3 @@ def wkb_coefficients(V: Potential, x0: float) -> WkbTable:
         entries[(n, 0, 1)] = rho01[n]
         entries[(n, 1, 0)] = rho01[n]
     return WkbTable(base_point=float(x0), entries=entries, heuristic=V.heuristic)
-
-
-# --------------------------------------------------------- powers of H
-
-def apply_H_power(op: ModelOperator, n: int, phi: TestFunction) -> TestFunction:
-    """H^n phi by repeated application; H phi = -phi'' (+ V phi for Schrodinger)."""
-    if n < 0 or int(n) != n:
-        raise ParameterError("power n must be a nonnegative integer")
-    if op.kind == "free_space" and op.dimension != 1:
-        raise ParameterError("apply_H_power supports one-dimensional operators")
-    if op.kind not in ("free_line", "dirichlet_interval", "schrodinger_line",
-                       "free_space"):
-        raise ParameterError(f"unsupported kind {op.kind}")
-    out = phi
-    for _ in range(int(n)):
-        minus_second = out.derivative(2) * (-1.0)
-        if op.kind == "schrodinger_line":
-            vt = _potential_as_testfunction(op.potential)
-            out = minus_second + (vt * out)
-        else:
-            out = minus_second
-    return out
-
-
-def _potential_as_testfunction(V: Potential) -> TestFunction:
-    return from_callable(
-        V,
-        derivatives=[V.derivative(k) for k in range(1, V.max_derivative_order + 1)],
-        decays=False,
-    )

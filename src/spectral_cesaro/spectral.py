@@ -19,7 +19,7 @@ from scipy import special as _sp
 
 from .errors import DataError, DomainError, ParameterError, SingularityError
 from .measures import SpectralMeasure, riesz_mean
-from .summability import CesaroReport, SLOPE_TOLERANCE, cesaro_order_test
+from .summability import CesaroReport, cesaro_order_test
 from .testfn import TestFunction
 
 __all__ = [
@@ -52,7 +52,7 @@ class DensityEval:
             raise ParameterError("densities vanish for negative lam")
 
 
-_NAMED_DENSITIES = ("free_line", "free_space", "interval_staircase", "weyl")
+NAMED_DENSITIES = ("free_line", "free_space", "interval_staircase", "weyl")
 
 
 def evaluate_named_density(name: str, x: float, y: float, lam: float,
@@ -77,7 +77,7 @@ def evaluate_named_density(name: str, x: float, y: float, lam: float,
         trunc = None
     else:
         raise ParameterError(
-            f"unknown density {name!r}; known: {', '.join(_NAMED_DENSITIES)}")
+            f"unknown density {name!r}; known: {', '.join(NAMED_DENSITIES)}")
     return DensityEval(value=float(v), lam=lam, x=x, y=y, truncation=trunc)
 
 

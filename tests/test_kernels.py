@@ -331,12 +331,3 @@ class TestAveragedSmear:
         a = sc.averaged_smear("schrodinger", "interval", 1.0, 2.0, phi, 1e-3)
         b = sc.averaged_smear("schrodinger", "line", 1.0, 2.0, phi, 1e-3)
         assert abs(a - b) < 1e-6
-
-
-def test_kernel_profile_classes():
-    assert sc.KernelProfile("heat").in_class_K
-    assert sc.KernelProfile("cylinder").in_class_K
-    assert not sc.KernelProfile("schrodinger").in_class_K
-    assert not sc.KernelProfile("wightman").in_class_K
-    assert abs(sc.KernelProfile("heat").g(0.5, 2.0) - math.exp(-1.0)) < 1e-16
-    assert abs(sc.KernelProfile("cylinder").g(1.0, 4.0) - math.exp(-2.0)) < 1e-16

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spectral_cesaro as sc
@@ -63,6 +63,13 @@ class TestRieszMean:
         m = SpectralMeasure.from_density(lambda mu: 1.0)
         for k in (0, 1, 3):
             assert abs(sc.riesz_mean(m, k, 7.0) - 7.0 / (k + 1)) < 1e-9
+
+    def test_mp_backend_needs_density_riesz(self):
+        m = SpectralMeasure.from_density(lambda mu: 1.0)
+        with pytest.raises(ParameterError, match="density_riesz"):
+            sc.riesz_mean(m, 1, 7.0, dps=30)
+        m.density_riesz = lambda k, lam, B: lam / (k + 1)
+        assert sc.riesz_mean(m, 1, 7.0, dps=30) == 3.5
 
 
 def test_absolutely_convergent_consistency():
@@ -176,6 +183,26 @@ def test_riesz_linearity(weights1, weights2, a, b, k):
     lhs = sc.riesz_mean(mc, k, lam)
     rhs = a * sc.riesz_mean(m1, k, lam) + b * sc.riesz_mean(m2, k, lam)
     assert abs(lhs - rhs) < 1e-10 * (1 + abs(lhs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    atoms=st.lists(
+        st.tuples(st.floats(0.1, 10), st.floats(1, 10), st.integers(-12, 0)),
+        min_size=1, max_size=6),
+    k=st.integers(0, 4),
+)
+@example(atoms=[(1.0, 1.0, -9)], k=0)
+def test_small_imaginary_weights_float_vs_mp(atoms, k):
+    """Float and 30-digit Riesz means agree in both parts, down to Im w = 1e-12."""
+    weights = [re + 1j * mant * 10.0**e for re, mant, e in atoms]
+    pos = [float(j) for j in range(1, len(atoms) + 1)]
+    m = SpectralMeasure.from_atoms(pos, weights)
+    lam = len(atoms) + 0.5
+    f = complex(sc.riesz_mean(m, k, lam))
+    g = complex(sc.riesz_mean(m, k, lam, dps=30))
+    assert abs(f.real - g.real) <= 1e-12 * abs(g.real)
+    assert abs(f.imag - g.imag) <= 1e-12 * abs(g.imag)
 
 
 class TestCsvRoundTrip:

@@ -1,50 +1,11 @@
-"""Model operators, eigendata, WKB coefficients, powers of H."""
+"""Potentials and their WKB spectral-density coefficients."""
 
 import math
 
-import numpy as np
 import pytest
 
 import spectral_cesaro as sc
-from spectral_cesaro.errors import ParameterError, UnsupportedOrderError
-
-
-class TestDirichletEigendata:
-    def test_third_pair(self):
-        ep = sc.dirichlet_eigendata(3)
-        assert ep.eigenvalue == 9.0
-        x = 0.83
-        assert abs(ep.eigenfunction(x)
-                   - math.sqrt(2 / math.pi) * math.sin(3 * x)) < 1e-15
-
-    def test_first_at_half_pi(self):
-        ep = sc.dirichlet_eigendata(1)
-        assert abs(ep.eigenfunction(math.pi / 2) - math.sqrt(2 / math.pi)) < 1e-15
-
-    @pytest.mark.parametrize("n", [1, 2, 7])
-    def test_dirichlet_condition(self, n):
-        ep = sc.dirichlet_eigendata(n)
-        assert abs(ep.eigenfunction(0.0)) < 1e-14
-        assert abs(ep.eigenfunction(math.pi)) < 1e-13
-
-    def test_bad_index(self):
-        with pytest.raises(ParameterError):
-            sc.dirichlet_eigendata(0)
-
-    def test_orthonormality(self):
-        """int_0^pi psi_m psi_n = delta_mn within 1e-9 for m, n <= 10."""
-        for m in range(1, 11):
-            for n in range(m, 11):
-                fm = sc.dirichlet_eigendata(m).eigenfunction
-                fn = sc.dirichlet_eigendata(n).eigenfunction
-                r = sc.integrate(lambda x: fm(x) * fn(x), 0.0, math.pi, tol=1e-11)
-                want = 1.0 if m == n else 0.0
-                assert abs(r.value - want) < 1e-9, (m, n, r.value)
-
-    def test_l2_norm_unity(self):
-        f = sc.dirichlet_eigendata(5).eigenfunction
-        r = sc.integrate(lambda x: f(x) ** 2, 0.0, math.pi, tol=1e-12)
-        assert abs(r.value - 1.0) < 1e-10
+from spectral_cesaro.errors import UnsupportedOrderError
 
 
 class TestWkbCoefficients:
@@ -92,73 +53,3 @@ class TestWkbCoefficients:
         V = sc.Potential("twice", [lambda x: 0.0, lambda x: 0.0, lambda x: 0.0])
         with pytest.raises(UnsupportedOrderError):
             sc.wkb_coefficients(V, 0.0)
-
-
-class TestApplyHPower:
-    def test_identity(self):
-        g = sc.make_gaussian(0.0, 1.0)
-        out = sc.apply_H_power(sc.free_line(), 0, g)
-        assert out(0.37) == g(0.37)
-
-    def test_free_line_once(self):
-        g = sc.make_gaussian(0.0, 1.0)
-        out = sc.apply_H_power(sc.free_line(), 1, g)
-        x = 0.9
-        assert abs(out(x) - (-(4 * x * x - 2) * math.exp(-x * x))) < 1e-13
-
-    def test_schrodinger_definition(self):
-        g = sc.make_gaussian(0.0, 1.0)
-        op = sc.schrodinger_line(sc.quadratic_potential(1.0))
-        out = sc.apply_H_power(op, 1, g)
-        x = 0.31
-        want = -(4 * x * x - 2) * math.exp(-x * x) + x * x * math.exp(-x * x)
-        assert abs(out(x) - want) < 1e-13
-
-    @pytest.mark.parametrize("op", [
-        sc.free_line(),
-        sc.schrodinger_line(sc.quadratic_potential(0.5)),
-    ])
-    def test_composition(self, op):
-        """H^m (H^n phi) = H^(m+n) phi within 1e-8 at sampled points."""
-        g = sc.make_gaussian(0.2, 1.1)
-        lhs = sc.apply_H_power(op, 1, sc.apply_H_power(op, 2, g))
-        rhs = sc.apply_H_power(op, 3, g)
-        for x in (-0.8, 0.0, 0.45, 1.2):
-            assert abs(lhs(x) - rhs(x)) < 1e-8 * max(1.0, abs(rhs(x)))
-
-
-class TestModelOperatorValidation:
-    def test_interval_is_one_dimensional(self):
-        with pytest.raises(ParameterError):
-            sc.ModelOperator("dirichlet_interval", dimension=2)
-
-    def test_schrodinger_needs_potential(self):
-        with pytest.raises(ParameterError):
-            sc.ModelOperator("schrodinger_line")
-
-    def test_free_space_dimension(self):
-        op = sc.free_space(3)
-        assert op.dimension == 3
-
-
-class TestOperatorFromConfig:
-    def test_free_space(self):
-        op = sc.operator_from_config({"kind": "free_space", "dimension": 3})
-        assert op.kind == "free_space" and op.dimension == 3
-
-    def test_schrodinger_with_named_potential(self):
-        op = sc.operator_from_config(
-            {"kind": "schrodinger_line",
-             "potential": {"form": "constant", "c": 2.0}})
-        assert op.potential(5.0) == 2.0
-
-    def test_gaussian_well_form(self):
-        op = sc.operator_from_config(
-            {"kind": "schrodinger_line",
-             "potential": {"form": "gaussian_well", "depth": 2.0, "width": 1.5}})
-        assert abs(op.potential(0.0) + 2.0) < 1e-15
-
-    def test_unknown_form_rejected(self):
-        with pytest.raises(ParameterError):
-            sc.operator_from_config({"kind": "schrodinger_line",
-                                     "potential": {"form": "morse"}})

@@ -1,4 +1,4 @@
-"""Quadrature engine and sequence acceleration."""
+"""Quadrature engine and lobe sums."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import spectral_cesaro as sc
-from spectral_cesaro.acceleration import richardson, wynn_epsilon
 from spectral_cesaro.errors import ParameterError
 
 # catalogued closed-form integrals: (f, a, b, exact)
@@ -46,44 +45,5 @@ def test_lobe_sum_matches_plain_quadrature():
     f = lambda t: math.sin(10 * t) * math.exp(-t)
     pts = [k * math.pi / 10 for k in range(0, 32)]
     direct = sc.integrate(f, pts[0], pts[-1], tol=1e-13).value
-    lobed = sc.lobe_sum(f, pts, tol=1e-13, accelerate=False).value
+    lobed = sc.lobe_sum(f, pts, tol=1e-13).value
     assert abs(direct - lobed) < 1e-11
-
-
-def test_oscillatory_integrate_damped_cosine():
-    # int_0^40pi cos(7 t) e^(-t/4) dt, phase 7t
-    f = lambda t: math.cos(7 * t) * math.exp(-t / 4)
-    exact = (0.25 + 7 * math.sin(7 * 40 * math.pi) * 0 + 0)  # closed form below
-    a, b = 0.0, 40 * math.pi
-    w = 7.0
-    c = 0.25
-    # antiderivative of cos(wt)e^{-ct}: e^{-ct}(w sin - c cos)/(w^2+c^2)
-    F = lambda t: math.exp(-c * t) * (w * math.sin(w * t) - c * math.cos(w * t)) \
-        / (w * w + c * c)
-    exact = F(b) - F(a)
-    r = sc.oscillatory_integrate(f, a, b, phase=lambda t: w * t, tol=1e-12)
-    assert abs(r.value - exact) < 1e-9
-
-
-class TestWynnEpsilon:
-    def test_alternating_log2(self):
-        partial = np.cumsum([(-1) ** (k + 1) / k for k in range(1, 13)])
-        acc = wynn_epsilon(partial)
-        assert abs(acc - math.log(2.0)) < 1e-8
-        assert abs(partial[-1] - math.log(2.0)) > 1e-2  # genuinely accelerated
-
-    def test_leibniz_pi(self):
-        partial = np.cumsum([4 * (-1) ** k / (2 * k + 1) for k in range(14)])
-        acc, err = wynn_epsilon(partial, return_error=True)
-        assert abs(acc - math.pi) < 1e-7
-        assert err < 1e-4
-
-    def test_exact_convergence_short_circuit(self):
-        assert wynn_epsilon([1.0, 1.0, 1.0]) == 1.0
-
-
-def test_richardson_h2_expansion():
-    # f(h) = 1 + h^2 - 3 h^4
-    hs = [0.4, 0.2, 0.1, 0.05]
-    vals = [1 + h * h - 3 * h**4 for h in hs]
-    assert abs(richardson(vals, hs, order=2) - 1.0) < 1e-10
