@@ -316,8 +316,13 @@ def _fit_power_coefficients(ts, values, powers):
 
 def _heat_coeffs(case: str, x: float, y: float, N: int) -> ExpansionCoefficients:
     # K(t) = (4 pi t)^{-1/2} h(t); extract h(t) = a0 + a1 t + ... on a ladder
-    # chosen so the flat exp(-c/t) image terms are below 1e-12
-    ts = np.geomspace(0.002, 0.03, 12)
+    # chosen so the flat exp(-rho^2/4t) image terms of the interval, rho the
+    # distance to the nearest image, stay below 1e-14 of the lead
+    t_top = 0.03
+    if case == "interval":
+        rho = min(x + y, 2.0 * math.pi - x - y)
+        t_top = min(t_top, rho * rho / (4.0 * math.log(1e14)))
+    ts = np.geomspace(t_top / 15.0, t_top, 12)
     h = np.array([heat_kernel(case, t, x, y).value.real
                   * math.sqrt(4.0 * math.pi * t) for t in ts])
     coef = _fit_power_coefficients(ts, h, list(range(N + 1)))
@@ -396,9 +401,12 @@ def averaged_smear(kind: str, case: str, x: float, y: float,
                    phi: TestFunction, eps: float, tol: float = 1e-12) -> complex:
     """Smeared kernel value <G(eps t, x, y), phi(t)> over t in (0, inf).
 
-    For the oscillatory Schrodinger profile the quadrature is split at the
-    phase lobes and the lobes are added in order (see :func:`lobe_sum`);
-    decaying profiles use plain adaptive quadrature.
+    For the oscillatory Schrodinger profile every off-diagonal term (each
+    image, on the interval) is split at its phase lobes and the lobes are
+    added in order by :func:`lobe_sum`: one Gauss-Kronrod-21 pass over up to
+    256 lobes at a time, with adaptive quadrature only for the lobes that
+    pass rejects. Its integrands are numpy expressions in ``t``, so ``phi``
+    must accept arrays. Decaying profiles use plain adaptive quadrature.
     """
     if eps <= 0:
         raise ParameterError("eps must be positive")
@@ -432,10 +440,10 @@ def averaged_smear(kind: str, case: str, x: float, y: float,
         r2 = d * d
 
         def f_re(t, r2=r2):
-            return phi(t) / math.sqrt(t) * math.cos(r2 / (4.0 * eps * t))
+            return phi(t) / np.sqrt(t) * np.cos(r2 / (4.0 * eps * t))
 
         def f_im(t, r2=r2):
-            return phi(t) / math.sqrt(t) * math.sin(r2 / (4.0 * eps * t))
+            return phi(t) / np.sqrt(t) * np.sin(r2 / (4.0 * eps * t))
 
         if r2 == 0.0:
             # substitute t = s^2: int phi(t)/sqrt(t) dt = 2 int phi(s^2) ds
@@ -446,20 +454,9 @@ def averaged_smear(kind: str, case: str, x: float, y: float,
             if not math.isfinite(hi):
                 raise ParameterError(
                     "off-diagonal schrodinger smear needs compactly supported phi")
-            bps = _schrodinger_breakpoints(r2, eps, lo, hi)
-            pts = [lo] + bps + [hi]
-            if 3 <= len(pts) <= 1600:
-                # the lobe list covers [lo, hi] completely. Per-lobe
-                # integration resolves the near-total cancellation that one
-                # adaptive pass cannot.
-                re = lobe_sum(f_re, pts, tol=tol).value
-                im = lobe_sum(f_im, pts, tol=tol).value
-            else:
-                # extremely dense oscillation (distant images): the value is
-                # below any tolerance of interest; one budgeted adaptive pass
-                lim = max(400, min(4 * len(pts), 20000))
-                re = integrate(f_re, lo, hi, tol=tol, limit=lim).value
-                im = integrate(f_im, lo, hi, tol=tol, limit=lim).value
+            pts = [lo] + _schrodinger_breakpoints(r2, eps, lo, hi) + [hi]
+            re = lobe_sum(f_re, pts, tol=tol).value
+            im = lobe_sum(f_im, pts, tol=tol).value
         contribution = sign * pref * complex(re, im)
         total += contribution
         if case == "interval" and abs(d) > abs(x) + abs(y) and abs(contribution) < tol:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -256,6 +257,16 @@ class TestSmallTCoefficients:
             e = j - 0.5
             assert abs(a.coefficient(e) - b.coefficient(e)) < 1e-8 * lead
 
+    @pytest.mark.parametrize("x", [0.5, 0.8, math.pi - 0.8])
+    def test_heat_line_interval_agree_near_boundary(self, x):
+        """The t-ladder shrinks with the nearest image distance min(2x, 2 pi - 2x)."""
+        a = sc.small_t_coefficients("heat", "line", x, x, N=2)
+        b = sc.small_t_coefficients("heat", "interval", x, x, N=2)
+        lead = 1 / math.sqrt(4 * math.pi)
+        for j in range(3):
+            e = j - 0.5
+            assert abs(a.coefficient(e) - b.coefficient(e)) < 1e-8 * lead
+
     def test_cylinder_line_offdiagonal_t1(self):
         co = sc.small_t_coefficients("cylinder", "line", 1.0, 2.0, N=3)
         assert abs(co.coefficient(1.0) - 1.0 / math.pi) < 1e-5
@@ -324,6 +335,21 @@ class TestAveragedSmear:
         slope = np.linalg.lstsq(np.vstack([np.log(eps), np.ones(len(eps))]).T,
                                 np.log(vals), rcond=None)[0][0]
         assert slope >= 4.0, slope
+
+    def test_interval_smear_runtime_budget(self):
+        """Six interval smears of the benchmark geometry in 3 s.
+
+        On a 2-vCPU Xeon VM: about 0.4 s with the batched lobe rule, about
+        6 s with one adaptive quadrature per lobe.
+        """
+        phi = sc.make_bump(1.0, 2.0)
+        t0 = time.perf_counter()
+        vals = [sc.averaged_smear("schrodinger", "interval", 1.0, 2.0, phi, float(e))
+                for e in np.geomspace(1e-3, 1e-1, 6)]
+        elapsed = time.perf_counter() - t0
+        line = sc.averaged_smear("schrodinger", "line", 1.0, 2.0, phi, 1e-3)
+        assert abs(vals[0] - line) < 1e-6
+        assert elapsed < 3.0, elapsed
 
     def test_interval_schrodinger_close_to_line_at_small_eps(self):
         """Image corrections are below any power: interval smear ~ line smear."""

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 import spectral_cesaro as sc
-from spectral_cesaro.errors import ParameterError
+from spectral_cesaro.errors import AccuracyError, ParameterError
 
 # catalogued closed-form integrals: (f, a, b, exact)
 CATALOG = [
@@ -42,8 +45,76 @@ def test_bad_tolerance_rejected():
 
 
 def test_lobe_sum_matches_plain_quadrature():
-    f = lambda t: math.sin(10 * t) * math.exp(-t)
+    f = lambda t: np.sin(10 * t) * np.exp(-t)
     pts = [k * math.pi / 10 for k in range(0, 32)]
     direct = sc.integrate(f, pts[0], pts[-1], tol=1e-13).value
     lobed = sc.lobe_sum(f, pts, tol=1e-13).value
     assert abs(direct - lobed) < 1e-11
+
+
+def _per_lobe(f, bps, tol):
+    """The reference: one adaptive integrate per lobe, added left to right."""
+    rs = [sc.integrate(f, a, b, tol=tol, limit=200) for a, b in zip(bps, bps[1:])]
+    return np.cumsum([r.value for r in rs])[-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    w=st.floats(0.5, 60.0), phase=st.floats(0.0, 2 * math.pi),
+    decay=st.floats(-0.3, 3.0), n_lobes=st.integers(1, 600),
+    seed=st.integers(0, 2**32 - 1), tol_exp=st.integers(-13, -8),
+    complex_out=st.booleans(),
+)
+def test_lobe_sum_matches_per_lobe_loop(w, phase, decay, n_lobes, seed, tol_exp,
+                                        complex_out):
+    """Batched first steps plus fallbacks give the per-lobe loop's sum."""
+    bps = np.unique(np.random.default_rng(seed).uniform(0.0, 10.0, n_lobes + 1))
+    tol = 10.0**tol_exp
+
+    def f(t):
+        v = np.sin(w * t + phase) * np.exp(-decay * t) / (1.0 + t * t)
+        return v * np.exp(1j * t) if complex_out else v
+
+    r = sc.lobe_sum(f, bps, tol=tol)
+    assert abs(r.value - _per_lobe(f, bps, tol)) <= tol
+    assert r.evaluations >= 21 * (2 if complex_out else 1) * (len(bps) - 1)
+
+
+def test_accepted_lobes_bit_identical_to_quad():
+    """A lobe the first step accepts has quad's value and error, bit for bit."""
+    f = lambda t: np.sin(10 * t) * np.exp(-t) / (1.0 + t)
+    pts = [k * math.pi / 10 for k in range(0, 42)]
+    tol = 1e-12
+    r = sc.lobe_sum(f, pts, tol=tol)
+    assert r.evaluations == 21 * (len(pts) - 1)    # every lobe accepted
+    vals, errs = [], []
+    for a, b in zip(pts, pts[1:]):
+        v, e, info = quad(f, a, b, epsabs=tol, epsrel=1e-12, limit=200,
+                          full_output=1)[:3]
+        assert info["neval"] == 21
+        vals.append(v)
+        errs.append(e)
+    assert r.value == np.cumsum(vals)[-1]
+    assert r.error_estimate == np.cumsum(errs)[-1]
+
+
+def test_sharp_peak_lobe_takes_the_fallback():
+    delta, c = 1e-2, 0.37
+    f = lambda t: 1.0 / (delta**2 + (t - c) ** 2)
+    pts = [0.0, 0.25, 0.5, 0.75, 1.0]
+    r = sc.lobe_sum(f, pts, tol=1e-13)
+    exact = (math.atan((1.0 - c) / delta) + math.atan(c / delta)) / delta
+    assert r.evaluations > 21 * (len(pts) - 1)
+    assert abs(r.value - exact) < 1e-12 * exact
+
+
+def test_fallback_accuracy_error_propagates():
+    f = lambda t: np.sin(1e5 * t)
+    with pytest.raises(AccuracyError):
+        sc.lobe_sum(f, [0.0, 1.0, 2.0], tol=1e-12)
+
+
+@pytest.mark.parametrize("bps", [[0.0], [0.0, 0.0], [1.0, 0.0], [0.0, math.inf]])
+def test_lobe_sum_rejects_bad_breakpoints(bps):
+    with pytest.raises(ParameterError):
+        sc.lobe_sum(np.sin, bps)
