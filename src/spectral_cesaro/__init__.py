@@ -5,7 +5,6 @@ from .errors import (AccuracyError, BoundaryError, DataError, DomainError,
 from .quadrature import QuadratureResult, integrate, lobe_sum
 from .testfn import (TestFunction, finite_difference_derivative, from_callable,
                      make_bump, make_exp_decay, make_gaussian)
-from .special import bessel_j
 from .measures import SpectralMeasure, riesz_mean
 from .summability import (CesaroReport, FinitePart, MomentList, cesaro_limit,
                           cesaro_order_test, finite_part_eval,

@@ -4,6 +4,7 @@ Subcommands:
   spectral-cesaro verify <experiment> [--flags]   run a registry experiment
   spectral-cesaro kernel <kind> <case> --t --x --y [--method]
   spectral-cesaro riesz --measure file.csv --order k --lambda lam
+  spectral-cesaro density <name> --x --y [--dimension] [--lambda-grid] [--out]
 
 Exit codes: 0 pass, 1 fail, 2 inconclusive, 64 usage error, 74 I/O error.
 """
@@ -16,9 +17,7 @@ import sys
 from pathlib import Path
 
 from . import kernels
-from .errors import ParameterError
-from .experiments import (ExperimentConfig, experiment_names, parse_grid,
-                          run_experiment)
+from .experiments import ExperimentConfig, parse_grid, run_experiment
 from .measures import SpectralMeasure, riesz_mean
 from .spectral import NAMED_DENSITIES, evaluate_named_density
 
@@ -38,13 +37,14 @@ def _build_parser():
                 description="Summability and Green-kernel verification toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser("verify", help="run a named verification experiment")
+    # no abbreviations: a stale "--t" must not be read as "--tol"
+    v = sub.add_parser("verify", help="run a named verification experiment",
+                       allow_abbrev=False)
     v.add_argument("experiment")
     v.add_argument("--config", help="flat key=value config file")
     v.add_argument("--out", help="directory for CSV/JSON artifacts")
     v.add_argument("--x", type=float)
     v.add_argument("--y", type=float)
-    v.add_argument("--t", type=float)
     v.add_argument("--order", "--k", dest="k", type=int)
     v.add_argument("--tol", type=float)
     v.add_argument("--eps-grid", dest="eps_grid",
@@ -80,8 +80,7 @@ def _build_parser():
 
 def _cmd_verify(args) -> int:
     overrides = {key: getattr(args, key) for key in
-                 ("x", "y", "t", "k", "tol", "eps_grid", "lambda_grid",
-                  "dps", "seed")
+                 ("x", "y", "k", "tol", "eps_grid", "lambda_grid", "dps", "seed")
                  if getattr(args, key) is not None}
     try:
         if args.config:
@@ -93,14 +92,14 @@ def _cmd_verify(args) -> int:
     except OSError as err:
         sys.stderr.write(f"i/o error: {err}\n")
         return EX_IOERR
-    except ParameterError as err:
+    except ValueError as err:
         sys.stderr.write(f"usage error: {err}\n")
         return EX_USAGE
-    if cfg.experiment not in experiment_names():
-        sys.stderr.write(f"usage error: unknown experiment {cfg.experiment!r}; "
-                         f"known: {', '.join(experiment_names())}\n")
+    try:
+        report, artifacts = run_experiment(cfg)
+    except ValueError as err:   # an unknown name or a point outside the domain
+        sys.stderr.write(f"usage error: {err}\n")
         return EX_USAGE
-    report, artifacts = run_experiment(cfg)
     if args.out:
         try:
             outdir = Path(args.out)

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import kernels, spectral
 from .errors import ParameterError
-from .measures import riesz_mean
 from .operators import constant_potential, wkb_coefficients
 from .quadrature import integrate
 from .summability import FinitePart, finite_part_eval
@@ -53,15 +52,12 @@ class ExperimentConfig:
     experiment: str
     x: float = 1.0
     y: float = 2.0
-    t: float = 0.1
     k: int = 2
     tol: Optional[float] = None
     eps_grid: str = "1e-3:1e-1:12"
     lambda_grid: str = "1e2:1e6:24"
-    t_grid: str = "0.01:1:50"
     dps: int = 80
     seed: int = 20260808
-    outdir: Optional[str] = None
 
     def __post_init__(self):
         if self.tol is not None and self.tol <= 0:
@@ -82,9 +78,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, experiment, kv):
-        casts = {"x": float, "y": float, "t": float, "k": int, "tol": float,
-                 "dps": int, "seed": int, "eps_grid": str, "lambda_grid": str,
-                 "t_grid": str, "outdir": str}
+        casts = {"x": float, "y": float, "k": int, "tol": float, "dps": int,
+                 "seed": int, "eps_grid": str, "lambda_grid": str}
         kwargs = {}
         for key, val in kv.items():
             if key not in casts:
@@ -144,18 +139,15 @@ def _exp_theta_sum(cfg):
     eps_grid = parse_grid(cfg.eps_grid)
     slope_min = 3.0
     abs_tol = cfg.tol if cfg.tol is not None else 1e-10
-    rows = []
-    with mp.workdps(cfg.dps):
-        for eps in eps_grid:
-            em = mp.mpf(float(eps))
-            nmax = int(mp.sqrt((cfg.dps + 4) * mp.log(10) / em)) + 2
-            s = mp.fsum(mp.exp(-em * n * n) for n in range(1, nmax + 1))
-            closed = mp.sqrt(mp.pi) / (2 * mp.sqrt(em)) - mp.mpf("0.5")
-            rows.append((float(eps), float(abs(s - closed))))
-        em = mp.mpf("0.01")
+
+    def remainder(em):
         nmax = int(mp.sqrt((cfg.dps + 4) * mp.log(10) / em)) + 2
         s = mp.fsum(mp.exp(-em * n * n) for n in range(1, nmax + 1))
-        rem_01 = float(abs(s - (mp.sqrt(mp.pi) / (2 * mp.sqrt(em)) - mp.mpf("0.5"))))
+        return float(abs(s - (mp.sqrt(mp.pi) / (2 * mp.sqrt(em)) - mp.mpf("0.5"))))
+
+    with mp.workdps(cfg.dps):
+        rows = [(float(eps), remainder(mp.mpf(float(eps)))) for eps in eps_grid]
+        rem_01 = remainder(mp.mpf("0.01"))
     slope = _fit_slope([r[0] for r in rows], [max(r[1], 1e-300) for r in rows])
     verdict = "pass" if (slope >= slope_min and rem_01 < abs_tol) else "fail"
     probes = [{"eps": e, "remainder": r} for e, r in rows]
@@ -167,20 +159,13 @@ def _exp_theta_sum(cfg):
 
 def _exp_weyl_diagonal(cfg):
     """Riesz-2 mean of the diagonal sine series against the smooth Weyl density."""
-    x = cfg.x
     checks = [(1e4, 1e-2), (1e6, 3e-3)]
-    atomic = spectral.interval_measure(x)
-    smooth = spectral.weyl_density_measure()
-    probes = []
-    rows = []
-    ok = True
-    for lam, tol in checks:
-        a = riesz_mean(atomic, cfg.k, lam)
-        s = riesz_mean(smooth, cfg.k, lam)
-        rel = abs(a - s) / abs(s)
-        ok &= rel < tol
-        probes.append({"lambda": lam, "relative_difference": rel, "tol": tol})
-        rows.append((lam, rel))
+    rep = spectral.diagonal_weyl_check(cfg.x, cfg.k, [lam for lam, _ in checks])
+    rels = rep.details["relative_differences"]
+    ok = all(rel < tol for rel, (_, tol) in zip(rels, checks))
+    probes = [{"lambda": lam, "relative_difference": rel, "tol": tol}
+              for rel, (lam, tol) in zip(rels, checks)]
+    rows = [(lam, rel) for rel, (lam, _) in zip(rels, checks)]
     report = ExperimentReport("weyl-diagonal", "pass" if ok else "fail", probes)
     return report, {"weyl_diagonal.csv": _csv_rows(["lambda", "value"], rows)}
 
@@ -188,10 +173,8 @@ def _exp_weyl_diagonal(cfg):
 def _exp_offdiag_equivalence(cfg):
     """Cesaro-order equivalence of sine-series and free-line densities."""
     lams = parse_grid(cfg.lambda_grid)
-    rep_in = spectral.offdiagonal_equivalence_check(
-        cfg.x, cfg.y, cfg.k, lams, beta=-4.0, max_order=8, dps=30)
-    rep_bd = spectral.offdiagonal_equivalence_check(
-        cfg.x, 0.0, cfg.k, lams, beta=-4.0, max_order=8, dps=30)
+    rep_in = spectral.offdiagonal_equivalence_check(cfg.x, cfg.y, cfg.k, lams)
+    rep_bd = spectral.offdiagonal_equivalence_check(cfg.x, 0.0, cfg.k, lams)
     ok = rep_in.verdict == "holds" and rep_bd.verdict == "fails"
     probes = [
         {"point": [cfg.x, cfg.y], "verdict": rep_in.verdict,

@@ -40,6 +40,8 @@ __all__ = [
 
 CASES = ("line", "interval")
 METHODS = ("closed_form", "spectral_sum", "image_sum")
+# distance to a jump of P in t, and to the light cone in cos t, that raises
+_WIGHTMAN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -194,12 +196,12 @@ def cylinder_kernel(case: str, t: float, x: float, y: float,
 
 # --------------------------------------------------------------- wightman
 
-def wightman_P(t: float, x: float, y: float, tol: float = 1e-9) -> int:
+def wightman_P(t: float, x: float, y: float) -> int:
     """Piecewise d'Alembert factor P(t,x,y) in {-1, 0, 1}, odd in t.
 
     With r = |x-y| and f = x+y folded into [0, pi], and t reduced mod 2 pi
     into (-pi, pi]: P = -1 on (-f, -r), 0 on (-r, r), +1 on (r, f), 0 on the
-    outer band. Evaluation within ``tol`` of a region boundary raises.
+    outer band. Evaluation within 1e-9 of a region boundary raises.
     """
     if not (0.0 < x < math.pi and 0.0 < y < math.pi):
         raise DomainError("x and y must lie in (0, pi)")
@@ -208,9 +210,9 @@ def wightman_P(t: float, x: float, y: float, tol: float = 1e-9) -> int:
     f = z if z <= math.pi else 2.0 * math.pi - z
     tt = math.remainder(t, 2.0 * math.pi)   # in (-pi, pi]
     for b in (-f, -r, r, f):
-        if abs(tt - b) < tol:
-            raise BoundaryError(
-                f"t={t} is within {tol} of a region boundary (reduced t={tt})")
+        if abs(tt - b) < _WIGHTMAN_TOL:
+            raise BoundaryError(f"t={t} is within {_WIGHTMAN_TOL} of a region "
+                                f"boundary (reduced t={tt})")
     if -f < tt < -r:
         return -1
     if -r < tt < r:
@@ -222,23 +224,21 @@ def wightman_P(t: float, x: float, y: float, tol: float = 1e-9) -> int:
 
 def wightman_interval(t: float, x: float, y: float,
                       method: str = "closed_form",
-                      n_terms: int = 10**4,
-                      cesaro_order: int = 1,
-                      singular_tol: float = 1e-9) -> KernelEval:
+                      n_terms: int = 10**4) -> KernelEval:
     """Interval Wightman function W(t,x,y).
 
     closed_form: (1/4pi) ln|(cos t - cos(x+y))/(cos t - cos(x-y))| + (i/4) P.
-    spectral_sum: Cesaro-averaged partial sums of
-    (1/pi) sum_k sin(kx) sin(ky) exp(+ikt)/k at truncation ``n_terms`` with
-    weights (1 - k/(N+1))^cesaro_order; the series is only conditionally
-    convergent near the singular lines, so plain partial sums are not
-    offered.
+    spectral_sum: Cesaro-1 means of
+    (1/pi) sum_k sin(kx) sin(ky) exp(+ikt)/k at truncation N = ``n_terms``,
+    with weights 1 - k/(N+1); the series is only conditionally convergent
+    near the singular lines, so plain partial sums are not offered. Points
+    with |cos t - cos(x+-y)| below 1e-9 raise SingularityError.
     """
     if not (0.0 < x < math.pi and 0.0 < y < math.pi):
         raise DomainError("x and y must lie in (0, pi)")
     d_minus = abs(math.cos(t) - math.cos(x - y))
     d_plus = abs(math.cos(t) - math.cos(x + y))
-    if min(d_minus, d_plus) < singular_tol:
+    if min(d_minus, d_plus) < _WIGHTMAN_TOL:
         raise SingularityError(
             "evaluation on the light cone: |cos t - cos(x+-y)| below tolerance",
             distance=min(d_minus, d_plus))
@@ -248,11 +248,9 @@ def wightman_interval(t: float, x: float, y: float,
         v = complex(re, im)
         return KernelEval(v, "closed_form", None, 1e-14 * max(1.0, abs(v)))
     if method == "spectral_sum":
-        if cesaro_order < 1:
-            raise ParameterError("cesaro_order must be >= 1")
         ks = np.arange(1, n_terms + 1)
         terms = (np.sin(ks * x) * np.sin(ks * y) / ks) * np.exp(1j * ks * t) / math.pi
-        weights = (1.0 - ks / (n_terms + 1.0)) ** cesaro_order
+        weights = 1.0 - ks / (n_terms + 1.0)
         v = complex(np.sum(weights * terms))
         err = 10.0 / (n_terms * min(d_minus, d_plus))
         return KernelEval(v, "spectral_sum", n_terms, err)

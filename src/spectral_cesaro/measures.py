@@ -128,13 +128,14 @@ class SpectralMeasure:
         def atom_fn(n, B):
             return pos[n - 1], wts[n - 1]
 
-        lb = min(0.0, pos[0])
-        return cls(atom_fn=atom_fn, n_atoms=len(pos), support_lower_bound=lb)
+        # zero-weight atoms are not in the support (nor in a saved CSV)
+        first = next((p for p, w in zip(pos, wts) if w != 0), 0.0)
+        return cls(atom_fn=atom_fn, n_atoms=len(pos),
+                   support_lower_bound=min(0.0, first))
 
     @classmethod
-    def from_generator(cls, atom_fn, support_lower_bound=0.0, n_atoms=None):
-        return cls(atom_fn=atom_fn, n_atoms=n_atoms,
-                   support_lower_bound=support_lower_bound)
+    def from_generator(cls, atom_fn, support_lower_bound=0.0):
+        return cls(atom_fn=atom_fn, support_lower_bound=support_lower_bound)
 
     @classmethod
     def from_density(cls, density, support_lower_bound=0.0, density_riesz=None):
@@ -269,6 +270,7 @@ class SpectralMeasure:
 
     @classmethod
     def load_csv(cls, path):
+        """Read a CSV written by :meth:`save_csv`; a header alone is the zero measure."""
         with open(path, newline="") as fh:
             r = csv.reader(fh)
             header = next(r)
@@ -278,6 +280,8 @@ class SpectralMeasure:
             for row in r:
                 pos.append(float(row[0]))
                 wts.append(float(row[1]) + 1j * float(row[2]))
+        if not pos:
+            return cls()
         wts = [w.real if w.imag == 0 else w for w in wts]
         return cls.from_atoms(pos, wts)
 

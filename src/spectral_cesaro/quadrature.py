@@ -71,20 +71,18 @@ def _refused(err, value, tol):
         & (err > tol)
 
 
-def integrate(f, a, b, tol=1e-10, points=None, limit=400, complex_output=None):
+def integrate(f, a, b, tol=1e-10, points=None, limit=400):
     """Adaptive quadrature of ``f`` over ``[a, b]`` (either end may be inf).
 
-    Complex-valued integrands are split into real and imaginary parts;
-    by default the output type is probed at one interior point. Raises
-    :class:`AccuracyError` (carrying the best estimate) when the reported
-    error exceeds ``tol`` by a wide margin.
+    Complex-valued integrands, as told by ``f`` at one interior point, are
+    split into real and imaginary parts. Raises :class:`AccuracyError`
+    (carrying the best estimate) when the reported error exceeds ``tol`` by
+    a wide margin.
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
-    if complex_output is None:
-        probe = f(_probe_point(a, b))
-        complex_output = np.iscomplexobj(probe) or isinstance(probe, complex)
-    if complex_output:
+    probe = f(_probe_point(a, b))
+    if np.iscomplexobj(probe) or isinstance(probe, complex):
         vr, er, nr = _quad_counted(lambda x: np.real(f(x)), a, b, tol, points, limit)
         vi, ei, ni = _quad_counted(lambda x: np.imag(f(x)), a, b, tol, points, limit)
         value, err, n = vr + 1j * vi, er + ei, nr + ni

@@ -54,6 +54,13 @@ class DensityEval:
 
 NAMED_DENSITIES = ("free_line", "free_space", "interval_staircase", "weyl")
 
+_SMEAR_TAIL_TOL = 1e-14
+_SMEAR_MAX_TERMS = 10**7
+_OFFDIAG_BETA = -4.0
+_OFFDIAG_MAX_ORDER = 8
+_OFFDIAG_DPS = 30
+_OFFDIAG_RATIO_THRESHOLD = 0.1
+
 
 def evaluate_named_density(name: str, x: float, y: float, lam: float,
                            dimension: int = 1) -> DensityEval:
@@ -114,10 +121,19 @@ def density_free_space(d: int, x, y, lam: float) -> float:
     if r == 0.0:
         return lam ** (d / 2.0 - 1.0) / (2.0**d * math.pi ** (d / 2.0)
                                          * math.gamma(d / 2.0))
-    from .special import bessel_j
-
     z = math.sqrt(lam) * r
-    return (lam ** (d / 4.0 - 0.5) * bessel_j(d / 2.0 - 1.0, z)
+    order = d / 2.0 - 1.0
+    # J_{-1/2} and J_{1/2} by their closed forms (d = 1, 3), others by scipy
+    if order == -0.5:
+        bessel = np.sqrt(2.0 / (np.pi * z)) * np.cos(z)
+    elif order == 0.5 and z < 1e-4:
+        # series sqrt(2z/pi)*(1 - z^2/6 + ...) avoids 0/0 at the origin
+        bessel = np.sqrt(2.0 * z / np.pi) * (1.0 - z * z / 6.0 + z**4 / 120.0)
+    elif order == 0.5:
+        bessel = np.sqrt(2.0 / (np.pi * z)) * np.sin(z)
+    else:
+        bessel = _sp.jv(order, z)
+    return (lam ** (d / 4.0 - 0.5) * float(bessel)
             / (2.0 ** (d / 2.0 + 1.0) * math.pi ** (d / 2.0) * r ** (d / 2.0 - 1.0)))
 
 
@@ -136,12 +152,13 @@ def staircase_interval(x: float, y: float, lam: float) -> float:
     return float((2.0 / math.pi) * math.fsum(np.sin(n * x) * np.sin(n * y)))
 
 
-def density_smear_interval(x: float, y: float, phi: TestFunction, eps: float,
-                           tail_tol: float = 1e-14, max_terms: int = 10**7) -> float:
+def density_smear_interval(x: float, y: float, phi: TestFunction,
+                           eps: float) -> float:
     """Smeared interval density: sum_n (2/pi) sin(nx) sin(ny) phi(eps n^2).
 
     Truncates when a geometric bound on the remaining tail falls below
-    ``tail_tol``. phi must decay (gaussian, bump, exp_decay kinds).
+    1e-14, and gives up after 1e7 terms. phi must decay (gaussian, bump,
+    exp_decay kinds).
     """
     if eps <= 0:
         raise ParameterError("eps must be positive")
@@ -151,7 +168,7 @@ def density_smear_interval(x: float, y: float, phi: TestFunction, eps: float,
     terms = []
     n = 1
     prev_abs = None
-    while n <= max_terms:
+    while n <= _SMEAR_MAX_TERMS:
         u = eps * n * n
         if sup_hi is not None and u > sup_hi:
             break
@@ -161,7 +178,7 @@ def density_smear_interval(x: float, y: float, phi: TestFunction, eps: float,
         if prev_abs is not None and 0.0 < a < prev_abs:
             ratio = a / prev_abs
             tail = (2.0 / math.pi) * a * ratio / (1.0 - ratio)
-            if tail < tail_tol:
+            if tail < _SMEAR_TAIL_TOL:
                 break
         prev_abs = a
         n += 1
@@ -238,19 +255,13 @@ def weyl_density_measure() -> SpectralMeasure:
 
 def interval_minus_free_measure(x: float, y: float) -> SpectralMeasure:
     """Difference measure: interval sine-series atoms minus free-line density."""
-    c = abs(x - y)
-    base = _free_line_density_riesz(c)
-
-    def atom_fn(n, B):
-        xn = B.mpf(n) * B.mpf(n)
-        w = 2 * B.sin(n * B.mpf(x)) * B.sin(n * B.mpf(y)) / B.pi
-        return xn, w
+    base = _free_line_density_riesz(abs(x - y))
 
     def neg_density_riesz(k, lam, B):
         return -base(k, lam, B)
 
     return SpectralMeasure(
-        atom_fn=atom_fn,
+        atom_fn=interval_measure(x, y).atom_fn,
         density=lambda lam: -density_free_line(x, y, lam) if lam > 0 else 0.0,
         density_riesz=neg_density_riesz,
         support_lower_bound=0.0,
@@ -293,21 +304,18 @@ def diagonal_weyl_check(x: float, k: int, lam_probes: Sequence[float],
 
 
 def offdiagonal_equivalence_check(x: float, y: float, k: int,
-                                  lam_probes: Sequence[float],
-                                  beta: float = -4.0,
-                                  max_order: int = 8,
-                                  dps: int = 30,
-                                  ratio_threshold: float = 0.1) -> CesaroReport:
+                                  lam_probes: Sequence[float]) -> CesaroReport:
     """Test the off-diagonal equivalence of sine-series and free-line densities.
 
-    The difference measure is run through the Cesaro order test at exponent
-    ``beta`` (proxy for rapid decay at desk scale). Because both sides are
-    individually of rapid Cesaro decay at fixed interior points, the slope
-    test alone cannot see a vanishing left side; the verdict therefore also
-    requires genuine cancellation: the rms Riesz mean of the difference at
-    order ``k`` must be below ``ratio_threshold`` times that of the free-line
-    side. At the boundary (y = 0 or pi) the sine series vanishes identically,
-    the ratio is 1, and the check fails.
+    The difference measure is run through the Cesaro order test at the fixed
+    exponent beta = -4 (proxy for rapid decay at desk scale), up to order 8,
+    with Riesz means at 30 digits. Because both sides are individually of
+    rapid Cesaro decay at fixed interior points, the slope test alone cannot
+    see a vanishing left side; the verdict therefore also requires genuine
+    cancellation: the rms Riesz mean of the difference at order ``k`` must be
+    below 0.1 times that of the free-line side. At the boundary (y = 0 or
+    pi) the sine series vanishes identically, the ratio is 1, and the check
+    fails.
     """
     if not (0.0 < x < math.pi):
         raise ParameterError("x must lie in (0, pi)")
@@ -316,35 +324,36 @@ def offdiagonal_equivalence_check(x: float, y: float, k: int,
     if x == y:
         raise ParameterError("diagonal point: use diagonal_weyl_check instead")
     probes = sorted(float(p) for p in lam_probes)
-    if len(probes) < max_order + 4:
+    if len(probes) < _OFFDIAG_MAX_ORDER + 4:
         probes = list(np.geomspace(probes[0], probes[-1],
-                                   max(24, max_order + 6)))
+                                   max(24, _OFFDIAG_MAX_ORDER + 6)))
     if abs(x - y) < 1e-6:
-        return CesaroReport(claimed_exponent=beta, order_used=0,
+        return CesaroReport(claimed_exponent=_OFFDIAG_BETA, order_used=0,
                             verdict="inconclusive", fitted_slope=float("nan"),
                             residual=float("nan"),
                             details={"reason": "near-diagonal degradation"})
 
     diff = interval_minus_free_measure(x, y)
-    report = cesaro_order_test(diff, beta, max_order, lambdas=probes, dps=dps,
+    report = cesaro_order_test(diff, _OFFDIAG_BETA, _OFFDIAG_MAX_ORDER,
+                               lambdas=probes, dps=_OFFDIAG_DPS,
                                allow_excluded_beta=True)
 
     free = free_line_density_measure(x, y)
     num, den = [], []
     for lam in probes:
-        num.append(float(abs(riesz_mean(diff, k, lam, dps=dps))))
-        den.append(float(abs(riesz_mean(free, k, lam, dps=dps))))
+        num.append(float(abs(riesz_mean(diff, k, lam, dps=_OFFDIAG_DPS))))
+        den.append(float(abs(riesz_mean(free, k, lam, dps=_OFFDIAG_DPS))))
     rms_diff = math.sqrt(math.fsum(v * v for v in num) / len(num))
     rms_free = math.sqrt(math.fsum(v * v for v in den) / len(den))
     ratio = rms_diff / rms_free if rms_free > 0 else math.inf
 
     verdict = report.verdict
-    if verdict == "holds" and ratio > ratio_threshold:
+    if verdict == "holds" and ratio > _OFFDIAG_RATIO_THRESHOLD:
         verdict = "fails"
     details = dict(report.details)
     details.update({"cancellation_ratio": ratio,
-                    "ratio_threshold": ratio_threshold,
+                    "ratio_threshold": _OFFDIAG_RATIO_THRESHOLD,
                     "riesz_order": k})
     return CesaroReport(
-        claimed_exponent=beta, order_used=report.order_used, verdict=verdict,
-        fitted_slope=report.fitted_slope, residual=ratio, details=details)
+        claimed_exponent=_OFFDIAG_BETA, order_used=report.order_used,
+        verdict=verdict, fitted_slope=report.fitted_slope, residual=ratio, details=details)

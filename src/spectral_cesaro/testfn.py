@@ -33,10 +33,9 @@ class TestFunction:
     Calling is vectorized over numpy arrays.
     """
 
-    def __init__(self, kind, evaluate, derivative_factory, parameters=(),
-                 max_order=64, support=None, decays=True):
+    def __init__(self, kind, evaluate, derivative_factory, max_order=64,
+                 support=None, decays=True):
         self.kind = kind
-        self.parameters = tuple(parameters)
         self.max_analytic_derivative_order = max_order
         self.support = support  # (a, b) for compactly supported kinds, else None
         self.decays = decays
@@ -57,68 +56,6 @@ class TestFunction:
                 f"{self.max_analytic_derivative_order}, requested {order}; use "
                 "finite_difference_derivative explicitly if approximation is acceptable")
         return self._derivative_factory(order)
-
-    def __add__(self, other):
-        other = _as_testfunction(other)
-        return TestFunction(
-            kind="sum",
-            evaluate=lambda x: self._evaluate(x) + other._evaluate(x),
-            derivative_factory=lambda k: self.derivative(k) + other.derivative(k),
-            max_order=min(self.max_analytic_derivative_order,
-                          other.max_analytic_derivative_order),
-            support=None,
-            decays=self.decays and other.decays,
-        )
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            c = other
-            return TestFunction(
-                kind="scaled",
-                evaluate=lambda x: c * self._evaluate(x),
-                derivative_factory=lambda k: self.derivative(k) * c,
-                max_order=self.max_analytic_derivative_order,
-                support=self.support,
-                decays=self.decays,
-            )
-        other = _as_testfunction(other)
-
-        def leibniz(k):
-            terms = [
-                (math.comb(k, j), self.derivative(j), other.derivative(k - j))
-                for j in range(k + 1)
-            ]
-
-            def ev(x):
-                return sum(c * f._evaluate(x) * g._evaluate(x) for c, f, g in terms)
-
-            return TestFunction(
-                kind="product",
-                evaluate=ev,
-                derivative_factory=lambda m: leibniz(k + m),
-                max_order=min(self.max_analytic_derivative_order,
-                              other.max_analytic_derivative_order) - k,
-                support=self.support or other.support,
-                decays=self.decays or other.decays,
-            )
-
-        return TestFunction(
-            kind="product",
-            evaluate=lambda x: self._evaluate(x) * other._evaluate(x),
-            derivative_factory=leibniz,
-            max_order=min(self.max_analytic_derivative_order,
-                          other.max_analytic_derivative_order),
-            support=self.support or other.support,
-            decays=self.decays or other.decays,
-        )
-
-    __rmul__ = __mul__
-
-
-def _as_testfunction(obj):
-    if isinstance(obj, TestFunction):
-        return obj
-    raise ParameterError(f"expected a TestFunction, got {type(obj)!r}")
 
 
 # ---------------------------------------------------------------- gaussian
@@ -146,11 +83,9 @@ def make_gaussian(center: float, width: float) -> TestFunction:
             return (-1.0 / w) ** order * _hermite_eval(order, u) * np.exp(-u * u)
 
         return TestFunction("gaussian", ev, lambda k: make(order + k),
-                            parameters=(c, w, order), max_order=256, decays=True)
+                            max_order=256, decays=True)
 
-    base = make(0)
-    return TestFunction("gaussian", base._evaluate, lambda k: make(k),
-                        parameters=(c, w), max_order=256, decays=True)
+    return make(0)
 
 
 # -------------------------------------------------------------------- bump
@@ -196,8 +131,8 @@ def make_bump(a: float, b: float) -> TestFunction:
                 p, o = _bump_step(p, o)
             return make(o, p)
 
-        return TestFunction("bump", ev, deriv, parameters=(a, b, order),
-                            max_order=64, support=(a, b), decays=True)
+        return TestFunction("bump", ev, deriv, max_order=64, support=(a, b),
+                            decays=True)
 
     return make(0, np.array([1.0]))
 
@@ -233,7 +168,7 @@ def make_exp_decay(rate: float = 1.0) -> TestFunction:
                 else coef * math.exp(-r * x)
 
         return TestFunction("exp_decay", ev, lambda k: make(order + k),
-                            parameters=(r, order), max_order=10**6, decays=True)
+                            max_order=10**6, decays=True)
 
     return make(0)
 
@@ -241,15 +176,14 @@ def make_exp_decay(rate: float = 1.0) -> TestFunction:
 # ------------------------------------------------------------------- user
 
 def from_callable(f: Callable, derivatives: Sequence[Callable] = (),
-                  support: Optional[tuple] = None, decays: bool = False) -> TestFunction:
-    """Wrap a user function; analytic derivatives only as far as supplied."""
+                  decays: bool = False) -> TestFunction:
+    """Wrap a user function (no compact support); derivatives as supplied."""
     chain = [f, *derivatives]
 
     def make(order):
         return TestFunction("user", lambda x: chain[order](x),
                             lambda k: make(order + k),
-                            parameters=(order,), max_order=len(chain) - 1 - order,
-                            support=support, decays=decays)
+                            max_order=len(chain) - 1 - order, decays=decays)
 
     return make(0)
 

@@ -1,13 +1,16 @@
 """Experiment registry, report plumbing, and the command-line interface."""
 
+import dataclasses
+import inspect
 import json
 import math
+import re
 import subprocess
 import sys
 
 import pytest
 
-from spectral_cesaro import cli
+from spectral_cesaro import cli, experiments
 from spectral_cesaro.errors import ParameterError
 from spectral_cesaro.experiments import (ExperimentConfig, experiment_names,
                                          run_experiment)
@@ -55,6 +58,14 @@ def test_config_file_with_overrides(tmp_path):
     assert cfg.k == 2
 
 
+def test_every_config_field_is_read_by_an_experiment():
+    """A config key that no experiment reads would be accepted and ignored."""
+    source = inspect.getsource(experiments)
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.name != "experiment":
+            assert re.search(rf"\bcfg\.{f.name}\b", source), f.name
+
+
 class TestCliVerify:
     def test_pass_exit_code_and_artifacts(self, tmp_path, capsys):
         rc = cli.main(["verify", "wkb-constant", "--out", str(tmp_path)])
@@ -67,7 +78,7 @@ class TestCliVerify:
         assert cli.main(["verify", "unknown-name"]) == 64
 
     def test_heat_two_path_flags(self, capsys):
-        rc = cli.main(["verify", "heat-two-path", "--t", "0.1", "--tol", "1e-10"])
+        rc = cli.main(["verify", "heat-two-path", "--tol", "1e-10"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
 
@@ -80,6 +91,25 @@ class TestCliVerify:
     def test_missing_config_file_exit_74(self, capsys):
         rc = cli.main(["verify", "theta-sum", "--config", "/nonexistent/path.cfg"])
         assert rc == 74
+
+    @pytest.mark.parametrize("line", ["x = abc", "outdir = results",
+                                      "t_grid = 0.01:1:50", "t = 0.1"])
+    def test_bad_config_line_exit_64(self, tmp_path, capsys, line):
+        path = tmp_path / "exp.cfg"
+        path.write_text(line + "\n")
+        assert cli.main(["verify", "theta-sum", "--config", str(path)]) == 64
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("argv", [["offdiag-equivalence", "--x", "5"],
+                                      ["cylinder-locality", "--x", "4"]])
+    def test_point_outside_domain_exit_64(self, capsys, argv):
+        assert cli.main(["verify", *argv]) == 64
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+    def test_time_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "heat-two-path", "--t", "0.1"])
+        assert exc.value.code == 64
 
 
 class TestCliKernel:

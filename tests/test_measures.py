@@ -229,3 +229,53 @@ class TestCsvRoundTrip:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(DataError):
             SpectralMeasure.load_csv(path)
+
+    def test_header_only_file_is_the_zero_measure(self, tmp_path):
+        path = tmp_path / "m.csv"
+        sc.interval_measure(1.0, 0.0).save_csv(path, 100.0)
+        assert path.read_text() == "lambda,weight_re,weight_im\n"
+        m2 = SpectralMeasure.load_csv(path)
+        assert sc.riesz_mean(m2, 1, 50.0) == 0.0
+        assert sc.riesz_mean(m2, 1, 50.0, dps=20) == 0
+
+    def test_zero_weight_atom_does_not_set_the_support_bound(self, tmp_path):
+        m = SpectralMeasure.from_atoms([-2.0, 1.0], [0.0, 1.0])
+        path = tmp_path / "m.csv"
+        m.save_csv(path, 10.0)
+        m2 = SpectralMeasure.load_csv(path)
+        assert m.support_lower_bound == m2.support_lower_bound == 0.0
+        for measure in (m, m2):
+            with pytest.raises(DomainError):
+                sc.riesz_mean(measure, 1, -1.0)
+
+
+_CSV_WEIGHTS = st.one_of(
+    st.just(0.0),
+    st.floats(-5, 5),
+    st.complex_numbers(max_magnitude=5),
+    st.builds(lambda re, e: complex(re, 10.0**e), st.floats(-5, 5),
+              st.integers(-300, -8)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    atoms=st.lists(st.tuples(st.floats(-1e3, 1e3), _CSV_WEIGHTS), min_size=1,
+                   max_size=8, unique_by=lambda a: a[0]),
+    k=st.integers(0, 3),
+    offsets=st.lists(st.floats(1e-3, 3e3), min_size=1, max_size=4),
+)
+@example(atoms=[(-2.0, 0.0), (1.0, 1.0)], k=1, offsets=[1.0])
+@example(atoms=[(1.0, 0.0), (4.0, 0j)], k=0, offsets=[5.0])
+def test_csv_round_trip_is_lossless(tmp_path_factory, atoms, k, offsets):
+    """Riesz means of the reloaded measure equal the original's, type included."""
+    atoms = sorted(atoms)
+    m = SpectralMeasure.from_atoms([p for p, _ in atoms], [w for _, w in atoms])
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    m.save_csv(path, atoms[-1][0] + 1.0)
+    m2 = SpectralMeasure.load_csv(path)
+    assert m2.support_lower_bound == m.support_lower_bound
+    for off in offsets:
+        lam = m.support_lower_bound + off
+        a, b = sc.riesz_mean(m, k, lam), sc.riesz_mean(m2, k, lam)
+        assert type(a) is type(b) and a == b, (lam, a, b)

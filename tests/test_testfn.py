@@ -121,16 +121,3 @@ def test_derivative_of_derivative_composes():
     g = sc.make_gaussian(0.0, 1.0)
     d3 = g.derivative(1).derivative(2)
     assert abs(d3(0.4) - g.derivative(3)(0.4)) < 1e-12
-
-
-def test_product_and_sum_algebra():
-    g = sc.make_gaussian(0.0, 1.0)
-    b = sc.make_bump(-2.0, 2.0)
-    prod = g * b
-    x = 0.3
-    # Leibniz rule at second order
-    expect = (g.derivative(2)(x) * b(x) + 2 * g.derivative(1)(x) * b.derivative(1)(x)
-              + g(x) * b.derivative(2)(x))
-    assert abs(prod.derivative(2)(x) - expect) < 1e-12
-    s = g + b
-    assert abs(s(x) - (g(x) + b(x))) < 1e-15
