@@ -3,13 +3,12 @@
 from .errors import (AccuracyError, BoundaryError, DataError, DomainError,
                      ParameterError, SingularityError, UnsupportedOrderError)
 from .quadrature import QuadratureResult, integrate, lobe_sum
-from .testfn import (TestFunction, finite_difference_derivative, from_callable,
-                     make_bump, make_exp_decay, make_gaussian)
+from .testfn import (TestFunction, finite_difference_derivative, make_bump,
+                     make_exp_decay, make_gaussian)
 from .measures import SpectralMeasure, riesz_mean
-from .summability import (CesaroReport, FinitePart, MomentList, cesaro_limit,
-                          cesaro_order_test, finite_part_eval,
-                          moment_expansion_partial, point_value)
-from .operators import (Potential, WkbTable, constant_potential, gaussian_well,
+from .summability import (CesaroReport, FinitePart, cesaro_limit,
+                          cesaro_order_test, finite_part_eval, point_value)
+from .operators import (Potential, WkbTable, constant_potential,
                         quadratic_potential, wkb_coefficients)
 from .spectral import (DensityEval, density_free_line, density_free_space,
                        density_smear_interval, diagonal_weyl_check,

@@ -146,12 +146,11 @@ def _cmd_kernel(args) -> int:
 def _cmd_riesz(args) -> int:
     try:
         measure = SpectralMeasure.load_csv(args.measure)
+        value = riesz_mean(measure, args.order, args.lam)
     except OSError as err:
         sys.stderr.write(f"i/o error: {err}\n")
         return EX_IOERR
-    try:
-        value = riesz_mean(measure, args.order, args.lam)
-    except ValueError as err:
+    except ValueError as err:   # a bad header or entry, or a bad order or lambda
         sys.stderr.write(f"usage error: {err}\n")
         return EX_USAGE
     value = complex(value)

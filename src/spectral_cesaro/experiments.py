@@ -19,7 +19,7 @@ import mpmath as mp
 import numpy as np
 
 from . import kernels, spectral
-from .errors import ParameterError
+from .errors import BoundaryError, ParameterError, SingularityError
 from .operators import constant_potential, wkb_coefficients
 from .quadrature import integrate
 from .summability import FinitePart, finite_part_eval
@@ -154,7 +154,7 @@ def _exp_theta_sum(cfg):
     probes.append({"eps": 0.01, "remainder": rem_01, "tol": abs_tol})
     report = ExperimentReport("theta-sum", verdict, probes,
                               {"remainder_vs_eps": slope})
-    return report, {"theta_sum.csv": _csv_rows(["lambda", "value"], rows)}
+    return report, {"theta_sum.csv": _csv_rows(["eps", "value"], rows)}
 
 
 def _exp_weyl_diagonal(cfg):
@@ -294,7 +294,7 @@ def _exp_schrodinger_averaged(cfg):
               {"diagonal_relative_error": diag_rel, "tol": 1e-4}]
     report = ExperimentReport("schrodinger-averaged", "pass" if ok else "fail",
                               probes, {"offdiag": slope}, notes=notes)
-    return report, {"schrodinger_averaged.csv": _csv_rows(["lambda", "value"], rows)}
+    return report, {"schrodinger_averaged.csv": _csv_rows(["eps", "value"], rows)}
 
 
 def _exp_wightman_closed_form(cfg):
@@ -309,7 +309,7 @@ def _exp_wightman_closed_form(cfg):
         t = float(rng.uniform(0.2, 2.0 * math.pi - 0.2))
         try:
             closed = kernels.wightman_interval(t, x, y, "closed_form")
-        except Exception:
+        except (SingularityError, BoundaryError):
             continue
         r = abs(x - y)
         z = x + y
@@ -333,7 +333,7 @@ def _exp_wightman_closed_form(cfg):
         t = float(rng.uniform(0.05, 3.0))
         try:
             odd_ok &= kernels.wightman_P(-t, x, y) == -kernels.wightman_P(t, x, y)
-        except Exception:
+        except (SingularityError, BoundaryError):
             continue
     ok = worst < tol and odd_ok
     probes = [{"worst_series_vs_closed": worst, "tol": tol},
@@ -406,7 +406,7 @@ def _exp_poisson_tail(cfg):
     probes = [{"slope": slope, "required": 6.0}]
     report = ExperimentReport("poisson-tail", "pass" if ok else "fail", probes,
                               {"remainder_vs_x": slope})
-    return report, {"poisson_tail.csv": _csv_rows(["lambda", "value"], rows)}
+    return report, {"poisson_tail.csv": _csv_rows(["x", "value"], rows)}
 
 
 def _exp_bessel_reduction(cfg):

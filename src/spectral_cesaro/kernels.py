@@ -236,6 +236,8 @@ def wightman_interval(t: float, x: float, y: float,
     """
     if not (0.0 < x < math.pi and 0.0 < y < math.pi):
         raise DomainError("x and y must lie in (0, pi)")
+    if n_terms < 1:
+        raise ParameterError("n_terms must be >= 1")
     d_minus = abs(math.cos(t) - math.cos(x - y))
     d_plus = abs(math.cos(t) - math.cos(x + y))
     if min(d_minus, d_plus) < _WIGHTMAN_TOL:

@@ -1,7 +1,7 @@
 """Potentials V of one-dimensional Schrodinger operators -d2/dx2 + V.
 
-A :class:`Potential` carries V and its analytic derivatives; the three
-builders give a constant, a quadratic and a Gaussian well. From these,
+A :class:`Potential` carries V and its analytic derivatives; the two
+builders give a constant and a quadratic potential. From these,
 :func:`wkb_coefficients` fills the phase-integral (WKB) spectral-density
 coefficients through second order.
 """
@@ -21,20 +21,17 @@ __all__ = [
     "wkb_coefficients",
     "constant_potential",
     "quadratic_potential",
-    "gaussian_well",
 ]
 
 
 class Potential:
     """A potential V with analytic derivatives to the order supplied."""
 
-    def __init__(self, name, derivatives, heuristic=False):
+    def __init__(self, name, derivatives):
         # derivatives: [V, V', V'', ...] as callables
         self._chain = list(derivatives)
         self.name = name
         self.max_derivative_order = len(self._chain) - 1
-        # outside the compactly-supported smooth class results are heuristic
-        self.heuristic = heuristic
 
     def __call__(self, x):
         return self._chain[0](x)
@@ -46,7 +43,7 @@ class Potential:
             raise UnsupportedOrderError(
                 f"potential '{self.name}' has derivatives to order "
                 f"{self.max_derivative_order}")
-        return Potential(f"{self.name}'", self._chain[k:], self.heuristic)
+        return Potential(f"{self.name}'", self._chain[k:])
 
 
 def constant_potential(c: float) -> Potential:
@@ -65,18 +62,6 @@ def quadratic_potential(a: float = 1.0) -> Potential:
          lambda x: 2 * aa * np.asarray(x) if np.ndim(x) else 2 * aa * x,
          lambda x: 2 * aa + zero(x),
          zero, zero],
-        heuristic=True,   # polynomial growth, not compactly supported
-    )
-
-
-def gaussian_well(depth: float = 1.0, width: float = 1.0, center: float = 0.0) -> Potential:
-    from .testfn import make_gaussian
-
-    g = make_gaussian(center, width)
-    return Potential(
-        f"gaussian_well({depth},{width},{center})",
-        [lambda x, k=k: -float(depth) * g.derivative(k)(x) for k in range(6)],
-        heuristic=True,   # rapidly decaying but not compactly supported
     )
 
 
@@ -91,7 +76,6 @@ class WkbTable:
     """
     base_point: float
     entries: dict
-    heuristic: bool = False
 
     def rho(self, n: int, j: int, k: int) -> float:
         return self.entries[(n, j, k)]
@@ -126,4 +110,4 @@ def wkb_coefficients(V: Potential, x0: float) -> WkbTable:
         entries[(n, 1, 1)] = rho11[n]
         entries[(n, 0, 1)] = rho01[n]
         entries[(n, 1, 0)] = rho01[n]
-    return WkbTable(base_point=float(x0), entries=entries, heuristic=V.heuristic)
+    return WkbTable(base_point=float(x0), entries=entries)

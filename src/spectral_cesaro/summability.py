@@ -2,8 +2,7 @@
 
 Operations: Riesz means of spectral measures, Cesaro limits of divergent
 series, Cesaro order testing f(x) = O(x^beta) (C), finite-part distributions
-with their scaling laws, the moment asymptotic expansion, and distributional
-(Lojasiewicz) point values.
+with their scaling laws, and distributional (Lojasiewicz) point values.
 
 Order testing works on repeated primitives of the measure. The N-th
 primitive relates to the Riesz mean by F_N(lam) = lam^(N-1) R^(N-1)(lam)/(N-1)!;
@@ -28,12 +27,10 @@ from .testfn import TestFunction, make_bump
 
 __all__ = [
     "CesaroReport",
-    "MomentList",
     "FinitePart",
     "cesaro_limit",
     "cesaro_order_test",
     "finite_part_eval",
-    "moment_expansion_partial",
     "point_value",
     "riesz_mean",
 ]
@@ -60,24 +57,6 @@ class CesaroReport:
         if self.verdict == "holds" and not (
                 self.fitted_slope <= self.claimed_exponent + SLOPE_TOLERANCE):
             raise ParameterError("verdict 'holds' inconsistent with fitted slope")
-
-
-@dataclass(frozen=True)
-class MomentList:
-    moments: tuple
-
-    def __post_init__(self):
-        if len(self.moments) < 1:
-            raise ParameterError("need at least one moment")
-        if not all(np.isfinite(complex(m).real) and np.isfinite(complex(m).imag)
-                   for m in self.moments):
-            raise ParameterError("moments must be finite")
-
-    def __len__(self):
-        return len(self.moments)
-
-    def __getitem__(self, j):
-        return self.moments[j]
 
 
 @dataclass(frozen=True)
@@ -329,27 +308,6 @@ def finite_part_eval(g: FinitePart, phi: TestFunction,
         total = head + tail + boundary
     out = total / s
     return out.real if abs(out.imag) < 1e-300 or out.imag == 0 else out
-
-
-# ------------------------------------------------- moment asymptotic expansion
-
-def moment_expansion_partial(mu: MomentList, phi: TestFunction, lam: float,
-                             N: int):
-    """Partial sum sum_{j<=N} mu_j phi^(j)(0) / (j! lam^(j+1)).
-
-    This is the smeared right-hand side of the moment asymptotic expansion
-    of a distributionally small measure at scale lam.
-    """
-    if N >= len(mu):
-        raise ParameterError(f"N={N} needs at least {N + 1} moments, have {len(mu)}")
-    if N > phi.max_analytic_derivative_order:
-        raise ParameterError(
-            f"phi provides derivatives to order {phi.max_analytic_derivative_order}")
-    total = 0.0 + 0.0j
-    for j in range(N + 1):
-        total += complex(mu[j]) * complex(phi.derivative(j)(0.0)) \
-            / (math.factorial(j) * lam ** (j + 1))
-    return total.real if total.imag == 0 else total
 
 
 # ------------------------------------------------------ Lojasiewicz point value

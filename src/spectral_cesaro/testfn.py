@@ -1,15 +1,15 @@
 """Smooth test functions with exact analytic derivatives.
 
-Built-in kinds: ``gaussian``, ``bump`` (compactly supported), ``exp_decay``
-(one-sided exponential) and ``user`` functions wrapping caller-supplied
-callables. All built-ins know their derivatives analytically to high order;
-a finite-difference fallback exists but must be invoked explicitly.
+Built-in kinds: ``gaussian``, ``bump`` (compactly supported) and
+``exp_decay`` (one-sided exponential). Each knows its derivatives
+analytically to high order; a finite-difference fallback exists but must be
+invoked explicitly.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -21,7 +21,6 @@ __all__ = [
     "make_gaussian",
     "make_bump",
     "make_exp_decay",
-    "from_callable",
     "finite_difference_derivative",
 ]
 
@@ -169,21 +168,6 @@ def make_exp_decay(rate: float = 1.0) -> TestFunction:
 
         return TestFunction("exp_decay", ev, lambda k: make(order + k),
                             max_order=10**6, decays=True)
-
-    return make(0)
-
-
-# ------------------------------------------------------------------- user
-
-def from_callable(f: Callable, derivatives: Sequence[Callable] = (),
-                  decays: bool = False) -> TestFunction:
-    """Wrap a user function (no compact support); derivatives as supplied."""
-    chain = [f, *derivatives]
-
-    def make(order):
-        return TestFunction("user", lambda x: chain[order](x),
-                            lambda k: make(order + k),
-                            max_order=len(chain) - 1 - order, decays=decays)
 
     return make(0)
 

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from spectral_cesaro import cli, experiments
+from spectral_cesaro import cli, experiments, kernels
 from spectral_cesaro.errors import ParameterError
 from spectral_cesaro.experiments import (ExperimentConfig, experiment_names,
                                          run_experiment)
@@ -56,6 +56,20 @@ def test_config_file_with_overrides(tmp_path):
     cfg = ExperimentConfig.from_file("weyl-diagonal", path, {"k": "2"})
     assert cfg.x == 0.9
     assert cfg.k == 2
+
+
+def test_wightman_experiment_propagates_unexpected_errors(monkeypatch):
+    """Only the documented boundary errors skip a point; a bug surfaces."""
+    real_P = kernels.wightman_P
+
+    def broken_P(t, x, y):
+        if t < 0:
+            raise TypeError("broken for negative t")
+        return real_P(t, x, y)
+
+    monkeypatch.setattr(kernels, "wightman_P", broken_P)
+    with pytest.raises(TypeError):
+        run_experiment(ExperimentConfig(experiment="wightman-closed-form"))
 
 
 def test_every_config_field_is_read_by_an_experiment():
@@ -130,6 +144,14 @@ class TestCliKernel:
                        "--y", "0"])
         assert rc == 64
 
+    @pytest.mark.parametrize("n_terms", ["0", "-5"])
+    def test_wightman_truncation_below_one_is_usage_error(self, capsys, n_terms):
+        rc = cli.main(["kernel", "wightman", "interval", "--t", "1", "--x",
+                       "0.5", "--y", "1.0", "--method", "spectral_sum",
+                       "--n-terms", n_terms])
+        assert rc == 64
+        assert capsys.readouterr().err.startswith("usage error: ")
+
 
 class TestCliDensity:
     def test_named_density_csv(self, capsys):
@@ -164,6 +186,17 @@ class TestCliRiesz:
         rc = cli.main(["riesz", "--measure", "/nope.csv", "--order", "0",
                        "--lambda", "5"])
         assert rc == 74
+
+    @pytest.mark.parametrize("text", ["a,b,c\n1,2,3\n",
+                                      "lambda,weight_re,weight_im\n1.0,abc,0\n"],
+                             ids=["bad_header", "non_numeric_weight"])
+    def test_malformed_csv_is_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        rc = cli.main(["riesz", "--measure", str(path), "--order", "1",
+                       "--lambda", "5"])
+        assert rc == 64
+        assert capsys.readouterr().err.startswith("usage error: ")
 
 
 def test_console_script_usage_error_subprocess():

@@ -117,7 +117,7 @@ class TestSmear:
         assert abs(v - direct) < 1e-15
 
     def test_nondecaying_rejected(self):
-        bad = sc.from_callable(lambda u: 1.0, decays=False)
+        bad = sc.TestFunction("user", lambda u: 1.0, None, decays=False)
         with pytest.raises(ParameterError):
             sc.density_smear_interval(1.0, 1.0, bad, 0.1)
 

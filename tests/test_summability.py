@@ -126,52 +126,31 @@ class TestFinitePart:
         assert abs(lhs - rhs) < 1e-10
 
 
-class TestMomentExpansion:
-    def test_arithmetic_example(self):
-        mu = sc.MomentList((1.0, 0.0, 2.0))
-        phi = sc.make_gaussian(0.0, 1.0)
-        v = sc.moment_expansion_partial(mu, phi, 10.0, 2)
-        assert abs(v - 0.098) < 1e-15
+@pytest.mark.parametrize("N", [0, 2])
+def test_moment_expansion_error_decay_slope(N):
+    """Remainder of the moment expansion for sum cos(2n) delta(lam - n).
 
-    def test_zero_moments(self):
-        mu = sc.MomentList((0.0, 0.0, 0.0))
-        assert sc.moment_expansion_partial(mu, sc.make_bump(-1, 1), 3.0, 2) == 0.0
-
-    def test_order_zero(self):
-        mu = sc.MomentList((1.0,))
-        phi = sc.make_gaussian(0.0, 1.0)
-        assert abs(sc.moment_expansion_partial(mu, phi, 7.0, 0) - phi(0.0) / 7.0) < 1e-15
-
-    def test_missing_moments_raise(self):
-        mu = sc.MomentList((1.0,))
-        with pytest.raises(ParameterError):
-            sc.moment_expansion_partial(mu, sc.make_gaussian(0, 1), 2.0, 3)
-
-    @pytest.mark.parametrize("N", [0, 2])
-    def test_error_decay_slope(self, N):
-        """Remainder of the expansion for sum cos(2n) delta(lam - n).
-
-        The measure is distributionally small with moments (-1/2, 0, 0, ...);
-        the remainder against a gaussian decays faster than any power, so the
-        fitted slope clears N + 2 for every N. Needs mpmath: the remainder
-        sits far below double rounding across the window.
-        """
-        slope_needed = N + 2
-        xs, ys = [], []
-        with mp.workdps(150):
-            for eps in np.geomspace(1e-3, 1e-1, 10):
-                em = mp.mpf(float(eps))
-                nmax = int(mp.sqrt((150 + 4) * mp.log(10)) / em) + 2
-                s = mp.fsum(mp.cos(2 * n) * mp.exp(-(em * n) ** 2)
-                            for n in range(1, nmax + 1))
-                # <f(lam x), phi(x)> at lam = 1/eps equals eps * s; the
-                # N-truncated expansion is -phi(0) eps / 2 for every N >= 0
-                d = abs(em * s + em / 2)
-                xs.append(float(mp.log(em)))
-                ys.append(float(mp.log(d)) if d > 0 else -500.0)
-        slope = np.linalg.lstsq(np.vstack([xs, np.ones(len(xs))]).T, ys,
-                                rcond=None)[0][0]
-        assert slope >= slope_needed, f"slope {slope} < {slope_needed}"
+    The measure is distributionally small with moments (-1/2, 0, 0, ...);
+    the remainder against a gaussian decays faster than any power, so the
+    fitted slope clears N + 2 for every N. Needs mpmath: the remainder
+    sits far below double rounding across the window.
+    """
+    slope_needed = N + 2
+    xs, ys = [], []
+    with mp.workdps(150):
+        for eps in np.geomspace(1e-3, 1e-1, 10):
+            em = mp.mpf(float(eps))
+            nmax = int(mp.sqrt((150 + 4) * mp.log(10)) / em) + 2
+            s = mp.fsum(mp.cos(2 * n) * mp.exp(-(em * n) ** 2)
+                        for n in range(1, nmax + 1))
+            # <f(lam x), phi(x)> at lam = 1/eps equals eps * s; the
+            # N-truncated expansion is -phi(0) eps / 2 for every N >= 0
+            d = abs(em * s + em / 2)
+            xs.append(float(mp.log(em)))
+            ys.append(float(mp.log(d)) if d > 0 else -500.0)
+    slope = np.linalg.lstsq(np.vstack([xs, np.ones(len(xs))]).T, ys,
+                            rcond=None)[0][0]
+    assert slope >= slope_needed, f"slope {slope} < {slope_needed}"
 
 
 class TestPointValue:

@@ -73,14 +73,13 @@ class TestExpDecay:
 
 
 class TestUserFunctions:
-    def test_sin_profile_first_derivative(self):
-        f = sc.from_callable(np.sin, derivatives=[np.cos])
-        assert abs(f.derivative(1)(0.0) - 1.0) < 1e-15
+    """Plain callables: the explicit finite-difference path, and the error
+    that points to it when a built-in runs out of analytic derivatives."""
 
     def test_order_beyond_supplied_raises(self):
-        f = sc.from_callable(np.sin, derivatives=[np.cos])
+        bump = sc.make_bump(-1.0, 1.0)
         with pytest.raises(UnsupportedOrderError):
-            f.derivative(2)
+            bump.derivative(65)
 
     def test_explicit_fd_fallback(self):
         val = finite_difference_derivative(np.sin, 2, 0.3)
