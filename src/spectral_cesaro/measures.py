@@ -270,16 +270,29 @@ class SpectralMeasure:
 
     @classmethod
     def load_csv(cls, path):
-        """Read a CSV written by :meth:`save_csv`; a header alone is the zero measure."""
+        """Read a CSV written by :meth:`save_csv`; a header alone is the zero measure.
+
+        Raises :class:`DataError`, naming the file (and the line), for an
+        empty file, a wrong header, a row with fewer than three fields or a
+        field that is not a number.
+        """
         with open(path, newline="") as fh:
             r = csv.reader(fh)
-            header = next(r)
+            header = next(r, None)
+            if header is None:
+                raise DataError(f"{path}: empty file, expected a CSV header")
             if [h.strip() for h in header] != ["lambda", "weight_re", "weight_im"]:
-                raise DataError(f"unexpected CSV header {header!r}")
+                raise DataError(f"{path}: unexpected CSV header {header!r}")
             pos, wts = [], []
             for row in r:
-                pos.append(float(row[0]))
-                wts.append(float(row[1]) + 1j * float(row[2]))
+                if len(row) < 3:
+                    raise DataError(f"{path}: line {r.line_num} has {len(row)} "
+                                    f"fields, expected 3")
+                try:
+                    pos.append(float(row[0]))
+                    wts.append(float(row[1]) + 1j * float(row[2]))
+                except ValueError as err:
+                    raise DataError(f"{path}: line {r.line_num}: {err}") from None
         if not pos:
             return cls()
         wts = [w.real if w.imag == 0 else w for w in wts]

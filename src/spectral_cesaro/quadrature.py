@@ -7,6 +7,10 @@ the first step of QUADPACK's ``dqagse`` (the 21-point Gauss-Kronrod rule
 ``dqk21``) for up to 256 lobes at a time in one vectorised evaluation of the
 integrand. Lobes that step does not accept fall back to :func:`integrate`,
 which subdivides them adaptively.
+
+``scipy.integrate`` is imported on first use, inside :func:`integrate`, not
+when the package is imported: it takes most of the package's import time,
+and most callers never reach it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import AccuracyError, ParameterError
 
@@ -38,6 +41,8 @@ class QuadratureResult:
 
 
 def _quad_counted(f, a, b, tol, points=None, limit=400):
+    from scipy.integrate import quad
+
     calls = [0]
 
     def g(x):

@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 import mpmath as mp
 import numpy as np
-from scipy import special as _sp
 
 from .errors import DataError, DomainError, ParameterError, SingularityError
 from .measures import SpectralMeasure, riesz_mean
@@ -123,7 +122,8 @@ def density_free_space(d: int, x, y, lam: float) -> float:
                                          * math.gamma(d / 2.0))
     z = math.sqrt(lam) * r
     order = d / 2.0 - 1.0
-    # J_{-1/2} and J_{1/2} by their closed forms (d = 1, 3), others by scipy
+    # J_{-1/2} and J_{1/2} by their closed forms (d = 1, 3), others by scipy's
+    # jv, imported on first use so that importing the package skips scipy
     if order == -0.5:
         bessel = np.sqrt(2.0 / (np.pi * z)) * np.cos(z)
     elif order == 0.5 and z < 1e-4:
@@ -132,7 +132,8 @@ def density_free_space(d: int, x, y, lam: float) -> float:
     elif order == 0.5:
         bessel = np.sqrt(2.0 / (np.pi * z)) * np.sin(z)
     else:
-        bessel = _sp.jv(order, z)
+        from scipy.special import jv
+        bessel = jv(order, z)
     return (lam ** (d / 4.0 - 0.5) * float(bessel)
             / (2.0 ** (d / 2.0 + 1.0) * math.pi ** (d / 2.0) * r ** (d / 2.0 - 1.0)))
 
@@ -212,7 +213,8 @@ def _free_line_density_riesz(c: float):
     Substituting mu = s^2 gives (1/pi) int_0^S (1-s^2/S^2)^k cos(c s) ds with
     S = sqrt(lam), and the v-integral is a half-integer Bessel function:
     int_0^1 (1-v^2)^k cos(z v) dv = (sqrt(pi) k!/2) (2/z)^{k+1/2} J_{k+1/2}(z).
-    The c = 0 case reduces to the Beta function.
+    The c = 0 case reduces to the Beta function; the float branch uses it
+    for every c sqrt(lam) < 1e-8.
     """
     def density_riesz(k, lam, B):
         if B is mp:
@@ -223,12 +225,15 @@ def _free_line_density_riesz(c: float):
             I = (mp.sqrt(mp.pi) * mp.factorial(k) / 2
                  * (2 / z) ** (k + mp.mpf('0.5')) * mp.besselj(k + mp.mpf('0.5'), z))
             return S * I / mp.pi
+        from scipy.special import beta, jv
         S = math.sqrt(lam)
-        if c == 0.0:
-            return S * _sp.beta(0.5, k + 1) / (2.0 * math.pi)
         z = c * S
+        # below z = 1e-8 the relative z^2/(4k+6) term is under rounding, and
+        # (2/z)**(k+1/2) would overflow at tiny separations: the c = 0 form
+        if z < 1e-8:
+            return S * beta(0.5, k + 1) / (2.0 * math.pi)
         I = (math.sqrt(math.pi) * math.factorial(k) / 2.0
-             * (2.0 / z) ** (k + 0.5) * _sp.jv(k + 0.5, z))
+             * (2.0 / z) ** (k + 0.5) * jv(k + 0.5, z))
         return S * I / math.pi
 
     return density_riesz

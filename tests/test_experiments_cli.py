@@ -4,12 +4,15 @@ import dataclasses
 import inspect
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import spectral_cesaro
 from spectral_cesaro import cli, experiments, kernels
 from spectral_cesaro.errors import ParameterError
 from spectral_cesaro.experiments import (ExperimentConfig, experiment_names,
@@ -188,15 +191,46 @@ class TestCliRiesz:
         assert rc == 74
 
     @pytest.mark.parametrize("text", ["a,b,c\n1,2,3\n",
-                                      "lambda,weight_re,weight_im\n1.0,abc,0\n"],
-                             ids=["bad_header", "non_numeric_weight"])
+                                      "lambda,weight_re,weight_im\n1.0,abc,0\n",
+                                      "",
+                                      "lambda,weight_re,weight_im\n1.0,2.0\n"],
+                             ids=["bad_header", "non_numeric_weight",
+                                  "empty_file", "short_row"])
     def test_malformed_csv_is_usage_error(self, tmp_path, capsys, text):
         path = tmp_path / "m.csv"
         path.write_text(text)
         rc = cli.main(["riesz", "--measure", str(path), "--order", "1",
                        "--lambda", "5"])
         assert rc == 64
-        assert capsys.readouterr().err.startswith("usage error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert str(path) in err
+
+
+_IMPORT_GUARD = """
+import contextlib, io, sys
+scipy_loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import spectral_cesaro
+from spectral_cesaro import cli
+print(scipy_loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(["verify", "wkb-constant"])
+print(rc, scipy_loaded())
+"""
+
+
+def test_package_import_leaves_scipy_unloaded(tmp_path):
+    """scipy, most of the package's import time, loads where it is called.
+
+    ``wkb-constant``, like most registry experiments, never calls it.
+    """
+    src = str(Path(spectral_cesaro.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], cwd=tmp_path,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "0 []"]
 
 
 def test_console_script_usage_error_subprocess():

@@ -230,6 +230,19 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError):
             SpectralMeasure.load_csv(path)
 
+    @pytest.mark.parametrize("text, where", [
+        ("", "empty file"),
+        ("lambda,weight_re,weight_im\n1.0,2.0,0.0\n1.0,2.0\n", "line 3"),
+        ("lambda,weight_re,weight_im\n1.0,abc,0\n", "line 2"),
+    ], ids=["empty_file", "short_row", "non_numeric_weight"])
+    def test_malformed_file_names_file_and_line(self, tmp_path, text, where):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataError) as info:
+            SpectralMeasure.load_csv(path)
+        assert str(path) in str(info.value)
+        assert where in str(info.value)
+
     def test_header_only_file_is_the_zero_measure(self, tmp_path):
         path = tmp_path / "m.csv"
         sc.interval_measure(1.0, 0.0).save_csv(path, 100.0)

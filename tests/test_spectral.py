@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spectral_cesaro as sc
 from spectral_cesaro.errors import DomainError, ParameterError, SingularityError
@@ -24,6 +27,25 @@ class TestFreeLineDensity:
     def test_singular_origin(self):
         with pytest.raises(SingularityError):
             sc.density_free_line(0.0, 1.0, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(0, 4), log_lam=st.floats(0.0, 6.0),
+       x=st.floats(0.0, 3.0), y=st.one_of(st.none(), st.floats(0.0, 3.0)))
+@example(k=4, log_lam=6.0, x=0.0, y=None)
+@example(k=4, log_lam=6.0, x=0.0, y=5e-324)
+@example(k=0, log_lam=0.0, x=0.0, y=3.0)
+def test_free_line_density_riesz_float_matches_mpmath(k, log_lam, x, y):
+    """The float closed form (scipy beta/jv) agrees with mpmath's at 40 digits.
+
+    ``y=None`` draws the diagonal y = x, where the Beta form applies.
+    """
+    lam = 10.0 ** log_lam
+    m = sc.free_line_density_measure(x, x if y is None else y)
+    f = sc.riesz_mean(m, k, lam)
+    g = sc.riesz_mean(m, k, lam, dps=40)
+    assert isinstance(g, mp.mpf)
+    assert abs(f - float(g)) <= 1e-12 * math.sqrt(lam) / (2 * math.pi)
 
 
 class TestFreeSpaceDensity:
