@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (BoundaryError, DomainError, ParameterError,
                      SingularityError)
-from .quadrature import integrate, lobe_sum
+from .quadrature import _exact_sum, integrate, lobe_sum
 from .testfn import TestFunction
 
 __all__ = [
@@ -91,7 +91,7 @@ def heat_kernel(case: str, t: float, x: float, y: float,
         # tail: sum_{k>K} e^{-k^2 t} < e^{-K^2 t} e^{-2Kt} / (1 - e^{-2Kt})
         q = math.exp(-2.0 * kmax * t)
         tail = (2.0 / math.pi) * math.exp(-kmax * kmax * t) * q / (1.0 - q)
-        return KernelEval(math.fsum(terms), "spectral_sum", kmax, tail)
+        return KernelEval(_exact_sum(terms), "spectral_sum", kmax, tail)
     if method in ("image_sum", "closed_form"):
         nimg = max(2, int(math.sqrt(40.0 * t) / (2.0 * math.pi)) + 2)
         vals = []
@@ -173,7 +173,7 @@ def cylinder_kernel(case: str, t: float, x: float, y: float,
         terms = (2.0 / math.pi) * np.sin(ks * x) * np.sin(ks * y) * np.exp(-ks * t)
         q = math.exp(-t)
         tail = (2.0 / math.pi) * math.exp(-(kmax + 1) * t) / (1.0 - q)
-        return KernelEval(math.fsum(terms), "spectral_sum", kmax, tail)
+        return KernelEval(_exact_sum(terms), "spectral_sum", kmax, tail)
     if method == "image_sum":
         M = 400
         vals = []

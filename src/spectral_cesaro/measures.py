@@ -3,7 +3,8 @@
 A :class:`SpectralMeasure` may hold explicit atoms, an atom generator
 (deterministic in the index, so the atom list can be extended to any
 spectral cutoff), and/or a continuous density. Riesz-mean evaluation has a
-float backend (exact-rounded accumulation via ``math.fsum``) and an mpmath
+float backend (correctly rounded sums by ``quadrature._exact_sum``, which
+returns what ``math.fsum`` returns but works on whole arrays) and an mpmath
 backend for the cancellation-dominated regimes where doubles are not enough.
 Atoms are enumerated once per backend into tables that grow with the cutoff;
 the float table is filled in chunks, one generator call per chunk where the
@@ -22,7 +23,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import DataError, DomainError, ParameterError
-from .quadrature import integrate
+from .quadrature import _exact_sum, integrate
 
 __all__ = ["SpectralMeasure", "riesz_mean"]
 
@@ -125,7 +126,12 @@ class SpectralMeasure:
         if not pos:
             raise DataError("measure needs at least one atom")
 
+        # arrays for an index-array call; Python numbers for the mpmath backend
+        P, W = np.array(pos), np.array(wts)
+
         def atom_fn(n, B):
+            if isinstance(n, np.ndarray):
+                return P[n - 1], W[n - 1]
             return pos[n - 1], wts[n - 1]
 
         # zero-weight atoms are not in the support (nor in a saved CSV)
@@ -303,8 +309,11 @@ def riesz_mean(measure: SpectralMeasure, k: int, lam: float, dps: Optional[int] 
     """Riesz mean of order k at lam: sum/integral of (1 - mu/lam)**k dm(mu).
 
     Atoms exactly at lam are excluded (strict inequality). ``dps`` selects the
-    mpmath backend with that many digits; default is the float backend with
-    exactly-rounded accumulation. On the mpmath backend a continuous part
+    mpmath backend with that many digits; default is the float backend,
+    whose atom terms are added by ``quadrature._exact_sum``: an exact sum of
+    exponent buckets rounded once, so the result is the correctly rounded
+    sum of the terms, the double ``math.fsum`` returns, whatever their order
+    and cancellation. On the mpmath backend a continuous part
     needs ``density_riesz``: a double-precision quadrature would not carry
     the requested digits.
     """
@@ -324,9 +333,9 @@ def riesz_mean(measure: SpectralMeasure, k: int, lam: float, dps: Optional[int] 
                 terms = wts * (1.0 - pos / lam) ** k
                 if np.iscomplexobj(terms):
                     is_complex = True
-                    total += complex(math.fsum(terms.real), math.fsum(terms.imag))
+                    total += complex(_exact_sum(terms.real), _exact_sum(terms.imag))
                 else:
-                    total += math.fsum(terms)
+                    total += _exact_sum(terms)
         if measure.density_riesz is not None:
             total += measure.density_riesz(k, lam, _FloatBackend)
         elif measure.density is not None:

@@ -11,6 +11,9 @@ which subdivides them adaptively.
 ``scipy.integrate`` is imported on first use, inside :func:`integrate`, not
 when the package is imported: it takes most of the package's import time,
 and most callers never reach it.
+
+The module also holds :func:`_exact_sum`, the correctly rounded sum of a
+float array that the Riesz means and the eigen-series share.
 """
 
 from __future__ import annotations
@@ -234,3 +237,50 @@ def lobe_sum(f, breakpoints, tol=1e-12):
     total_err = np.cumsum(np.concatenate(errors))[-1]
     return QuadratureResult(value=value, error_estimate=float(total_err),
                             evaluations=calls)
+
+
+_SUM_BLOCK = 1 << 14        # entries split at a time; bounds the temporaries
+_SUM_RUN = 1 << 25          # entries per pair of bucket accumulators
+_SPLIT = 2.0**27 + 1.0      # Veltkamp's splitter for 53-bit doubles
+_SPLIT_MAX = 2.0**995       # x * _SPLIT overflows from about 2**996
+_BUCKETS = 2100             # frexp exponents -1073 .. 1024, shifted by 1075
+
+
+def _exact_sum(x):
+    """The correctly rounded sum of the 1-D float array ``x``.
+
+    Returns the double ``math.fsum(x)`` returns, without walking the array
+    one element at a time. Each entry is split exactly into two halves of at
+    most 26 significant bits (Veltkamp), and each half is added into a bucket
+    for the binary exponent of its entry. Every partial sum in a bucket is
+    then a multiple of the bucket's unit with at most 27 + log2(n) bits, so
+    the bucket totals are exact while n < 2**25 entries share an
+    accumulator; ``math.fsum`` over the nonzero totals (at most 4200 per
+    2**25 entries) rounds their exact sum once.
+
+    Falls back to ``math.fsum`` over the whole array, in order, when it has
+    fewer than 64 entries, an entry is not finite or has magnitude 2**995 or
+    more (where the split overflows), or every entry is zero: NaN, inf,
+    ``ValueError`` for inf - inf, ``OverflowError`` and the sign of a zero
+    sum are then exactly as ``math.fsum`` gives them.
+    """
+    if len(x) < 64 or not (-_SPLIT_MAX < x.min() and x.max() < _SPLIT_MAX):
+        return math.fsum(x.tolist())
+    totals = []
+    for run in range(0, len(x), _SUM_RUN):
+        hi_tot, lo_tot = np.zeros(_BUCKETS), np.zeros(_BUCKETS)
+        for start in range(run, min(run + _SUM_RUN, len(x)), _SUM_BLOCK):
+            b = x[start:start + _SUM_BLOCK]
+            bucket = np.frexp(b)[1]
+            bucket += 1075
+            hi = b * _SPLIT
+            lo = hi - b
+            np.subtract(hi, lo, out=hi)
+            np.subtract(b, hi, out=lo)
+            hi_tot += np.bincount(bucket, weights=hi, minlength=_BUCKETS)
+            lo_tot += np.bincount(bucket, weights=lo, minlength=_BUCKETS)
+        totals += [hi_tot[hi_tot != 0], lo_tot[lo_tot != 0]]
+    totals = np.concatenate(totals)
+    if not len(totals) and not x.any():
+        return math.fsum(x.tolist())
+    return math.fsum(totals.tolist())

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DataError, DomainError, ParameterError, SingularityError
 from .measures import SpectralMeasure, riesz_mean
+from .quadrature import _exact_sum
 from .summability import CesaroReport, cesaro_order_test
 from .testfn import TestFunction
 
@@ -150,7 +151,7 @@ def staircase_interval(x: float, y: float, lam: float) -> float:
     while nmax**2 > lam:
         nmax -= 1
     n = np.arange(1, nmax + 1)
-    return float((2.0 / math.pi) * math.fsum(np.sin(n * x) * np.sin(n * y)))
+    return float((2.0 / math.pi) * _exact_sum(np.sin(n * x) * np.sin(n * y)))
 
 
 def density_smear_interval(x: float, y: float, phi: TestFunction,

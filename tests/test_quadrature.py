@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import spectral_cesaro as sc
 from spectral_cesaro.errors import AccuracyError, ParameterError
+from spectral_cesaro.quadrature import _exact_sum
 
 # catalogued closed-form integrals: (f, a, b, exact)
 CATALOG = [
@@ -118,3 +119,57 @@ def test_fallback_accuracy_error_propagates():
 def test_lobe_sum_rejects_bad_breakpoints(bps):
     with pytest.raises(ParameterError):
         sc.lobe_sum(np.sin, bps)
+
+
+def _sum_outcome(fn, x):
+    """The bits of fn(x) (sign of zero and NaN included), or the error it raises."""
+    try:
+        return fn(x).hex()
+    except (OverflowError, ValueError) as err:
+        return type(err)
+
+
+@st.composite
+def _float_arrays(draw):
+    """n entries u * 2**e, u uniform in (-1, 1), e drawn from [lo, hi].
+
+    lo and hi range over [-1100, 1024]: exponents below -1022 give
+    subnormals, below -1075 zeros, and entries of 2**995 or more take the
+    math.fsum fallback. Optionally the negatives of a prefix are mixed in,
+    so that most of the sum cancels.
+    """
+    n = draw(st.one_of(st.integers(0, 200), st.integers(2**14 - 70, 2**14 + 70),
+                       st.integers(200, 3 * 2**14)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.integers(-1100, 1024))
+    hi = draw(st.integers(lo, 1024))
+    x = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(lo, hi, n, endpoint=True))
+    if draw(st.booleans()):
+        x = np.concatenate([x, -x[:draw(st.integers(0, n))]])
+        rng.shuffle(x)
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=st.one_of(
+    _float_arrays(),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=40,
+             max_size=200).map(np.array)))
+@example(x=np.full(100, -0.0))
+@example(x=np.array([1.0, -1.0] * 50))
+@example(x=np.array([2.0**-1074, -(2.0**-1022)] * 2**13 + [1.0] * 200))
+def test_exact_sum_is_fsum_bit_for_bit(x):
+    assert _sum_outcome(_exact_sum, x) == _sum_outcome(math.fsum, x)
+
+
+@pytest.mark.parametrize("values, expected", [
+    ([math.nan] + [1.0] * 99, "nan"),
+    ([math.inf, -math.inf], ValueError),
+    ([math.inf, -math.inf] + [1.0] * 98, ValueError),
+    ([math.inf] + [1.0] * 99, "inf"),
+    ([1e308] * 70 + [-1e308] * 70, OverflowError),
+], ids=["nan", "inf_minus_inf", "inf_minus_inf_long", "inf", "overflow"])
+def test_exact_sum_fallbacks_raise_as_fsum(values, expected):
+    x = np.array(values)
+    assert _sum_outcome(math.fsum, x) == expected
+    assert _sum_outcome(_exact_sum, x) == expected
