@@ -34,7 +34,7 @@ print(f"          |difference| {abs(w1.value - w2.value):.1e}"
       f"   (imaginary part is P/4 with P = {P})")
 print()
 
-u = sc.schrodinger_kernel("interval", t, x, y, "image_sum", n_images=3)
+u = sc.schrodinger_kernel("interval", t, x, y, "image_sum")
 print(f"schrodinger image sum  {u.value:+.8f}   (truncated; every image has")
 print("          the main term's modulus, so the pointwise error estimate is")
 print(f"          infinite: {u.error_estimate}. Only smears of this kernel")

@@ -32,14 +32,11 @@ EXIT_CODES = {"pass": 0, "fail": 1, "inconclusive": 2}
 
 
 def parse_grid(spec):
-    """Geometric grid from 'start:stop:count' (or a ready sequence)."""
-    if isinstance(spec, str):
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ParameterError(f"grid must be start:stop:count, got {spec!r}")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    else:
-        return np.asarray(list(spec), dtype=float)
+    """Geometric grid from 'start:stop:count'."""
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise ParameterError(f"grid must be start:stop:count, got {spec!r}")
+    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 2:
         raise ParameterError("grid count must be >= 2")
     if not 0 < start < stop:

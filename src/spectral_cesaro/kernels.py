@@ -42,6 +42,7 @@ CASES = ("line", "interval")
 METHODS = ("closed_form", "spectral_sum", "image_sum")
 # distance to a jump of P in t, and to the light cone in cos t, that raises
 _WIGHTMAN_TOL = 1e-9
+_SCHRODINGER_IMAGES = 8     # image pairs on each side of the interval sum
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,7 @@ def heat_kernel(case: str, t: float, x: float, y: float,
 # ------------------------------------------------------------ schrodinger
 
 def schrodinger_kernel(case: str, t: float, x: float, y: float,
-                       method: str = "closed_form",
-                       n_images: int = 8) -> KernelEval:
+                       method: str = "closed_form") -> KernelEval:
     """Schrodinger propagator U(t,x,y); t may be negative, never zero.
 
     The line closed form carries the phase exp(-i sgn(t) pi/4) and modulus
@@ -137,10 +137,10 @@ def schrodinger_kernel(case: str, t: float, x: float, y: float,
         raise ParameterError("interval schrodinger kernel has no closed form; "
                              "use image_sum or averaged_smear")
     total = 0.0 + 0.0j
-    for n in range(-n_images, n_images + 1):
+    for n in range(-_SCHRODINGER_IMAGES, _SCHRODINGER_IMAGES + 1):
         total += cmath.exp(1j * (x - y - 2.0 * n * math.pi) ** 2 / (4.0 * t))
         total -= cmath.exp(1j * (x + y - 2.0 * n * math.pi) ** 2 / (4.0 * t))
-    return KernelEval(pref * total, "image_sum", 2 * n_images + 1, math.inf)
+    return KernelEval(pref * total, "image_sum", 2 * _SCHRODINGER_IMAGES + 1, math.inf)
 
 
 # --------------------------------------------------------------- cylinder

@@ -1,19 +1,20 @@
-"""Spectral (Stieltjes) measures: atoms, continuous densities, Riesz sums.
+"""Spectral (Stieltjes) measures: atoms, continuous parts, Riesz sums.
 
 A :class:`SpectralMeasure` may hold explicit atoms, an atom generator
 (deterministic in the index, so the atom list can be extended to any
-spectral cutoff), and/or a continuous density. Riesz-mean evaluation has a
-float backend (correctly rounded sums by ``quadrature._exact_sum``, which
-returns what ``math.fsum`` returns but works on whole arrays) and an mpmath
-backend for the cancellation-dominated regimes where doubles are not enough.
-Atoms are enumerated once per backend into tables that grow with the cutoff;
-the float table is filled in chunks, one generator call per chunk where the
-generator works on index arrays.
+spectral cutoff), and/or a continuous part given by the closed form of its
+Riesz integral. Riesz-mean evaluation has a float backend (correctly
+rounded sums by ``quadrature._exact_sum``, which returns what ``math.fsum``
+returns but works on whole arrays) and an mpmath backend for the
+cancellation-dominated regimes where doubles are not enough. Both read
+their atoms through :meth:`SpectralMeasure.atom_arrays`, from tables that
+one loop grows with the cutoff, one table per backend; the float table is
+filled with one generator call per chunk where the generator works on
+index arrays.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import DataError, DomainError, ParameterError
-from .quadrature import _exact_sum, integrate
+from .quadrature import _exact_sum
 
 __all__ = ["SpectralMeasure", "riesz_mean"]
 
@@ -75,14 +76,17 @@ class _AtomTable:
     every atom below ``last`` (every atom, once n reaches ``n_atoms``).
     Atoms of zero weight are counted but not kept: they add exactly nothing
     to a Riesz mean, and a weight like 2**-n is 0.0 in double precision past
-    n = 1074, so a table can cover 1e8 atoms and hold a thousand.
+    n = 1074, so a table can cover 1e8 atoms and hold a thousand. The float
+    table holds float (or complex) arrays, the mpmath table object arrays
+    of mpmath numbers; both are read-only.
     """
 
-    def __init__(self, pos, wts):
+    def __init__(self, backend):
         self.n = 0
         self.last = -math.inf
-        self.pos, self.wts = pos, wts
-        self.vectorized = True      # float table: until a chunk falls back
+        dtype = float if backend is None else object
+        self.pos, self.wts = np.empty(0, dtype), np.empty(0, dtype)
+        self.vectorized = backend is None   # index-array calls, until a chunk falls back
 
     def covers(self, lam, n_atoms):
         """Whether every atom below lam is in the table; DataError past _MAX_ATOMS."""
@@ -104,14 +108,13 @@ class SpectralMeasure:
     array and a numpy backend (``B.mpf`` makes float arrays, ``B.sin`` is
     ``np.sin``, ...); from the first chunk where that call raises or its
     arrays disagree with the scalar calls (see ``_vector_atoms``), it is
-    called once per atom. ``density`` is dm/dlambda for the continuous part.
-    ``density_riesz`` optionally supplies a closed form for the continuous
-    Riesz integral, called as density_riesz(k, lam, B).
+    called once per atom. The continuous part is given by the closed form
+    of its Riesz integral, density_riesz(k, lam, B) = int (1 - mu/lam)**k
+    dm(mu) over the continuous part below lam, on either backend.
     """
 
     atom_fn: Optional[Callable] = None
     n_atoms: Optional[int] = None           # None = extendable to any cutoff
-    density: Optional[Callable] = None
     density_riesz: Optional[Callable] = None
     support_lower_bound: float = 0.0
     _cache: dict = field(default_factory=dict, repr=False)
@@ -144,67 +147,40 @@ class SpectralMeasure:
         return cls(atom_fn=atom_fn, support_lower_bound=support_lower_bound)
 
     @classmethod
-    def from_density(cls, density, support_lower_bound=0.0, density_riesz=None):
-        return cls(density=density, density_riesz=density_riesz,
+    def from_density(cls, density_riesz, support_lower_bound=0.0):
+        return cls(density_riesz=density_riesz,
                    support_lower_bound=support_lower_bound)
 
     # ------------------------------------------------------------ accessors
-    def atoms_below(self, lam, backend=None):
-        """Atoms of nonzero weight with position strictly below lam, ascending.
+    def atom_arrays(self, lam, backend=None):
+        """Arrays (positions, weights) of the atoms of nonzero weight below lam.
 
-        Returns (position, weight) pairs on ``backend``: the float shim by
-        default, or mpmath at the current working precision. Each backend
-        (and each mpmath precision) has its own table that only grows, so a
-        later call at the same or a lower lam enumerates nothing. Raises
-        :class:`DataError` once 1e9 atoms have been enumerated without a
-        position reaching lam, as for positions that converge below it.
+        Float arrays by default; for ``backend=mp``, object arrays of mpmath
+        numbers at the current working precision. Complex float weights come
+        back real only when every imaginary part is exactly zero. The arrays
+        are read-only views of a table kept per backend (and per mpmath
+        precision) that only grows, so a later call at the same or a lower
+        lam enumerates nothing. Raises :class:`DataError` once 1e9 atoms
+        have been enumerated without a position reaching lam, as for
+        positions that converge below it.
         """
-        if self.atom_fn is None:
-            return []
-        if backend is mp:
-            t = self._mp_table(lam)
-            j = bisect.bisect_left(t.pos, lam)
-            return list(zip(t.pos[:j], t.wts[:j]))
-        pos, wts = self.atom_arrays(lam)
-        return list(zip(pos.tolist(), wts.tolist()))
-
-    def atom_arrays(self, lam):
-        """Float arrays (positions, weights) of the atoms of nonzero weight below lam.
-
-        The arrays are read-only views of the float table (see
-        :meth:`atoms_below`). Complex weights come back real only when every
-        imaginary part is exactly zero.
-        """
-        lam = float(lam)
         if self.atom_fn is None:
             return np.empty(0), np.empty(0)
-        t = self._float_table(lam)
+        if backend is None:
+            lam = float(lam)
+        t = self._table(lam, backend)
         j = int(np.searchsorted(t.pos, lam))
         pos, wts = t.pos[:j], t.wts[:j]
         if np.iscomplexobj(wts) and not wts.imag.any():
             wts = wts.real
         return pos, wts
 
-    def _mp_table(self, lam):
-        """The mpmath table at the working precision, grown past lam."""
-        key = ("mp", mp.mp.prec)
+    def _table(self, lam, backend):
+        """The table of ``backend`` (None for floats), grown past lam in chunks."""
+        key = "float" if backend is None else ("mp", mp.mp.prec)
         t = self._cache.get(key)
         if t is None:
-            t = self._cache[key] = _AtomTable([], [])
-        while not t.covers(lam, self.n_atoms):
-            pos, w = self.atom_fn(t.n + 1, mp)
-            t.n += 1
-            t.last = pos
-            if w != 0:
-                t.pos.append(pos)
-                t.wts.append(w)
-        return t
-
-    def _float_table(self, lam):
-        """The float table, grown past lam in chunks of atoms."""
-        t = self._cache.get("float")
-        if t is None:
-            t = self._cache["float"] = _AtomTable(np.empty(0), np.empty(0))
+            t = self._cache[key] = _AtomTable(backend)
         pos_parts, wts_parts = [t.pos], [t.wts]
         while not t.covers(lam, self.n_atoms):
             m = min(max(t.n, _FIRST_CHUNK), _MAX_CHUNK)
@@ -213,10 +189,10 @@ class SpectralMeasure:
             chunk = self._vector_atoms(t.n + 1, m) if t.vectorized else None
             if chunk is None:
                 t.vectorized = False
-                chunk = self._scalar_atoms(t.n + 1, m, lam)
+                chunk = self._scalar_atoms(t.n + 1, m, lam, backend)
             pos, wts = chunk
             t.n += len(pos)
-            t.last = float(pos[-1])
+            t.last = pos[-1]
             keep = wts != 0
             pos_parts.append(pos[keep])
             wts_parts.append(wts[keep])
@@ -251,15 +227,18 @@ class SpectralMeasure:
             return None
         return pos, wts
 
-    def _scalar_atoms(self, first, m, lam):
+    def _scalar_atoms(self, first, m, lam, backend):
         """Atoms first, first+1, ..., one call each, up to the first at or above lam."""
+        to_pos, to_wt = (float, complex) if backend is None else (mp.mpmathify,) * 2
         pos, wts = [], []
         for n in range(first, first + m):
-            p, w = self.atom_fn(n, _FloatBackend)
-            pos.append(float(p))
-            wts.append(complex(w))
+            p, w = self.atom_fn(n, backend or _FloatBackend)
+            pos.append(to_pos(p))
+            wts.append(to_wt(w))
             if pos[-1] >= lam:
                 break
+        if backend is not None:
+            return np.array(pos, dtype=object), np.array(wts, dtype=object)
         wts = np.array(wts)
         return np.array(pos), (wts if wts.imag.any() else wts.real.copy())
 
@@ -313,12 +292,15 @@ def riesz_mean(measure: SpectralMeasure, k: int, lam: float, dps: Optional[int] 
     whose atom terms are added by ``quadrature._exact_sum``: an exact sum of
     exponent buckets rounded once, so the result is the correctly rounded
     sum of the terms, the double ``math.fsum`` returns, whatever their order
-    and cancellation. On the mpmath backend a continuous part
-    needs ``density_riesz``: a double-precision quadrature would not carry
-    the requested digits.
+    and cancellation. Both backends read their atoms from
+    :meth:`SpectralMeasure.atom_arrays` and the continuous part from
+    ``density_riesz``. Raises :class:`DomainError` for a lam that is not
+    finite or not above the support, before any atom is enumerated.
     """
     if k < 0 or int(k) != k:
         raise ParameterError("Riesz order k must be a nonnegative integer")
+    if not math.isfinite(lam):
+        raise DomainError(f"lam={lam} must be finite")
     if lam <= measure.support_lower_bound:
         raise DomainError(
             f"lam={lam} must exceed the support lower bound "
@@ -327,50 +309,24 @@ def riesz_mean(measure: SpectralMeasure, k: int, lam: float, dps: Optional[int] 
     if dps is None:
         total = 0.0 + 0.0j
         is_complex = False
-        if measure.atom_fn is not None:
-            pos, wts = measure.atom_arrays(lam)
-            if len(pos):
-                terms = wts * (1.0 - pos / lam) ** k
-                if np.iscomplexobj(terms):
-                    is_complex = True
-                    total += complex(_exact_sum(terms.real), _exact_sum(terms.imag))
-                else:
-                    total += _exact_sum(terms)
+        pos, wts = measure.atom_arrays(lam)
+        if len(pos):
+            terms = wts * (1.0 - pos / lam) ** k
+            if np.iscomplexobj(terms):
+                is_complex = True
+                total += complex(_exact_sum(terms.real), _exact_sum(terms.imag))
+            else:
+                total += _exact_sum(terms)
         if measure.density_riesz is not None:
             total += measure.density_riesz(k, lam, _FloatBackend)
-        elif measure.density is not None:
-            total += _density_riesz_quadrature(measure, k, lam)
         return complex(total) if is_complex or total.imag != 0 else total.real
 
-    # mp backend
-    if measure.density is not None and measure.density_riesz is None:
-        raise ParameterError("mpmath backend needs density_riesz")
     with mp.workdps(dps):
         lam_mp = mp.mpf(lam)
         total = mp.mpf(0)
-        terms = [w * (1 - pos / lam_mp) ** k
-                 for pos, w in measure.atoms_below(lam_mp, mp)]
-        if terms:
-            total += mp.fsum(terms)
+        pos, wts = measure.atom_arrays(lam_mp, mp)
+        if len(pos):
+            total += mp.fsum(wts * (1 - pos / lam_mp) ** k)
         if measure.density_riesz is not None:
             total += measure.density_riesz(k, lam_mp, mp)
         return total
-
-
-def _density_riesz_quadrature(measure, k, lam):
-    """Continuous part of the Riesz mean by quadrature.
-
-    Substituting mu = lb + (lam-lb) v^2 keeps integrable mu^{-1/2}-type edge
-    singularities smooth, at the cost of doubling the oscillation count for
-    oscillatory densities (callers with hard oscillatory densities should
-    supply ``density_riesz``).
-    """
-    lb = measure.support_lower_bound
-    span = lam - lb
-
-    def g(v):
-        mu = lb + span * v * v
-        return measure.density(mu) * (1.0 - mu / lam) ** k * 2.0 * span * v
-
-    r = integrate(g, 0.0, 1.0, tol=1e-12, limit=800)
-    return r.value

@@ -43,7 +43,7 @@ class QuadratureResult:
             raise ValueError("evaluations must be positive")
 
 
-def _quad_counted(f, a, b, tol, points=None, limit=400):
+def _quad_counted(f, a, b, tol, limit=400):
     from scipy.integrate import quad
 
     calls = [0]
@@ -52,14 +52,9 @@ def _quad_counted(f, a, b, tol, points=None, limit=400):
         calls[0] += 1
         return f(x)
 
-    kw = dict(epsabs=tol, epsrel=max(tol, 1e-13), limit=limit)
-    if points is not None and np.isfinite(a) and np.isfinite(b):
-        inner = [p for p in points if a < p < b]
-        if inner:
-            kw["points"] = inner
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        val, err = quad(g, a, b, **kw)
+        val, err = quad(g, a, b, epsabs=tol, epsrel=max(tol, 1e-13), limit=limit)
     return val, err, calls[0]
 
 
@@ -79,7 +74,7 @@ def _refused(err, value, tol):
         & (err > tol)
 
 
-def integrate(f, a, b, tol=1e-10, points=None, limit=400):
+def integrate(f, a, b, tol=1e-10, limit=400):
     """Adaptive quadrature of ``f`` over ``[a, b]`` (either end may be inf).
 
     Complex-valued integrands, as told by ``f`` at one interior point, are
@@ -91,11 +86,11 @@ def integrate(f, a, b, tol=1e-10, points=None, limit=400):
         raise ParameterError("tol must be positive")
     probe = f(_probe_point(a, b))
     if np.iscomplexobj(probe) or isinstance(probe, complex):
-        vr, er, nr = _quad_counted(lambda x: np.real(f(x)), a, b, tol, points, limit)
-        vi, ei, ni = _quad_counted(lambda x: np.imag(f(x)), a, b, tol, points, limit)
+        vr, er, nr = _quad_counted(lambda x: np.real(f(x)), a, b, tol, limit)
+        vi, ei, ni = _quad_counted(lambda x: np.imag(f(x)), a, b, tol, limit)
         value, err, n = vr + 1j * vi, er + ei, nr + ni
     else:
-        value, err, n = _quad_counted(f, a, b, tol, points, limit)
+        value, err, n = _quad_counted(f, a, b, tol, limit)
     if _refused(err, value, tol):
         raise AccuracyError(
             f"quadrature error estimate {err:.2e} exceeds tol {tol:.2e}",

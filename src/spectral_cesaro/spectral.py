@@ -242,21 +242,12 @@ def _free_line_density_riesz(c: float):
 
 def free_line_density_measure(x: float, y: float) -> SpectralMeasure:
     """Continuous measure with the free-line density at separation |x-y|."""
-    c = abs(x - y)
-    return SpectralMeasure.from_density(
-        density=lambda lam: density_free_line(x, y, lam),
-        density_riesz=_free_line_density_riesz(c),
-        support_lower_bound=0.0,
-    )
+    return SpectralMeasure.from_density(_free_line_density_riesz(abs(x - y)))
 
 
 def weyl_density_measure() -> SpectralMeasure:
     """The smooth diagonal Weyl density (1/2pi) lam^{-1/2}."""
-    return SpectralMeasure.from_density(
-        density=lambda lam: 1.0 / (2.0 * math.pi * math.sqrt(lam)) if lam > 0 else 0.0,
-        density_riesz=_free_line_density_riesz(0.0),
-        support_lower_bound=0.0,
-    )
+    return SpectralMeasure.from_density(_free_line_density_riesz(0.0))
 
 
 def interval_minus_free_measure(x: float, y: float) -> SpectralMeasure:
@@ -267,11 +258,7 @@ def interval_minus_free_measure(x: float, y: float) -> SpectralMeasure:
         return -base(k, lam, B)
 
     return SpectralMeasure(
-        atom_fn=interval_measure(x, y).atom_fn,
-        density=lambda lam: -density_free_line(x, y, lam) if lam > 0 else 0.0,
-        density_riesz=neg_density_riesz,
-        support_lower_bound=0.0,
-    )
+        atom_fn=interval_measure(x, y).atom_fn, density_riesz=neg_density_riesz)
 
 
 # ------------------------------------------------------------- the checks

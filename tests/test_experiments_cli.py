@@ -206,6 +206,17 @@ class TestCliRiesz:
         assert err.startswith("usage error: ")
         assert str(path) in err
 
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_is_usage_error(self, tmp_path, capsys, lam):
+        path = tmp_path / "m.csv"
+        path.write_text("lambda,weight_re,weight_im\n1.0,1.0,0.0\n")
+        rc = cli.main(["riesz", "--measure", str(path), "--order", "2",
+                       "--lambda", lam])
+        assert rc == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
+
 
 _IMPORT_GUARD = """
 import contextlib, io, sys

@@ -47,8 +47,7 @@ class TestHeatKernel:
         phi = sc.make_bump(0.5, 2.5)
         x = 1.3
         f = lambda y: sc.heat_kernel("interval", 1e-4, x, y, "image_sum").value * phi(y)
-        r = sc.integrate(f, 0.0, math.pi, tol=1e-9,
-                         points=[x - 0.05, x, x + 0.05])
+        r = sc.integrate(f, 0.0, math.pi, tol=1e-9)
         assert abs(r.value - phi(x)) < 1e-4
 
 
@@ -119,8 +118,7 @@ class TestCylinderKernel:
         x = 1.3
         f = lambda y: sc.cylinder_kernel("interval", 1e-4, x, y,
                                          "closed_form").value * phi(y)
-        r = sc.integrate(f, 0.0, math.pi, tol=1e-9,
-                         points=[x - 0.05, x, x + 0.05])
+        r = sc.integrate(f, 0.0, math.pi, tol=1e-9)
         assert abs(r.value - phi(x)) < 1e-4
 
 

@@ -4,6 +4,7 @@ import math
 import time
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -59,18 +60,30 @@ class TestRieszMean:
         b = float(sc.riesz_mean(m, 3, 123.4, dps=30))
         assert abs(a - b) < 1e-12
 
-    def test_density_part_by_quadrature(self):
+    def test_closed_form_continuous_part_on_both_backends(self):
         # density 1 on (0, lam): riesz k = int_0^lam (1-mu/lam)^k dmu = lam/(k+1)
-        m = SpectralMeasure.from_density(lambda mu: 1.0)
-        for k in (0, 1, 3):
-            assert abs(sc.riesz_mean(m, k, 7.0) - 7.0 / (k + 1)) < 1e-9
+        backends = []
 
-    def test_mp_backend_needs_density_riesz(self):
-        m = SpectralMeasure.from_density(lambda mu: 1.0)
-        with pytest.raises(ParameterError, match="density_riesz"):
-            sc.riesz_mean(m, 1, 7.0, dps=30)
-        m.density_riesz = lambda k, lam, B: lam / (k + 1)
-        assert sc.riesz_mean(m, 1, 7.0, dps=30) == 3.5
+        def riesz(k, lam, B):
+            backends.append(B)
+            return lam / (k + 1)
+
+        m = SpectralMeasure.from_density(riesz)
+        for k in (0, 1, 3):
+            assert sc.riesz_mean(m, k, 7.0) == 7.0 / (k + 1)
+            v = sc.riesz_mean(m, k, 7.0, dps=30)
+            assert isinstance(v, mpmath.mpf) and v == mpmath.mpf(7) / (k + 1)
+        assert backends[0] is measures._FloatBackend and backends[1] is mpmath
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("dps", [None, 30])
+    def test_non_finite_lambda_rejected_before_enumeration(self, monkeypatch, lam, dps):
+        # no position reaches a non-finite lam: a low guard keeps a regression short
+        monkeypatch.setattr(measures, "_MAX_ATOMS", 5000)
+        m = counting_measure()
+        with pytest.raises(DomainError, match="finite"):
+            sc.riesz_mean(m, 1, lam, dps=dps)
+        assert m._cache == {}
 
 
 def test_absolutely_convergent_consistency():
@@ -249,6 +262,48 @@ def test_small_imaginary_weights_float_vs_mp(atoms, k):
     g = complex(sc.riesz_mean(m, k, lam, dps=30))
     assert abs(f.real - g.real) <= 1e-12 * abs(g.real)
     assert abs(f.imag - g.imag) <= 1e-12 * abs(g.imag)
+
+
+def thirds_atom(n, B):
+    # exact on both backends; every third weight is zero
+    return B.mpf(n) * n / 4, B.mpf(n % 3 - 1) / n
+
+
+_TABLE_WEIGHTS = st.one_of(st.just(0.0), st.floats(-5, 5),
+                           st.complex_numbers(max_magnitude=5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    atoms=st.one_of(
+        st.none(),
+        st.lists(st.tuples(st.floats(-100, 100), _TABLE_WEIGHTS), min_size=1,
+                 max_size=12, unique_by=lambda a: a[0])),
+    lams=st.lists(st.floats(-99, 3000), min_size=1, max_size=5),
+)
+@example(atoms=[(-1.0, 0.0), (2.0, 0j), (3.0, 1.0)], lams=[0.0, 5.0])
+def test_float_and_mp_tables_agree(atoms, lams):
+    """atom_arrays on both backends: the same atoms, ascending then descending lam."""
+    if atoms is None:
+        m = SpectralMeasure.from_generator(thirds_atom)
+    else:
+        atoms = sorted(atoms)
+        m = SpectralMeasure.from_atoms(*zip(*atoms))
+    lams = sorted(lams)
+    for lam in lams + lams[::-1]:
+        pos, wts = m.atom_arrays(lam)
+        with mpmath.workdps(30):
+            pos_mp, wts_mp = m.atom_arrays(mpmath.mpf(lam), mpmath)
+        assert len(pos) == len(wts) == len(pos_mp) == len(wts_mp)
+        assert [float(p) for p in pos_mp] == pos.tolist()
+        assert [complex(w) for w in wts_mp] == [complex(w) for w in wts]
+        assert not (wts == 0).any() and not any(w == 0 for w in wts_mp)
+        assert pos_mp.dtype == wts_mp.dtype == object
+        assert all(isinstance(p, mpmath.mpf) for p in pos_mp)
+        assert all(isinstance(w, (mpmath.mpf, mpmath.mpc)) for w in wts_mp)
+        assert not (pos_mp.flags.writeable or wts_mp.flags.writeable)
+    if m.n_atoms is not None:
+        assert all(t.n <= m.n_atoms for t in m._cache.values())
 
 
 class TestCsvRoundTrip:

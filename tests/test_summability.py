@@ -54,8 +54,6 @@ class TestCesaroOrderTest:
 
     def test_sampled_sine_density(self):
         """f(x) = sin x is distributionally small: O(x^-4) proxy holds."""
-        m = SpectralMeasure.from_density(lambda mu: math.sin(mu))
-
         def exact_riesz(k, lam, B):
             # I_k = int_0^lam (1-u/lam)^k sin u du via the IBP recursion
             I, J = 1.0 - math.cos(lam), math.sin(lam)
@@ -63,7 +61,7 @@ class TestCesaroOrderTest:
                 I, J = 1.0 - (j / lam) * J, (j / lam) * I
             return I
 
-        m.density_riesz = exact_riesz
+        m = SpectralMeasure.from_density(exact_riesz)
         rep = sc.cesaro_order_test(m, -4.0, max_order=8,
                                    lambdas=np.geomspace(10, 1e4, 24),
                                    allow_excluded_beta=True)
