@@ -60,8 +60,9 @@ class TestRieszMean:
         b = float(sc.riesz_mean(m, 3, 123.4, dps=30))
         assert abs(a - b) < 1e-12
 
-    def test_closed_form_continuous_part_on_both_backends(self):
-        # density 1 on (0, lam): riesz k = int_0^lam (1-mu/lam)^k dmu = lam/(k+1)
+    def test_density_part_by_quadrature(self):
+        # density 1 on (0, lam): riesz k = int_0^lam (1-mu/lam)^k dmu = lam/(k+1);
+        # the float backend takes the continuous part from density_riesz exactly
         backends = []
 
         def riesz(k, lam, B):
@@ -71,9 +72,21 @@ class TestRieszMean:
         m = SpectralMeasure.from_density(riesz)
         for k in (0, 1, 3):
             assert sc.riesz_mean(m, k, 7.0) == 7.0 / (k + 1)
+        assert all(B is measures._FloatBackend for B in backends)
+
+    def test_mp_backend_needs_density_riesz(self):
+        # the mpmath backend takes the same closed form, called with B = mpmath
+        backends = []
+
+        def riesz(k, lam, B):
+            backends.append(B)
+            return lam / (k + 1)
+
+        m = SpectralMeasure.from_density(riesz)
+        for k in (0, 1, 3):
             v = sc.riesz_mean(m, k, 7.0, dps=30)
             assert isinstance(v, mpmath.mpf) and v == mpmath.mpf(7) / (k + 1)
-        assert backends[0] is measures._FloatBackend and backends[1] is mpmath
+        assert backends and all(B is mpmath for B in backends)
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("dps", [None, 30])
