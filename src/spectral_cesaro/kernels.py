@@ -57,6 +57,12 @@ class KernelEval:
             raise ParameterError(f"unknown method {self.method!r}")
 
 
+def _check_finite(t, x, y):
+    # math.isfinite only: the smears call the kernels thousands of times
+    if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"t={t}, x={x}, y={y} must be finite")
+
+
 def _check_case(case, x, y):
     if case not in CASES:
         raise ParameterError(f"case must be one of {CASES}")
@@ -75,6 +81,7 @@ def heat_kernel(case: str, t: float, x: float, y: float,
     sine eigen-series, image_sum the reflected-Gaussian lattice sum; both are
     truncated with explicit tail bounds.
     """
+    _check_finite(t, x, y)
     if t <= 0:
         raise DomainError("heat kernel needs t > 0")
     _check_case(case, x, y)
@@ -121,6 +128,7 @@ def schrodinger_kernel(case: str, t: float, x: float, y: float,
     has the same modulus as the main term); it is meaningful only inside
     smeared quantities.
     """
+    _check_finite(t, x, y)
     if t == 0:
         raise DomainError("schrodinger kernel needs t != 0")
     _check_case(case, x, y)
@@ -153,6 +161,7 @@ def cylinder_kernel(case: str, t: float, x: float, y: float,
     sinh/cosh, eigen-series with a geometric tail bound, and a Lorentzian
     image sum with an integral tail correction.
     """
+    _check_finite(t, x, y)
     if t <= 0:
         raise DomainError("cylinder kernel needs t > 0")
     _check_case(case, x, y)
@@ -234,6 +243,7 @@ def wightman_interval(t: float, x: float, y: float,
     near the singular lines, so plain partial sums are not offered. Points
     with |cos t - cos(x+-y)| below 1e-9 raise SingularityError.
     """
+    _check_finite(t, x, y)
     if not (0.0 < x < math.pi and 0.0 < y < math.pi):
         raise DomainError("x and y must lie in (0, pi)")
     if n_terms < 1:

@@ -10,7 +10,9 @@ cancellation-dominated regimes where doubles are not enough. Both read
 their atoms through :meth:`SpectralMeasure.atom_arrays`, from tables that
 one loop grows with the cutoff, one table per backend; the float table is
 filled with one generator call per chunk where the generator works on
-index arrays.
+index arrays. The mpmath table also keeps, for the most recent cutoffs,
+the column of factors 1 - mu/lam as raw libmp numbers, so Riesz means of
+several orders at one cutoff divide by lam once.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from typing import Callable, Optional
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import (fone, mpc_mul_mpf, mpf_div, mpf_mul, mpf_pow_int, mpf_sub,
+                          mpf_sum)
 
 from .errors import DataError, DomainError, ParameterError
 from .quadrature import _exact_sum
@@ -58,6 +62,8 @@ class _NumpyBackend(_FloatBackend):
 # cutoff, as happens when the positions converge below it.
 _MAX_ATOMS = 10**9
 _FIRST_CHUNK, _MAX_CHUNK = 256, 1 << 18
+# An mpmath table keeps the Riesz columns of this many most recent cutoffs.
+_MAX_COLUMNS = 64
 # An index-array call agrees with the scalar call within this relative
 # distance: far above the last-ulp differences between numpy's and libm's
 # elementary functions, far below a formula that means something else on
@@ -78,7 +84,10 @@ class _AtomTable:
     to a Riesz mean, and a weight like 2**-n is 0.0 in double precision past
     n = 1074, so a table can cover 1e8 atoms and hold a thousand. The float
     table holds float (or complex) arrays, the mpmath table object arrays
-    of mpmath numbers; both are read-only.
+    of mpmath numbers; both are read-only. ``columns`` maps the raw mpf of a
+    cutoff lam to the Riesz column of the atoms below it (see
+    :meth:`SpectralMeasure._riesz_column`); the table never changes below a
+    cutoff it covers, so a column stays valid as the table grows.
     """
 
     def __init__(self, backend):
@@ -87,6 +96,7 @@ class _AtomTable:
         dtype = float if backend is None else object
         self.pos, self.wts = np.empty(0, dtype), np.empty(0, dtype)
         self.vectorized = backend is None   # index-array calls, until a chunk falls back
+        self.columns = {}                   # oldest use first
 
     def covers(self, lam, n_atoms):
         """Whether every atom below lam is in the table; DataError past _MAX_ATOMS."""
@@ -177,7 +187,7 @@ class SpectralMeasure:
 
     def _table(self, lam, backend):
         """The table of ``backend`` (None for floats), grown past lam in chunks."""
-        key = "float" if backend is None else ("mp", mp.mp.prec)
+        key = _table_key(backend)
         t = self._cache.get(key)
         if t is None:
             t = self._cache[key] = _AtomTable(backend)
@@ -200,6 +210,27 @@ class SpectralMeasure:
             t.pos, t.wts = np.concatenate(pos_parts), np.concatenate(wts_parts)
             t.pos.flags.writeable = t.wts.flags.writeable = False
         return t
+
+    def _riesz_column(self, lam, pos):
+        """The factors 1 - mu/lam over ``pos``, as raw libmp numbers.
+
+        ``pos`` is the positions :meth:`atom_arrays` returned for the mpf
+        ``lam``; each factor is ``mpf_div`` then ``mpf_sub`` from one at the
+        working precision and rounding, the operations ``1 - pos / lam`` makes
+        on the object array. A column is kept on the mpmath table of the working
+        precision for each of the ``_MAX_COLUMNS`` most recently used lam.
+        """
+        columns = self._cache[_table_key(mp)].columns
+        key = lam._mpf_
+        col = columns.pop(key, None)
+        if col is None:
+            prec, rnd = mp.mp._prec_rounding
+            col = [mpf_sub(fone, mpf_div(p._mpf_, key, prec, rnd), prec, rnd)
+                   for p in pos]
+            if len(columns) >= _MAX_COLUMNS:
+                del columns[next(iter(columns))]
+        columns[key] = col
+        return col
 
     def _vector_atoms(self, first, m):
         """Atoms first .. first+m-1 from one call with an index array.
@@ -284,6 +315,35 @@ class SpectralMeasure:
         return cls.from_atoms(pos, wts)
 
 
+def _table_key(backend):
+    """Key of a measure's table: one float table, one mpmath table per precision."""
+    return "float" if backend is None else ("mp", mp.mp.prec)
+
+
+def _riesz_sum_mp(wts, col, k):
+    """Sum of w (1 - mu/lam)**k over the weights and their Riesz column.
+
+    Each term is ``mpf_pow_int`` then ``mpf_mul`` (``mpc_mul_mpf`` for a
+    complex weight); real and imaginary parts are summed apart in atom
+    order, so the result is the number ``mp.fsum(wts * (1 - pos / lam) ** k)``
+    returns, bit for bit.
+    """
+    prec, rnd = mp.mp._prec_rounding
+    real, imag = [], []
+    for w, c in zip(wts, col):
+        ck = mpf_pow_int(c, k, prec, rnd)
+        if isinstance(w, mp.mpf):
+            real.append(mpf_mul(w._mpf_, ck, prec, rnd))
+        else:
+            re, im = mpc_mul_mpf(w._mpc_, ck, prec, rnd)
+            real.append(re)
+            imag.append(im)
+    total = mpf_sum(real, prec, rnd)
+    if imag:
+        return mp.mp.make_mpc((total, mpf_sum(imag, prec, rnd)))
+    return mp.mp.make_mpf(total)
+
+
 def riesz_mean(measure: SpectralMeasure, k: int, lam: float, dps: Optional[int] = None):
     """Riesz mean of order k at lam: sum/integral of (1 - mu/lam)**k dm(mu).
 
@@ -292,10 +352,14 @@ def riesz_mean(measure: SpectralMeasure, k: int, lam: float, dps: Optional[int] 
     whose atom terms are added by ``quadrature._exact_sum``: an exact sum of
     exponent buckets rounded once, so the result is the correctly rounded
     sum of the terms, the double ``math.fsum`` returns, whatever their order
-    and cancellation. Both backends read their atoms from
-    :meth:`SpectralMeasure.atom_arrays` and the continuous part from
-    ``density_riesz``. Raises :class:`DomainError` for a lam that is not
-    finite or not above the support, before any atom is enumerated.
+    and cancellation. The mpmath backend takes the factors 1 - mu/lam from a
+    column kept per lam on its atom table, so the means of several orders at
+    one lam divide once, and returns what ``mp.fsum(wts * (1 - pos / lam)
+    ** k)`` over the object arrays returns, bit for bit. Both backends read
+    their atoms from :meth:`SpectralMeasure.atom_arrays` and the continuous
+    part from ``density_riesz``. Raises :class:`DomainError` for a lam that
+    is zero, not finite or not above the support, before any atom is
+    enumerated.
     """
     if k < 0 or int(k) != k:
         raise ParameterError("Riesz order k must be a nonnegative integer")
@@ -305,6 +369,9 @@ def riesz_mean(measure: SpectralMeasure, k: int, lam: float, dps: Optional[int] 
         raise DomainError(
             f"lam={lam} must exceed the support lower bound "
             f"{measure.support_lower_bound}")
+    if lam == 0:
+        # reachable below a negative support bound; 1 - mu/lam has no value
+        raise DomainError("lam=0: the Riesz weights (1 - mu/lam)**k need lam != 0")
 
     if dps is None:
         total = 0.0 + 0.0j
@@ -326,7 +393,7 @@ def riesz_mean(measure: SpectralMeasure, k: int, lam: float, dps: Optional[int] 
         total = mp.mpf(0)
         pos, wts = measure.atom_arrays(lam_mp, mp)
         if len(pos):
-            total += mp.fsum(wts * (1 - pos / lam_mp) ** k)
+            total += _riesz_sum_mp(wts, measure._riesz_column(lam_mp, pos), int(k))
         if measure.density_riesz is not None:
             total += measure.density_riesz(k, lam_mp, mp)
         return total

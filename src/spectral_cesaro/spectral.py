@@ -69,6 +69,8 @@ def evaluate_named_density(name: str, x: float, y: float, lam: float,
     Names: free_line, free_space (with ``dimension``), interval_staircase,
     weyl (the smooth diagonal density).
     """
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"x={x}, y={y} must be finite")
     if name == "free_line":
         v = density_free_line(x, y, lam)
         trunc = None

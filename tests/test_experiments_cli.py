@@ -155,6 +155,25 @@ class TestCliKernel:
         assert rc == 64
         assert capsys.readouterr().err.startswith("usage error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["heat", "line", "--t", "nan", "--x", "0", "--y", "0"],
+        ["heat", "line", "--t", "inf", "--x", "0", "--y", "0"],
+        ["cylinder", "line", "--t", "inf", "--x", "0", "--y", "1"],
+        ["cylinder", "line", "--t", "nan", "--x", "0", "--y", "1"],
+        ["schrodinger", "line", "--t", "nan", "--x", "0", "--y", "1"],
+        ["schrodinger", "line", "--t=-inf", "--x", "0", "--y", "1"],
+        ["wightman", "interval", "--t", "nan", "--x", "0.5", "--y", "1.0"],
+        ["heat", "line", "--t", "1", "--x", "nan", "--y", "0"],
+        ["cylinder", "line", "--t", "1", "--x", "0", "--y", "inf"],
+        ["schrodinger", "line", "--t", "1", "--x", "nan", "--y", "0"],
+    ], ids=lambda argv: "-".join(argv).replace("--", ""))
+    def test_non_finite_argument_is_usage_error(self, capsys, argv):
+        rc = cli.main(["kernel", *argv])
+        assert rc == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
+
 
 class TestCliDensity:
     def test_named_density_csv(self, capsys):
@@ -164,6 +183,15 @@ class TestCliDensity:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "lambda,value"
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("x, y", [("nan", "0"), ("1", "inf")])
+    def test_non_finite_point_is_usage_error(self, capsys, x, y):
+        rc = cli.main(["density", "free_line", "--x", x, "--y", y,
+                       "--lambda-grid", "1:100:5"])
+        assert rc == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
 
     def test_staircase_density_to_file(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -212,6 +240,17 @@ class TestCliRiesz:
         path.write_text("lambda,weight_re,weight_im\n1.0,1.0,0.0\n")
         rc = cli.main(["riesz", "--measure", str(path), "--order", "2",
                        "--lambda", lam])
+        assert rc == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
+
+    def test_zero_lambda_is_usage_error(self, tmp_path, capsys):
+        # the negative atom puts the support bound below lam = 0
+        path = tmp_path / "m.csv"
+        path.write_text("lambda,weight_re,weight_im\n-1.1,0.0,1.0\n")
+        rc = cli.main(["riesz", "--measure", str(path), "--order", "1",
+                       "--lambda", "0"])
         assert rc == 64
         captured = capsys.readouterr()
         assert captured.out == ""

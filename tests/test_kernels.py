@@ -355,3 +355,20 @@ class TestAveragedSmear:
         a = sc.averaged_smear("schrodinger", "interval", 1.0, 2.0, phi, 1e-3)
         b = sc.averaged_smear("schrodinger", "line", 1.0, 2.0, phi, 1e-3)
         assert abs(a - b) < 1e-6
+
+
+@pytest.mark.parametrize("call", [
+    lambda t, x, y: sc.heat_kernel("line", t, x, y),
+    lambda t, x, y: sc.heat_kernel("interval", t, x, y, "spectral_sum"),
+    lambda t, x, y: sc.cylinder_kernel("line", t, x, y),
+    lambda t, x, y: sc.schrodinger_kernel("line", t, x, y),
+    lambda t, x, y: sc.wightman_interval(t, x, y),
+], ids=["heat_line", "heat_interval", "cylinder_line", "schrodinger_line",
+        "wightman_interval"])
+@pytest.mark.parametrize("t, x, y", [
+    (math.nan, 1.0, 2.0), (math.inf, 1.0, 2.0), (-math.inf, 1.0, 2.0),
+    (0.5, math.nan, 2.0), (0.5, 1.0, math.inf),
+])
+def test_non_finite_arguments_rejected(call, t, x, y):
+    with pytest.raises(DomainError, match="finite"):
+        call(t, x, y)

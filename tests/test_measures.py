@@ -98,6 +98,15 @@ class TestRieszMean:
             sc.riesz_mean(m, 1, lam, dps=dps)
         assert m._cache == {}
 
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("dps", [None, 30])
+    def test_zero_lambda_rejected_before_enumeration(self, k, dps):
+        # a negative atom puts the support bound below 0, so lam = 0 is above it
+        m = SpectralMeasure.from_atoms([-1.1, 2.0], [1j, 1.0])
+        with pytest.raises(DomainError, match="lam=0"):
+            sc.riesz_mean(m, k, 0.0, dps=dps)
+        assert m._cache == {}
+
 
 def test_absolutely_convergent_consistency():
     """Riesz means of a summable measure tend to the total mass, any order.
@@ -394,8 +403,13 @@ _CSV_WEIGHTS = st.one_of(
 )
 @example(atoms=[(-2.0, 0.0), (1.0, 1.0)], k=1, offsets=[1.0])
 @example(atoms=[(1.0, 0.0), (4.0, 0j)], k=0, offsets=[5.0])
+@example(atoms=[(-1.1, 1j)], k=1, offsets=[1.1])
 def test_csv_round_trip_is_lossless(tmp_path_factory, atoms, k, offsets):
-    """Riesz means of the reloaded measure equal the original's, type included."""
+    """Riesz means of the reloaded measure equal the original's, type included.
+
+    Where the original raises (lam = 0 above a negative support bound), the
+    reloaded measure raises the same exception type.
+    """
     atoms = sorted(atoms)
     m = SpectralMeasure.from_atoms([p for p, _ in atoms], [w for _, w in atoms])
     path = tmp_path_factory.mktemp("csv") / "m.csv"
@@ -404,5 +418,115 @@ def test_csv_round_trip_is_lossless(tmp_path_factory, atoms, k, offsets):
     assert m2.support_lower_bound == m.support_lower_bound
     for off in offsets:
         lam = m.support_lower_bound + off
-        a, b = sc.riesz_mean(m, k, lam), sc.riesz_mean(m2, k, lam)
+        a, b = _value_or_error(m, k, lam), _value_or_error(m2, k, lam)
         assert type(a) is type(b) and a == b, (lam, a, b)
+
+
+def _value_or_error(measure, k, lam):
+    """The float Riesz mean, or the type of the exception it raises."""
+    try:
+        return sc.riesz_mean(measure, k, lam)
+    except ValueError as err:
+        return type(err)
+
+
+# ------------------------------------------------- mpmath Riesz columns
+
+def old_riesz_mean_mp(measure, k, lam, dps):
+    """Reference: the mpmath Riesz mean as one expression over the object arrays."""
+    with mpmath.workdps(dps):
+        lam_mp = mpmath.mpf(lam)
+        total = mpmath.mpf(0)
+        pos, wts = measure.atom_arrays(lam_mp, mpmath)
+        if len(pos):
+            total += mpmath.fsum(wts * (1 - pos / lam_mp) ** k)
+        if measure.density_riesz is not None:
+            total += measure.density_riesz(k, lam_mp, mpmath)
+        return total
+
+
+def raw(v):
+    return v._mpf_ if isinstance(v, mpmath.mpf) else v._mpc_
+
+
+_MP_WEIGHTS = st.one_of(st.just(0.0), st.floats(-5, 5),
+                        st.complex_numbers(max_magnitude=5))
+_MP_MEASURES = st.one_of(
+    st.builds(sc.interval_measure, st.floats(0.1, 3.0), st.floats(0.0, 3.0)),
+    st.builds(sc.interval_minus_free_measure, st.floats(0.1, 3.0),
+              st.floats(0.0, 3.0)),
+    st.lists(st.tuples(st.floats(-50, 50), _MP_WEIGHTS), min_size=1, max_size=10,
+             unique_by=lambda a: a[0]).map(
+        lambda atoms: SpectralMeasure.from_atoms(*zip(*sorted(atoms)))),
+    st.builds(SpectralMeasure.from_generator, st.just(thirds_atom)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    measure=_MP_MEASURES,
+    dps=st.sampled_from([15, 30, 50]),
+    steps=st.lists(st.tuples(st.sampled_from([0.7, 3.0, 40.0, 250.0])
+                             | st.floats(1e-3, 400), st.integers(0, 9)),
+                   min_size=1, max_size=8),
+)
+@example(measure=SpectralMeasure.from_atoms([-3.0, 0.0, 2.0], [1 + 2j, 0.5, -1j]),
+         dps=30, steps=[(2.5, 2), (2.5, 3), (1.0, 0), (3.5, 9)])
+def test_mp_riesz_mean_is_bit_identical_to_the_array_expression(measure, dps, steps):
+    """Value and type equal the array expression's, lam repeated and descending."""
+    for off, k in steps + steps[::-1]:
+        lam = measure.support_lower_bound + off
+        if lam == 0:
+            continue
+        a = sc.riesz_mean(measure, k, lam, dps=dps)
+        b = old_riesz_mean_mp(measure, k, lam, dps)
+        assert type(a) is type(b) and raw(a) == raw(b), (k, lam, a, b)
+
+
+def counting_mpf_div(monkeypatch):
+    calls = []
+    real = measures.mpf_div
+
+    def mpf_div(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(measures, "mpf_div", mpf_div)
+    return calls
+
+
+def test_second_order_at_a_lambda_divides_nothing(monkeypatch):
+    calls = counting_mpf_div(monkeypatch)
+    m = counting_measure()
+    sc.riesz_mean(m, 0, 50.0, dps=30)
+    assert len(calls) == 7          # the atoms 1, 4, ..., 49
+    for k in range(1, 8):
+        sc.riesz_mean(m, k, 50.0, dps=30)
+    assert len(calls) == 7
+
+
+def test_column_store_keeps_the_most_recent_lambdas():
+    m = counting_measure()
+    cap = measures._MAX_COLUMNS
+    lams = [10.0 + j for j in range(2 * cap)]
+    for lam in lams:
+        sc.riesz_mean(m, 1, lam, dps=20)
+    sc.riesz_mean(m, 2, lams[cap], dps=20)      # a reuse makes lams[cap] the newest
+    with mpmath.workdps(20):
+        columns = m._cache[("mp", mpmath.mp.prec)].columns
+        kept = [mpmath.mpf(lam)._mpf_ for lam in lams[cap + 1:] + [lams[cap]]]
+    assert len(columns) == cap
+    assert list(columns) == kept
+
+
+def test_column_is_not_reused_at_another_precision(monkeypatch):
+    calls = counting_mpf_div(monkeypatch)
+    m = SpectralMeasure.from_atoms([1.0, 3.0], [1.0, 1.0])
+    a = sc.riesz_mean(m, 1, 7.0, dps=20)
+    b = sc.riesz_mean(m, 1, 7.0, dps=40)
+    assert len(calls) == 4
+    assert {prec for *_, prec, rnd in calls} == {mpmath.libmp.dps_to_prec(20),
+                                                 mpmath.libmp.dps_to_prec(40)}
+    assert raw(a) == raw(old_riesz_mean_mp(m, 1, 7.0, 20))
+    assert raw(b) == raw(old_riesz_mean_mp(m, 1, 7.0, 40))
+    assert raw(a) != raw(b)

@@ -191,3 +191,10 @@ class TestOffdiagonalEquivalence:
     def test_diagonal_redirects(self):
         with pytest.raises(ParameterError):
             sc.offdiagonal_equivalence_check(1.0, 1.0, 2, [1e3, 1e4])
+
+
+@pytest.mark.parametrize("name", sc.spectral.NAMED_DENSITIES)
+@pytest.mark.parametrize("x, y", [(math.nan, 0.0), (1.0, math.inf), (-math.inf, 1.0)])
+def test_named_density_rejects_non_finite_points(name, x, y):
+    with pytest.raises(DomainError, match="finite"):
+        sc.evaluate_named_density(name, x, y, 10.0)
