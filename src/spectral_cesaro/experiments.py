@@ -37,6 +37,9 @@ def parse_grid(spec):
     if len(parts) != 3:
         raise ParameterError(f"grid must be start:stop:count, got {spec!r}")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    for end, value in (("start", start), ("stop", stop)):
+        if not math.isfinite(value):
+            raise ParameterError(f"grid {spec!r}: {end} {value} is not finite")
     if count < 2:
         raise ParameterError("grid count must be >= 2")
     if not 0 < start < stop:

@@ -44,18 +44,19 @@ class QuadratureResult:
 
 
 def _quad_counted(f, a, b, tol, limit=400):
+    """QUADPACK over [a, b]: (value, error estimate, calls made to ``f``).
+
+    The count is QUADPACK's own ``neval``, which is the number of times
+    ``f`` was called (twice per node on a doubly infinite range), so ``f``
+    is passed to ``quad`` unwrapped.
+    """
     from scipy.integrate import quad
-
-    calls = [0]
-
-    def g(x):
-        calls[0] += 1
-        return f(x)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        val, err = quad(g, a, b, epsabs=tol, epsrel=max(tol, 1e-13), limit=limit)
-    return val, err, calls[0]
+        val, err, info = quad(f, a, b, epsabs=tol, epsrel=max(tol, 1e-13),
+                              limit=limit, full_output=1)[:3]
+    return val, err, info["neval"]
 
 
 def _probe_point(a, b):
@@ -80,7 +81,9 @@ def integrate(f, a, b, tol=1e-10, limit=400):
     Complex-valued integrands, as told by ``f`` at one interior point, are
     split into real and imaginary parts. Raises :class:`AccuracyError`
     (carrying the best estimate) when the reported error exceeds ``tol`` by
-    a wide margin.
+    a wide margin. ``evaluations`` is QUADPACK's count of calls to ``f``
+    (summed over both parts of a complex integrand); the probe call that
+    tells real from complex is not counted.
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")

@@ -329,15 +329,16 @@ def offdiagonal_equivalence_check(x: float, y: float, k: int,
                             details={"reason": "near-diagonal degradation"})
 
     diff = interval_minus_free_measure(x, y)
+    means = {}
     report = cesaro_order_test(diff, _OFFDIAG_BETA, _OFFDIAG_MAX_ORDER,
                                lambdas=probes, dps=_OFFDIAG_DPS,
-                               allow_excluded_beta=True)
+                               allow_excluded_beta=True, _means=means)
 
     free = free_line_density_measure(x, y)
-    num, den = [], []
-    for lam in probes:
-        num.append(float(abs(riesz_mean(diff, k, lam, dps=_OFFDIAG_DPS))))
-        den.append(float(abs(riesz_mean(free, k, lam, dps=_OFFDIAG_DPS))))
+    if k not in means:      # the order test stopped below order k
+        means[k] = [riesz_mean(diff, k, lam, dps=_OFFDIAG_DPS) for lam in probes]
+    num = [float(abs(v)) for v in means[k]]
+    den = [float(abs(riesz_mean(free, k, lam, dps=_OFFDIAG_DPS))) for lam in probes]
     rms_diff = math.sqrt(math.fsum(v * v for v in num) / len(num))
     rms_free = math.sqrt(math.fsum(v * v for v in den) / len(den))
     ratio = rms_diff / rms_free if rms_free > 0 else math.inf

@@ -170,7 +170,8 @@ def _loglog_slope(pts):
 def cesaro_order_test(measure: SpectralMeasure, beta: float, max_order: int,
                       lambdas: Optional[Sequence[float]] = None,
                       dps: Optional[int] = None,
-                      allow_excluded_beta: bool = False) -> CesaroReport:
+                      allow_excluded_beta: bool = False, *,
+                      _means: Optional[dict] = None) -> CesaroReport:
     """Test f(x) = O(x^beta) (C) by repeated primitives plus slope fitting.
 
     For N = 1..max_order the N-th primitive of the measure (expressed through
@@ -187,6 +188,10 @@ def cesaro_order_test(measure: SpectralMeasure, beta: float, max_order: int,
 
     The exponent search over N is a first-success heuristic; the theory only
     asserts existence of some N.
+
+    ``_means``, when given, receives the Riesz means of each order k the
+    test reached, as ``_means[k]`` = the list over the sorted probes, so
+    that a caller needing some of them does not compute them again.
     """
     if (not allow_excluded_beta and beta < 0
             and abs(beta - round(beta)) < _EXCLUDED_BETA_TOL):
@@ -210,6 +215,8 @@ def cesaro_order_test(measure: SpectralMeasure, beta: float, max_order: int,
     for N in range(1, max_order + 1):
         k = N - 1
         R = [riesz_mean(measure, k, lam, dps=dps) for lam in lambdas]
+        if _means is not None:
+            _means[k] = R
         if dps is not None:
             with mp.workdps(dps):
                 F = [mp.mpf(lam) ** (N - 1) * r / mp.factorial(N - 1)

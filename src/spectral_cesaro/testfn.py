@@ -42,6 +42,13 @@ class TestFunction:
         self._derivative_factory = derivative_factory
 
     def __call__(self, x):
+        """phi at ``x``: a float for a scalar, an array for an array.
+
+        A Python float goes straight to the scalar code, without the
+        ``np.ndim`` test: quadrature calls test functions one point at a time.
+        """
+        if type(x) is float:
+            return self._evaluate(x)
         return self._evaluate(np.asarray(x, dtype=float)) if np.ndim(x) else self._evaluate(float(x))
 
     def derivative(self, order=1):
@@ -105,7 +112,7 @@ def make_bump(a: float, b: float) -> TestFunction:
         coeffs = tuple(float(c) for c in poly)
 
         def ev(x):
-            if np.ndim(x) == 0:
+            if type(x) is float or np.ndim(x) == 0:
                 u = (2.0 * float(x) - a - b) / (b - a)
                 if not -1.0 < u < 1.0:
                     return 0.0

@@ -53,6 +53,15 @@ def test_grid_parsing():
         ExperimentConfig.from_mapping("theta-sum", {"bogus": "1"})
 
 
+@pytest.mark.parametrize("spec, end", [("nan:1e2:5", "start nan"),
+                                       ("1:inf:5", "stop inf"),
+                                       ("-inf:1:5", "start -inf")])
+def test_grid_with_a_non_finite_end_is_rejected(spec, end, recwarn):
+    with pytest.raises(ParameterError, match=f"grid '{spec}': {end} is not finite"):
+        experiments.parse_grid(spec)
+    assert len(recwarn) == 0
+
+
 def test_config_file_with_overrides(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("# comment\nx = 0.9\nk = 3\n")
@@ -104,6 +113,16 @@ class TestCliVerify:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["fitted_slopes"]["remainder_vs_eps"] >= 3.0
+
+    def test_non_finite_lambda_grid_is_usage_error(self, capsys, recwarn):
+        rc = cli.main(["verify", "offdiag-equivalence",
+                       "--lambda-grid", "1e2:inf:24"])
+        assert rc == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'1e2:inf:24'" in captured.err
+        assert "stop inf is not finite" in captured.err
+        assert len(recwarn) == 0
 
     def test_missing_config_file_exit_74(self, capsys):
         rc = cli.main(["verify", "theta-sum", "--config", "/nonexistent/path.cfg"])
@@ -192,6 +211,15 @@ class TestCliDensity:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("usage error: ")
+
+    def test_non_finite_grid_end_is_usage_error(self, capsys, recwarn):
+        rc = cli.main(["density", "free_line", "--x", "1", "--y", "0",
+                       "--lambda-grid", "1:inf:3"])
+        assert rc == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: grid '1:inf:3': stop inf is not finite\n"
+        assert len(recwarn) == 0
 
     def test_staircase_density_to_file(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -3,13 +3,18 @@
 import cmath
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 import spectral_cesaro as sc
-from spectral_cesaro.errors import (BoundaryError, DomainError, ParameterError,
-                                    SingularityError)
+from spectral_cesaro.errors import (AccuracyError, BoundaryError, DomainError,
+                                    ParameterError, SingularityError)
+from spectral_cesaro.quadrature import _refused
 
 
 class TestHeatKernel:
@@ -372,3 +377,72 @@ class TestAveragedSmear:
 def test_non_finite_arguments_rejected(call, t, x, y):
     with pytest.raises(DomainError, match="finite"):
         call(t, x, y)
+
+
+# The line Fourier integrands as written before the half-line fold, over the
+# whole line; the kernels now integrate twice these over [0, inf).
+_LINE_FOURIER = {
+    "heat": (sc.heat_kernel, lambda t, x, y: lambda kk: math.exp(-kk * kk * t)
+             * math.cos(kk * (x - y)) / (2.0 * math.pi)),
+    "cylinder": (sc.cylinder_kernel, lambda t, x, y: lambda kk: math.exp(-abs(kk) * t)
+                 * math.cos(kk * (x - y)) / (2.0 * math.pi)),
+}
+_LINE_TOL = 1e-12
+
+
+def _full_line_quad(f):
+    """scipy's quad over the line, with integrate's epsabs, epsrel and limit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        value, err, info = quad(f, -math.inf, math.inf, epsabs=_LINE_TOL,
+                                epsrel=max(_LINE_TOL, 1e-13), limit=400,
+                                full_output=1)[:3]
+    return value, err, info["neval"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(_LINE_FOURIER)),
+       t=st.one_of(st.floats(1e-3, 0.05), st.floats(0.05, 3.0)),
+       x=st.floats(-4.0, 4.0), y=st.floats(-4.0, 4.0))
+# the estimate 1.4e-12 meets only the relative bound epsrel * |value|, which a
+# fold at tol/2 (so epsrel/2) would not meet
+@example(kind="heat", t=0.018780117783027447, x=2.5799651661104637,
+         y=2.5040674617684413)
+# the full line's estimate is refused: AccuracyError
+@example(kind="cylinder", t=0.016605403786932586, x=1.0482850977782032,
+         y=2.800417584331015)
+def test_line_fourier_route_is_the_full_line_integral_bit_for_bit(kind, t, x, y):
+    """The half-line cosine transform gives the full line's value and error."""
+    kernel, integrand = _LINE_FOURIER[kind]
+    value, err, _ = _full_line_quad(integrand(t, x, y))
+    if _refused(err, value, _LINE_TOL):
+        with pytest.raises(AccuracyError) as info:
+            kernel("line", t, x, y, "spectral_sum")
+        assert info.value.best_estimate == value
+        assert info.value.error_estimate == err
+        assert str(info.value) == (f"quadrature error estimate {err:.2e} "
+                                   f"exceeds tol {_LINE_TOL:.2e}")
+        return
+    got = kernel("line", t, x, y, "spectral_sum")
+    assert (got.value, got.error_estimate) == (value, err)
+    assert type(got.value) is float
+
+
+@pytest.mark.parametrize("kind", sorted(_LINE_FOURIER))
+@pytest.mark.parametrize("t, x, y", [(0.3, 0.8, 0.1), (0.01, 1.0, 1.0),
+                                     (0.018780117783027447, 2.5799651661104637,
+                                      2.5040674617684413)])
+def test_line_fourier_route_takes_half_the_calls(monkeypatch, kind, t, x, y):
+    results = []
+    integrate = sc.kernels.integrate
+
+    def recorded(*args, **kwargs):
+        results.append(integrate(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(sc.kernels, "integrate", recorded)
+    kernel, integrand = _LINE_FOURIER[kind]
+    kernel("line", t, x, y, "spectral_sum")
+    _, _, full_calls = _full_line_quad(integrand(t, x, y))
+    assert [r.evaluations for r in results] == [full_calls // 2]
+    assert full_calls % 2 == 0

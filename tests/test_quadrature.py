@@ -45,6 +45,69 @@ def test_bad_tolerance_rejected():
         sc.integrate(np.exp, 0, 1, tol=0.0)
 
 
+def _counted(f):
+    """f with a count of its calls in ``.calls``."""
+    def g(x):
+        g.calls += 1
+        return f(x)
+
+    g.calls = 0
+    return g
+
+
+_COUNT_CASES = {
+    "finite": (lambda x: math.exp(-x) * math.sin(3 * x), 0.0, 2.0, 1e-12, 400),
+    "complex": (lambda t: np.exp(-t) * np.exp(1j * t), 0.0, math.inf, 1e-11, 400),
+    "semi-infinite": (lambda u: u**-0.5 * math.exp(-u), 0.0, math.inf, 1e-10, 400),
+    "doubly infinite": (lambda x: 1.0 / (1.0 + x * x), -math.inf, math.inf, 1e-10, 400),
+    # the heat kernel's line Fourier integrand at a point where its error
+    # estimate meets only the relative bound
+    "line heat": (lambda k: math.exp(-k * k * 0.018780117783027447)
+                  * math.cos(k * (2.5799651661104637 - 2.5040674617684413))
+                  / (2.0 * math.pi),
+                  -math.inf, math.inf, 1e-12, 400),
+    # runs out of its 5 subintervals; the estimate is not refused
+    "limit exhausted": (lambda x: math.sqrt(abs(x - 0.3)), 0.0, 1.0, 1e-4, 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COUNT_CASES))
+def test_evaluations_count_the_calls(case):
+    """``evaluations`` is the number of calls to f after the one probe call."""
+    f, a, b, tol, limit = _COUNT_CASES[case]
+    g = _counted(f)
+    r = sc.integrate(g, a, b, tol=tol, limit=limit)
+    assert r.evaluations == g.calls - 1
+    if case == "limit exhausted":
+        assert r.evaluations == 21 * (2 * limit - 1)
+        assert r.error_estimate > tol
+
+
+def test_lobe_sum_count_with_fallbacks(monkeypatch):
+    """21 per accepted lobe, plus each fallback's calls after its probe."""
+    delta, c = 1e-2, 0.37
+    pts = [0.0, 0.25, 0.5, 0.75, 1.0]
+    scalar_calls, fallbacks = [], []
+
+    def f(t):
+        if np.ndim(t) == 0:
+            scalar_calls.append(t)
+        return 1.0 / (delta**2 + (t - c) ** 2)
+
+    integrate = sc.quadrature.integrate
+
+    def recorded(g, a, b, **kwargs):
+        fallbacks.append((a, b))
+        return integrate(g, a, b, **kwargs)
+
+    monkeypatch.setattr(sc.quadrature, "integrate", recorded)
+    r = sc.lobe_sum(f, pts, tol=1e-13)
+    assert fallbacks == [(0.0, 0.25), (0.25, 0.5), (0.5, 0.75)]
+    assert r.evaluations == 21 * (len(pts) - 1 - len(fallbacks)) \
+        + len(scalar_calls) - len(fallbacks)
+    assert r.evaluations == 504     # as counted by a wrapper around f
+
+
 def test_lobe_sum_matches_plain_quadrature():
     f = lambda t: np.sin(10 * t) * np.exp(-t)
     pts = [k * math.pi / 10 for k in range(0, 32)]

@@ -188,6 +188,34 @@ class TestOffdiagonalEquivalence:
             1.0, 1.0 + 1e-9, 2, np.geomspace(1e2, 1e6, 24))
         assert rep.verdict == "inconclusive"
 
+    @pytest.mark.parametrize("grid", [list(np.geomspace(1e2, 1e6, 24)), [1e2, 1e6]])
+    def test_ratio_reuses_the_order_tests_means(self, monkeypatch, grid):
+        """The ratio takes the order test's order-k means; the report is as before."""
+        calls, alive = [], []       # measures kept alive keep their ids apart
+        original = sc.spectral.riesz_mean
+
+        def counted(measure, k, lam, dps=None):
+            alive.append(measure)
+            calls.append((id(measure), k, float(lam)))
+            return original(measure, k, lam, dps=dps)
+
+        monkeypatch.setattr(sc.spectral, "riesz_mean", counted)
+        monkeypatch.setattr(sc.summability, "riesz_mean", counted)
+
+        def run():
+            calls.clear()
+            reports = [sc.offdiagonal_equivalence_check(1.0, y, 2, grid)
+                       for y in (2.0, 0.0)]
+            return reports, len(calls), len(set(calls))
+
+        reused, n_reused, distinct = run()
+        order_test = sc.spectral.cesaro_order_test
+        monkeypatch.setattr(sc.spectral, "cesaro_order_test",
+                            lambda *a, _means=None, **kw: order_test(*a, **kw))
+        fresh, n_fresh, _ = run()
+        assert reused == fresh
+        assert (n_fresh, n_reused, distinct) == (432, 384, 384)
+
     def test_diagonal_redirects(self):
         with pytest.raises(ParameterError):
             sc.offdiagonal_equivalence_check(1.0, 1.0, 2, [1e3, 1e4])

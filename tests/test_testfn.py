@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spectral_cesaro as sc
 from spectral_cesaro.errors import ParameterError, UnsupportedOrderError
@@ -120,3 +122,38 @@ def test_derivative_of_derivative_composes():
     g = sc.make_gaussian(0.0, 1.0)
     d3 = g.derivative(1).derivative(2)
     assert abs(d3(0.4) - g.derivative(3)(0.4)) < 1e-12
+
+
+def _ndim_call(phi, x):
+    """``TestFunction.__call__`` as it was before its Python-float fast path."""
+    return phi._evaluate(np.asarray(x, dtype=float)) if np.ndim(x) else phi._evaluate(float(x))
+
+
+_SCALAR_KINDS = {
+    "gaussian": sc.make_gaussian(0.3, 0.8),
+    "bump": sc.make_bump(-0.7, 1.3),
+    "exp_decay": sc.make_exp_decay(1.5),
+}
+_SCALAR_INPUTS = {
+    "float": float,
+    "float64": np.float64,
+    "int": lambda v: int(round(v)),
+    "0-d array": np.array,
+}
+
+
+def _bits(v):
+    return type(v), np.asarray(v).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(_SCALAR_KINDS)), order=st.integers(0, 6),
+       x=st.floats(-3.0, 3.0), make=st.sampled_from(sorted(_SCALAR_INPUTS)))
+def test_scalar_call_is_the_ndim_path_bit_for_bit(kind, order, x, make):
+    """A scalar of any kind gives the value and type the ``np.ndim`` path gives."""
+    phi = _SCALAR_KINDS[kind].derivative(order)
+    arg = _SCALAR_INPUTS[make](x)
+    assert _bits(phi(arg)) == _bits(_ndim_call(phi, arg))
+    # the float fast path inside the evaluator agrees with its np.ndim path
+    v = float(arg)
+    assert _bits(phi._evaluate(v)) == _bits(phi._evaluate(np.float64(v)))
