@@ -5,6 +5,9 @@ and the interval Wightman function (2 sqrt(H))^{-1} exp(it sqrt(H)). Each has
 at least two independent evaluation paths (eigen-series / image sum / closed
 form), plus small-t expansion extraction and smeared ("averaged") evaluation.
 
+Every interval eigen-series is ``spectral._sine_series`` with the kernel's
+profile g(k); every interval image sum runs over :func:`_images`.
+
 Sign convention for the Wightman kernel: the phase exp(+i k t) is used so
 that the closed form's real part matches the Cesaro-summed series AND its
 imaginary part equals P/4 with the piecewise d'Alembert function P below;
@@ -23,7 +26,8 @@ import numpy as np
 
 from .errors import (BoundaryError, DomainError, ParameterError,
                      SingularityError)
-from .quadrature import _exact_sum, integrate, lobe_sum
+from .quadrature import integrate, lobe_sum
+from .spectral import _sine_series
 from .testfn import TestFunction
 
 __all__ = [
@@ -63,6 +67,15 @@ def _check_finite(t, x, y):
         raise DomainError(f"t={t}, x={x}, y={y} must be finite")
 
 
+def _images(x, y, n):
+    """Dirichlet images: (x - y - 2 pi j, +1.0), (x + y - 2 pi j, -1.0), j = -n..n."""
+    a, b, out = x - y, x + y, []
+    for j in range(-n, n + 1):
+        c = 2.0 * j * math.pi
+        out += ((a - c, 1.0), (b - c, -1.0))
+    return out
+
+
 def _check_case(case, x, y):
     if case not in CASES:
         raise ParameterError(f"case must be one of {CASES}")
@@ -83,8 +96,9 @@ def heat_kernel(case: str, t: float, x: float, y: float,
     node of (-inf, inf), which for this exactly even integrand is 2 f(k),
     so the half line gives the full-line value, error estimate and any
     AccuracyError bit for bit, from half the integrand calls. interval:
-    spectral_sum is the sine eigen-series, image_sum the reflected-Gaussian
-    lattice sum; both are truncated with explicit tail bounds.
+    spectral_sum is ``_sine_series`` with profile g(k) = exp(-k^2 t), image_sum
+    the reflected-Gaussian sum over ``_images``; both are truncated with
+    explicit tail bounds.
     """
     _check_finite(t, x, y)
     if t <= 0:
@@ -100,18 +114,14 @@ def heat_kernel(case: str, t: float, x: float, y: float,
         return KernelEval(r.value, "spectral_sum", None, r.error_estimate)
     if method == "spectral_sum":
         kmax = max(8, int(math.sqrt(40.0 / t)) + 1)
-        ks = np.arange(1, kmax + 1)
-        terms = (2.0 / math.pi) * np.sin(ks * x) * np.sin(ks * y) * np.exp(-ks**2 * t)
+        v = _sine_series(x, y, kmax, lambda k: np.exp(-k**2 * t))
         # tail: sum_{k>K} e^{-k^2 t} < e^{-K^2 t} e^{-2Kt} / (1 - e^{-2Kt})
         q = math.exp(-2.0 * kmax * t)
         tail = (2.0 / math.pi) * math.exp(-kmax * kmax * t) * q / (1.0 - q)
-        return KernelEval(_exact_sum(terms), "spectral_sum", kmax, tail)
+        return KernelEval(v, "spectral_sum", kmax, tail)
     if method in ("image_sum", "closed_form"):
         nimg = max(2, int(math.sqrt(40.0 * t) / (2.0 * math.pi)) + 2)
-        vals = []
-        for n in range(-nimg, nimg + 1):
-            vals.append(math.exp(-((x - y - 2.0 * n * math.pi) ** 2) / (4.0 * t)))
-            vals.append(-math.exp(-((x + y - 2.0 * n * math.pi) ** 2) / (4.0 * t)))
+        vals = [s * math.exp(-(d ** 2) / (4.0 * t)) for d, s in _images(x, y, nimg)]
         pref = 1.0 / math.sqrt(4.0 * math.pi * t)
         # first omitted Gaussian dominates the tail
         d = 2.0 * (nimg + 1) * math.pi - 2.0 * math.pi
@@ -150,10 +160,9 @@ def schrodinger_kernel(case: str, t: float, x: float, y: float,
     if method != "image_sum":
         raise ParameterError("interval schrodinger kernel has no closed form; "
                              "use image_sum or averaged_smear")
-    total = 0.0 + 0.0j
-    for n in range(-_SCHRODINGER_IMAGES, _SCHRODINGER_IMAGES + 1):
-        total += cmath.exp(1j * (x - y - 2.0 * n * math.pi) ** 2 / (4.0 * t))
-        total -= cmath.exp(1j * (x + y - 2.0 * n * math.pi) ** 2 / (4.0 * t))
+    total = 0j      # not sum(): it compensates complex addends on newer Pythons
+    for d, s in _images(x, y, _SCHRODINGER_IMAGES):
+        total += s * cmath.exp(1j * d ** 2 / (4.0 * t))
     return KernelEval(pref * total, "image_sum", 2 * _SCHRODINGER_IMAGES + 1, math.inf)
 
 
@@ -167,8 +176,9 @@ def cylinder_kernel(case: str, t: float, x: float, y: float,
     integral (1/2pi) int exp(-|k| t) cos(k(x-y)) dk, taken as the heat
     kernel's is: a cosine transform over [0, inf) of twice the integrand at
     tol 1e-12, equal bit for bit to the full-line integral. interval closed
-    form in terms of sinh/cosh, eigen-series with a geometric tail bound,
-    and a Lorentzian image sum with an integral tail correction.
+    form in terms of sinh/cosh, spectral_sum ``_sine_series`` with profile
+    g(k) = exp(-k t) and a geometric tail bound, and a Lorentzian image sum
+    over ``_images`` with an integral tail correction.
     """
     _check_finite(t, x, y)
     if t <= 0:
@@ -188,18 +198,13 @@ def cylinder_kernel(case: str, t: float, x: float, y: float,
         return KernelEval(v, "closed_form", None, 1e-15 * max(abs(v), 1.0))
     if method == "spectral_sum":
         kmax = max(8, int(40.0 / t) + 1)
-        ks = np.arange(1, kmax + 1)
-        terms = (2.0 / math.pi) * np.sin(ks * x) * np.sin(ks * y) * np.exp(-ks * t)
+        v = _sine_series(x, y, kmax, lambda k: np.exp(-k * t))
         q = math.exp(-t)
         tail = (2.0 / math.pi) * math.exp(-(kmax + 1) * t) / (1.0 - q)
-        return KernelEval(_exact_sum(terms), "spectral_sum", kmax, tail)
+        return KernelEval(v, "spectral_sum", kmax, tail)
     if method == "image_sum":
         M = 400
-        vals = []
-        for n in range(-M, M + 1):
-            vals.append(1.0 / ((x - y - 2.0 * n * math.pi) ** 2 + t * t))
-            vals.append(-1.0 / ((x + y - 2.0 * n * math.pi) ** 2 + t * t))
-        total = math.fsum(vals)
+        total = math.fsum([s / (d ** 2 + t * t) for d, s in _images(x, y, M)])
         # integral correction for the paired lattice tail (~ xy/(pi^3 n^3))
         def pair(u):
             return (1.0 / ((x - y - 2.0 * u * math.pi) ** 2 + t * t)
@@ -247,11 +252,12 @@ def wightman_interval(t: float, x: float, y: float,
     """Interval Wightman function W(t,x,y).
 
     closed_form: (1/4pi) ln|(cos t - cos(x+y))/(cos t - cos(x-y))| + (i/4) P.
-    spectral_sum: Cesaro-1 means of
-    (1/pi) sum_k sin(kx) sin(ky) exp(+ikt)/k at truncation N = ``n_terms``,
-    with weights 1 - k/(N+1); the series is only conditionally convergent
-    near the singular lines, so plain partial sums are not offered. Points
-    with |cos t - cos(x+-y)| below 1e-9 raise SingularityError.
+    spectral_sum: the Cesaro-1 mean of the eigen-series at truncation
+    N = ``n_terms``, i.e. ``_sine_series`` with profile
+    g(k) = exp(+ikt)/(2k) (1 - k/(N+1)), correctly rounded in its real and
+    imaginary parts; the series is only conditionally convergent near the
+    singular lines, so plain partial sums are not offered. Points with
+    |cos t - cos(x+-y)| below 1e-9 raise SingularityError.
     """
     _check_finite(t, x, y)
     if not (0.0 < x < math.pi and 0.0 < y < math.pi):
@@ -270,10 +276,8 @@ def wightman_interval(t: float, x: float, y: float,
         v = complex(re, im)
         return KernelEval(v, "closed_form", None, 1e-14 * max(1.0, abs(v)))
     if method == "spectral_sum":
-        ks = np.arange(1, n_terms + 1)
-        terms = (np.sin(ks * x) * np.sin(ks * y) / ks) * np.exp(1j * ks * t) / math.pi
-        weights = 1.0 - ks / (n_terms + 1.0)
-        v = complex(np.sum(weights * terms))
+        v = _sine_series(x, y, n_terms, lambda k: np.exp(1j * k * t) / (2 * k)
+                         * (1.0 - k / (n_terms + 1.0)))
         err = 10.0 / (n_terms * min(d_minus, d_plus))
         return KernelEval(v, "spectral_sum", n_terms, err)
     raise ParameterError(f"unsupported method {method!r} for wightman")
@@ -436,23 +440,16 @@ def averaged_smear(kind: str, case: str, x: float, y: float,
     lo, hi = phi.support if phi.support else (0.0, math.inf)
     lo = max(lo, 0.0)
 
-    if kind == "heat":
-        f = lambda t: heat_kernel(case, eps * t, x, y).value * phi(t)
-        return complex(integrate(f, lo, hi, tol=tol).value)
-    if kind == "cylinder":
-        f = lambda t: cylinder_kernel(case, eps * t, x, y).value * phi(t)
+    if kind in ("heat", "cylinder"):
+        kernel = heat_kernel if kind == "heat" else cylinder_kernel
+        f = lambda t: kernel(case, eps * t, x, y).value * phi(t)
         return complex(integrate(f, lo, hi, tol=tol).value)
     if kind != "schrodinger":
         raise ParameterError(f"averaged_smear unsupported for kind {kind!r}")
 
     pairs = [(x - y, +1.0)]
-    if case == "interval":
-        n_images = 6
-        pairs = []
-        for n in range(-n_images, n_images + 1):
-            pairs.append((x - y - 2.0 * n * math.pi, +1.0))
-            pairs.append((x + y - 2.0 * n * math.pi, -1.0))
-        pairs.sort(key=lambda p: abs(p[0]))  # nearest images dominate
+    if case == "interval":   # nearest images dominate
+        pairs = sorted(_images(x, y, 6), key=lambda p: abs(p[0]))
 
     pref = cmath.exp(-1j * math.pi / 4.0) / math.sqrt(4.0 * math.pi * eps)
     total = 0.0 + 0.0j

@@ -5,6 +5,10 @@ its d-dimensional Bessel generalization, and the Dirichlet-interval
 sine-series density. Cesaro-averaged comparisons (Weyl law on the diagonal,
 free-line equivalence off the diagonal) are exposed as report-producing
 checks.
+
+:func:`_sine_series` is the only float eigen-series of the interval; the
+staircase, the density smear and every interval kernel pair its atoms with
+their profile g through it.
 """
 
 from __future__ import annotations
@@ -69,8 +73,8 @@ def evaluate_named_density(name: str, x: float, y: float, lam: float,
     Names: free_line, free_space (with ``dimension``), interval_staircase,
     weyl (the smooth diagonal density).
     """
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError(f"x={x}, y={y} must be finite")
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(lam)):
+        raise DomainError(f"x={x}, y={y}, lam={lam} must be finite")
     if name == "free_line":
         v = density_free_line(x, y, lam)
         trunc = None
@@ -143,17 +147,28 @@ def density_free_space(d: int, x, y, lam: float) -> float:
 
 def staircase_interval(x: float, y: float, lam: float) -> float:
     """Spectral function E(x,y;lam) = sum_{n^2<=lam} (2/pi) sin(nx) sin(ny)."""
+    if not math.isfinite(lam):
+        raise DomainError(f"lam={lam} must be finite")
     if not (0.0 < x < math.pi and 0.0 < y < math.pi):
         raise DomainError("x and y must lie in the open interval (0, pi)")
     if lam < 1.0:
         return 0.0
-    nmax = int(math.isqrt(int(lam)))
-    while (nmax + 1) ** 2 <= lam:
-        nmax += 1
-    while nmax**2 > lam:
-        nmax -= 1
-    n = np.arange(1, nmax + 1)
-    return float((2.0 / math.pi) * _exact_sum(np.sin(n * x) * np.sin(n * y)))
+    # n^2 <= lam exactly when n^2 <= floor(lam)
+    return _sine_series(x, y, math.isqrt(int(lam)), lambda k: 1.0)
+
+
+def _sine_series(x: float, y: float, n: int, g):
+    """sum_{k=1}^{n} (2/pi) sin(kx) sin(ky) g(k), each part correctly rounded.
+
+    The atoms of ``interval_measure`` paired with a profile ``g``, which maps
+    the array ``np.arange(1, n + 1)`` to its values; real and imaginary parts
+    are each added by ``_exact_sum``.
+    """
+    ks = np.arange(1, n + 1)
+    terms = (2.0 / math.pi) * np.sin(ks * x) * np.sin(ks * y) * g(ks)
+    if terms.dtype.kind == "c":
+        return complex(_exact_sum(terms.real), _exact_sum(terms.imag))
+    return _exact_sum(terms)
 
 
 def density_smear_interval(x: float, y: float, phi: TestFunction,
@@ -169,16 +184,15 @@ def density_smear_interval(x: float, y: float, phi: TestFunction,
     if not phi.decays:
         raise ParameterError("phi must decay at infinity for the smear to converge")
     sup_hi = phi.support[1] if phi.support else None
-    terms = []
+    pv = []
     n = 1
     prev_abs = None
     while n <= _SMEAR_MAX_TERMS:
         u = eps * n * n
         if sup_hi is not None and u > sup_hi:
             break
-        pv = float(phi(u))
-        terms.append((2.0 / math.pi) * math.sin(n * x) * math.sin(n * y) * pv)
-        a = abs(pv)
+        pv.append(float(phi(u)))
+        a = abs(pv[-1])
         if prev_abs is not None and 0.0 < a < prev_abs:
             ratio = a / prev_abs
             tail = (2.0 / math.pi) * a * ratio / (1.0 - ratio)
@@ -188,7 +202,7 @@ def density_smear_interval(x: float, y: float, phi: TestFunction,
         n += 1
     else:
         raise DataError("smear did not converge within the term budget")
-    return math.fsum(terms)
+    return _sine_series(x, y, len(pv), lambda k: np.array(pv))
 
 
 # ------------------------------------------------------- measure builders

@@ -274,45 +274,29 @@ def finite_part_eval(g: FinitePart, phi: TestFunction,
     def phi_s(u):
         return phi(u / s)
 
-    if not g.is_exceptional:
-        if alpha > -1:
-            m = 0
-        else:
-            m = int(math.ceil(-alpha)) - 1
-        derivs = _taylor_poly_terms(phi, m, scale=s)
+    def taylor(u):
+        return sum(d * u**j / math.factorial(j) for j, d in enumerate(derivs))
 
-        def taylor(u):
-            return sum(d * u**j / math.factorial(j) for j, d in enumerate(derivs))
-
-        def regularized(u):
-            return (phi_s(u) - taylor(u)) * u**alpha
-
-        head = integrate(regularized, 0.0, 1.0, tol=_FINITE_PART_TOL, limit=800).value
-        tail = integrate(lambda u: phi_s(u) * u**alpha, 1.0, math.inf,
-                         tol=_FINITE_PART_TOL, limit=800).value
-        boundary = sum(d / (math.factorial(j) * (alpha + j + 1))
-                       for j, d in enumerate(derivs))
-        total = head + tail + boundary
-    else:
+    # pow(u, -k) and 1/u**k round differently: each case keeps its own power
+    if g.is_exceptional:
         k = int(round(-alpha))
-        derivs = _taylor_poly_terms(phi, k, scale=s)
-
-        def taylor(u):
-            return sum(d * u**j / math.factorial(j) for j, d in enumerate(derivs))
-
-        def regularized(u):
-            return (phi_s(u) - taylor(u)) / u**k
-
-        head = integrate(regularized, 0.0, 1.0, tol=_FINITE_PART_TOL, limit=800).value
-        tail = integrate(lambda u: phi_s(u) / u**k, 1.0, math.inf,
-                         tol=_FINITE_PART_TOL, limit=800).value
-        # Hadamard boundary terms of the subtracted Taylor polynomial; the
-        # j = k-1 term is the log channel and is omitted (its scaling shows
-        # up as the explicit log term of the exceptional scaling law, which
-        # this convention satisfies exactly for every k)
-        boundary = sum(d / (math.factorial(j) * (j - k + 1))
-                       for j, d in enumerate(derivs) if j != k - 1)
-        total = head + tail + boundary
+        alpha, m = -k, k
+        head_f = lambda u: (phi_s(u) - taylor(u)) / u**k
+        tail_f = lambda u: phi_s(u) / u**k
+    else:
+        m = 0 if alpha > -1 else int(math.ceil(-alpha)) - 1
+        head_f = lambda u: (phi_s(u) - taylor(u)) * u**alpha
+        tail_f = lambda u: phi_s(u) * u**alpha
+    derivs = _taylor_poly_terms(phi, m, scale=s)
+    head = integrate(head_f, 0.0, 1.0, tol=_FINITE_PART_TOL, limit=800).value
+    tail = integrate(tail_f, 1.0, math.inf, tol=_FINITE_PART_TOL, limit=800).value
+    # Hadamard boundary terms of the subtracted Taylor polynomial; at
+    # alpha = -k the j = k-1 term is the log channel and is omitted (its
+    # scaling shows up as the explicit log term of the exceptional scaling
+    # law, which this convention satisfies exactly for every k)
+    boundary = sum(d / (math.factorial(j) * (alpha + j + 1))
+                   for j, d in enumerate(derivs) if alpha + j + 1 != 0)
+    total = head + tail + boundary
     out = total / s
     return out.real if abs(out.imag) < 1e-300 or out.imag == 0 else out
 

@@ -7,14 +7,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import spectral_cesaro as sc
 from spectral_cesaro.errors import (AccuracyError, BoundaryError, DomainError,
                                     ParameterError, SingularityError)
-from spectral_cesaro.quadrature import _refused
+from spectral_cesaro.quadrature import _exact_sum, _refused
 
 
 class TestHeatKernel:
@@ -446,3 +446,163 @@ def test_line_fourier_route_takes_half_the_calls(monkeypatch, kind, t, x, y):
     _, _, full_calls = _full_line_quad(integrand(t, x, y))
     assert [r.evaluations for r in results] == [full_calls // 2]
     assert full_calls % 2 == 0
+
+
+# ------------------------------------------ one eigen-series, one image list
+# Each interval series and image sum as it was written out by hand before
+# every kernel went through spectral._sine_series and kernels._images. The
+# shared constructions must give these doubles bit for bit.
+
+def _ref_heat_series(t, x, y):
+    kmax = max(8, int(math.sqrt(40.0 / t)) + 1)
+    ks = np.arange(1, kmax + 1)
+    terms = (2.0 / math.pi) * np.sin(ks * x) * np.sin(ks * y) * np.exp(-ks**2 * t)
+    return _exact_sum(terms)
+
+
+def _ref_cylinder_series(t, x, y):
+    kmax = max(8, int(40.0 / t) + 1)
+    ks = np.arange(1, kmax + 1)
+    terms = (2.0 / math.pi) * np.sin(ks * x) * np.sin(ks * y) * np.exp(-ks * t)
+    return _exact_sum(terms)
+
+
+def _ref_heat_images(t, x, y):
+    nimg = max(2, int(math.sqrt(40.0 * t) / (2.0 * math.pi)) + 2)
+    vals = []
+    for n in range(-nimg, nimg + 1):
+        vals.append(math.exp(-((x - y - 2.0 * n * math.pi) ** 2) / (4.0 * t)))
+        vals.append(-math.exp(-((x + y - 2.0 * n * math.pi) ** 2) / (4.0 * t)))
+    pref = 1.0 / math.sqrt(4.0 * math.pi * t)
+    return pref * math.fsum(vals)
+
+
+def _ref_cylinder_images(t, x, y):
+    M = 400
+    vals = []
+    for n in range(-M, M + 1):
+        vals.append(1.0 / ((x - y - 2.0 * n * math.pi) ** 2 + t * t))
+        vals.append(-1.0 / ((x + y - 2.0 * n * math.pi) ** 2 + t * t))
+    total = math.fsum(vals)
+
+    def pair(u):
+        return (1.0 / ((x - y - 2.0 * u * math.pi) ** 2 + t * t)
+                - 1.0 / ((x + y - 2.0 * u * math.pi) ** 2 + t * t)
+                + 1.0 / ((x - y + 2.0 * u * math.pi) ** 2 + t * t)
+                - 1.0 / ((x + y + 2.0 * u * math.pi) ** 2 + t * t))
+    corr = sc.integrate(pair, M + 0.5, math.inf, tol=1e-14).value
+    return t / math.pi * (total + corr)
+
+
+def _ref_schrodinger_images(t, x, y):
+    phase = cmath.exp(-1j * math.copysign(1.0, t) * math.pi / 4.0)
+    pref = phase / math.sqrt(4.0 * math.pi * abs(t))
+    total = 0.0 + 0.0j
+    for n in range(-8, 8 + 1):
+        total += cmath.exp(1j * (x - y - 2.0 * n * math.pi) ** 2 / (4.0 * t))
+        total -= cmath.exp(1j * (x + y - 2.0 * n * math.pi) ** 2 / (4.0 * t))
+    return pref * total
+
+
+def _ref_smear_pairs(x, y):
+    pairs = []
+    for n in range(-6, 6 + 1):
+        pairs.append((x - y - 2.0 * n * math.pi, +1.0))
+        pairs.append((x + y - 2.0 * n * math.pi, -1.0))
+    pairs.sort(key=lambda p: abs(p[0]))
+    return pairs
+
+
+def _outcome(f, *args):
+    """The value f returns, or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:    # both sides must fail alike
+        return type(exc), str(exc)
+
+
+_T = st.floats(1e-3, 2.0)
+_X = st.floats(0.0, math.pi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=_T, x=_X, y=_X)
+def test_interval_eigen_series_bit_for_bit(t, x, y):
+    heat = sc.heat_kernel("interval", t, x, y, "spectral_sum").value
+    cylinder = sc.cylinder_kernel("interval", t, x, y, "spectral_sum").value
+    assert heat == _ref_heat_series(t, x, y) and type(heat) is float
+    assert cylinder == _ref_cylinder_series(t, x, y) and type(cylinder) is float
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=_T, x=_X, y=_X)
+def test_interval_image_sums_bit_for_bit(t, x, y):
+    assert sc.heat_kernel("interval", t, x, y, "image_sum").value == \
+        _ref_heat_images(t, x, y)
+    cyl = _outcome(lambda: sc.cylinder_kernel("interval", t, x, y, "image_sum").value)
+    assert cyl == _outcome(_ref_cylinder_images, t, x, y)
+    for s in (t, -t):
+        got = sc.schrodinger_kernel("interval", s, x, y, "image_sum").value
+        assert got == _ref_schrodinger_images(s, x, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_X, y=_X, n=st.integers(0, 400))
+def test_images_list_the_dirichlet_reflections_in_order(x, y, n):
+    want = []
+    for j in range(-n, n + 1):
+        want.append((x - y - 2.0 * j * math.pi, +1.0))
+        want.append((x + y - 2.0 * j * math.pi, -1.0))
+    assert sc.kernels._images(x, y, n) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(x=st.floats(0.1, 3.0), y=st.floats(0.1, 3.0), eps=st.floats(1e-3, 0.1))
+def test_averaged_smear_visits_the_reference_pairs_in_order(x, y, eps):
+    """The interval smear walks the sorted image list, nearest image first."""
+    seen = []
+    breakpoints = sc.kernels._schrodinger_breakpoints
+
+    def recorded(r2, *args):
+        seen.append(r2)
+        return breakpoints(r2, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sc.kernels, "_schrodinger_breakpoints", recorded)
+        sc.averaged_smear("schrodinger", "interval", x, y, sc.make_bump(0.5, 1.5), eps)
+    want = [d * d for d, _ in _ref_smear_pairs(x, y) if d != 0.0]
+    assert seen and seen == want[:len(seen)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(kind=st.sampled_from(["heat", "cylinder"]),
+       case=st.sampled_from(["line", "interval"]),
+       x=st.floats(0.1, 3.0), y=st.floats(0.1, 3.0), eps=st.floats(1e-3, 0.1))
+def test_averaged_smear_decaying_profiles_bit_for_bit(kind, case, x, y, eps):
+    kernel = {"heat": sc.heat_kernel, "cylinder": sc.cylinder_kernel}[kind]
+    phi = sc.make_bump(0.5, 1.5)
+    f = lambda t: kernel(case, eps * t, x, y).value * phi(t)
+    want = complex(sc.integrate(f, 0.5, 1.5, tol=1e-12).value)
+    assert sc.averaged_smear(kind, case, x, y, phi, eps) == want
+
+
+def _ulp_bound(terms, value):
+    """4 units of rounding of the magnitudes involved, plus one smallest
+    subnormal per term for products that underflow."""
+    return (4.0 * 2.0**-53 * (float(np.sum(np.abs(terms))) + abs(value))
+            + len(terms) * 2.0**-1074)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.floats(-10.0, 10.0), x=st.floats(0.01, 3.13), y=st.floats(0.01, 3.13),
+       n=st.integers(1, 2 * 10**4))
+def test_wightman_series_is_the_cesaro_sum_to_rounding(t, x, y, n):
+    assume(min(abs(math.cos(t) - math.cos(x - y)),
+               abs(math.cos(t) - math.cos(x + y))) >= 1e-9)
+    ks = np.arange(1, n + 1)
+    terms = (np.sin(ks * x) * np.sin(ks * y) / ks) * np.exp(1j * ks * t) / math.pi
+    terms = (1.0 - ks / (n + 1.0)) * terms
+    want = complex(np.sum(terms))
+    got = sc.wightman_interval(t, x, y, "spectral_sum", n_terms=n).value
+    assert type(got) is complex
+    assert abs(got - want) <= _ulp_bound(terms, want)

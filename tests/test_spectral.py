@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import spectral_cesaro as sc
 from spectral_cesaro.errors import DomainError, ParameterError, SingularityError
+from spectral_cesaro.quadrature import _exact_sum
 
 
 class TestFreeLineDensity:
@@ -226,3 +227,96 @@ class TestOffdiagonalEquivalence:
 def test_named_density_rejects_non_finite_points(name, x, y):
     with pytest.raises(DomainError, match="finite"):
         sc.evaluate_named_density(name, x, y, 10.0)
+
+
+@pytest.mark.parametrize("name", sc.spectral.NAMED_DENSITIES)
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_named_density_rejects_non_finite_lambda(name, lam):
+    with pytest.raises(DomainError, match="lam=.*finite"):
+        sc.evaluate_named_density(name, 1.0, 2.0, lam)
+
+
+def test_staircase_rejects_non_finite_lambda():
+    with pytest.raises(DomainError, match="lam=inf"):
+        sc.staircase_interval(1.0, 2.0, math.inf)
+
+
+# ----------------------------------------- the sums _sine_series replaced
+# The staircase and the density smear as they were written out by hand
+# before both went through spectral._sine_series.
+
+def _ref_staircase(x, y, lam):
+    if lam < 1.0:
+        return 0.0, np.zeros(0)
+    nmax = int(math.isqrt(int(lam)))
+    while (nmax + 1) ** 2 <= lam:
+        nmax += 1
+    while nmax**2 > lam:
+        nmax -= 1
+    n = np.arange(1, nmax + 1)
+    terms = np.sin(n * x) * np.sin(n * y)
+    return float((2.0 / math.pi) * _exact_sum(terms)), (2.0 / math.pi) * terms
+
+
+def _ref_density_smear(x, y, phi, eps):
+    sup_hi = phi.support[1] if phi.support else None
+    terms = []
+    n = 1
+    prev_abs = None
+    while True:
+        u = eps * n * n
+        if sup_hi is not None and u > sup_hi:
+            break
+        pv = float(phi(u))
+        terms.append((2.0 / math.pi) * math.sin(n * x) * math.sin(n * y) * pv)
+        a = abs(pv)
+        if prev_abs is not None and 0.0 < a < prev_abs:
+            ratio = a / prev_abs
+            if (2.0 / math.pi) * a * ratio / (1.0 - ratio) < 1e-14:
+                break
+        prev_abs = a
+        n += 1
+    return math.fsum(terms)
+
+
+_OPEN_X = st.floats(0.0, math.pi, exclude_min=True, exclude_max=True)
+
+
+def _ulp_bound(terms, value):
+    """4 units of rounding of the magnitudes involved, plus one smallest
+    subnormal per term for products that underflow."""
+    return (4.0 * 2.0**-53 * (float(np.sum(np.abs(terms))) + abs(value))
+            + len(terms) * 2.0**-1074)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=_OPEN_X, y=_OPEN_X, lam=st.floats(0.0, 1e5))
+def test_staircase_is_the_exact_sum_to_rounding(x, y, lam):
+    want, terms = _ref_staircase(x, y, lam)
+    got = sc.staircase_interval(x, y, lam)
+    assert type(got) is float
+    assert abs(got - want) <= _ulp_bound(terms, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(x=_OPEN_X, y=_OPEN_X, n=st.sampled_from([1, 2, 3, 10, 1000]))
+def test_staircase_jumps_by_one_atom_at_each_square(x, y, n):
+    """Right-continuous: E(n^2) - E(n^2-) is the atom (2/pi) sin nx sin ny."""
+    lam = float(n * n)
+    jump = sc.staircase_interval(x, y, lam) - sc.staircase_interval(
+        x, y, math.nextafter(lam, 0.0))
+    ks = np.arange(1, n + 1)
+    terms = (2.0 / math.pi) * np.sin(ks * x) * np.sin(ks * y)
+    atom = (2.0 / math.pi) * math.sin(n * x) * math.sin(n * y)
+    assert abs(jump - atom) <= 4.0 * 2.0**-53 * (float(np.sum(np.abs(terms))) + 1.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["bump", "exp_decay", "gaussian"]),
+       x=st.floats(0.0, math.pi), y=st.floats(0.0, math.pi),
+       eps=st.floats(1e-4, 2.0))
+def test_density_smear_bit_for_bit(kind, x, y, eps):
+    phi = {"bump": sc.make_bump(-1.0, 1.0), "exp_decay": sc.make_exp_decay(1.0),
+           "gaussian": sc.make_gaussian(0.0, 1.0)}[kind]
+    got = sc.density_smear_interval(x, y, phi, eps)
+    assert got == _ref_density_smear(x, y, phi, eps) and type(got) is float

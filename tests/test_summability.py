@@ -169,3 +169,66 @@ class TestPointValue:
         v = sc.point_value(lambda s: np.exp(-s), 0.0, side="right")
         assert v is not None
         assert abs(v - 1.0) < 1e-3
+
+
+def _ref_finite_part_eval(g, phi, lam_scale=1.0):
+    """finite_part_eval as written with separate exceptional and regular
+    branches, before they shared one body."""
+    from spectral_cesaro.summability import (_FINITE_PART_TOL,
+                                             _taylor_poly_terms)
+    alpha = g.exponent
+    s = float(lam_scale)
+
+    def phi_s(u):
+        return phi(u / s)
+
+    if not g.is_exceptional:
+        m = 0 if alpha > -1 else int(math.ceil(-alpha)) - 1
+        derivs = _taylor_poly_terms(phi, m, scale=s)
+
+        def taylor(u):
+            return sum(d * u**j / math.factorial(j) for j, d in enumerate(derivs))
+
+        head = sc.integrate(lambda u: (phi_s(u) - taylor(u)) * u**alpha, 0.0, 1.0,
+                            tol=_FINITE_PART_TOL, limit=800).value
+        tail = sc.integrate(lambda u: phi_s(u) * u**alpha, 1.0, math.inf,
+                            tol=_FINITE_PART_TOL, limit=800).value
+        boundary = sum(d / (math.factorial(j) * (alpha + j + 1))
+                       for j, d in enumerate(derivs))
+    else:
+        k = int(round(-alpha))
+        derivs = _taylor_poly_terms(phi, k, scale=s)
+
+        def taylor(u):
+            return sum(d * u**j / math.factorial(j) for j, d in enumerate(derivs))
+
+        head = sc.integrate(lambda u: (phi_s(u) - taylor(u)) / u**k, 0.0, 1.0,
+                            tol=_FINITE_PART_TOL, limit=800).value
+        tail = sc.integrate(lambda u: phi_s(u) / u**k, 1.0, math.inf,
+                            tol=_FINITE_PART_TOL, limit=800).value
+        boundary = sum(d / (math.factorial(j) * (j - k + 1))
+                       for j, d in enumerate(derivs) if j != k - 1)
+    out = (head + tail + boundary) / s
+    return out.real if abs(out.imag) < 1e-300 or out.imag == 0 else out
+
+
+def _outcome(f, *args):
+    """The value f returns, or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:    # both sides must fail alike
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("phi", [sc.make_bump(-1.0, 1.0), sc.make_bump(-0.5, 2.0),
+                                 sc.make_gaussian(0.0, 1.0)],
+                         ids=["bump", "shifted_bump", "gaussian"])
+@pytest.mark.parametrize("alpha", [-3, -2, -1, -3.0, -2.5, -1.5, -0.5, 0.5, 1.5, 2,
+                                   -2.0 + 1e-13])
+def test_finite_part_eval_one_body_bit_for_bit(phi, alpha):
+    """One body for both exponent classes gives each class's old doubles,
+    errors included."""
+    g = sc.FinitePart(alpha)
+    for scale in (0.3, 1.0, 2.0, 10.0):
+        assert _outcome(sc.finite_part_eval, g, phi, scale) == \
+            _outcome(_ref_finite_part_eval, g, phi, scale)
