@@ -8,14 +8,13 @@ from .testfn import (TestFunction, finite_difference_derivative, make_bump,
 from .measures import SpectralMeasure, riesz_mean
 from .summability import (CesaroReport, FinitePart, cesaro_limit,
                           cesaro_order_test, finite_part_eval, point_value)
-from .operators import (Potential, WkbTable, constant_potential,
-                        quadratic_potential, wkb_coefficients)
-from .spectral import (DensityEval, density_free_line, density_free_space,
-                       density_smear_interval, diagonal_weyl_check,
-                       evaluate_named_density, free_line_density_measure,
-                       interval_measure, interval_minus_free_measure,
+from .spectral import (DensityEval, WkbTable, density_free_line,
+                       density_free_space, density_smear_interval,
+                       diagonal_weyl_check, evaluate_named_density,
+                       free_line_density_measure, interval_measure,
+                       interval_minus_free_measure,
                        offdiagonal_equivalence_check, staircase_interval,
-                       weyl_density_measure)
+                       weyl_density_measure, wkb_coefficients)
 from .kernels import (ExpansionCoefficients, KernelEval, averaged_smear,
                       cylinder_kernel, heat_kernel, schrodinger_kernel,
                       small_t_coefficients, wightman_P, wightman_interval)

@@ -7,6 +7,8 @@ Subcommands:
   spectral-cesaro density <name> --x --y [--dimension] [--lambda-grid] [--out]
 
 Exit codes: 0 pass, 1 fail, 2 inconclusive, 64 usage error, 74 I/O error.
+A kernel whose quadrature misses its tolerance is inconclusive: ``kernel``
+writes the best estimate to stderr, nothing to stdout, and exits 2.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import sys
 from pathlib import Path
 
 from . import kernels
-from .experiments import ExperimentConfig, parse_grid, run_experiment
+from .errors import AccuracyError
+from .experiments import EXIT_CODES, ExperimentConfig, parse_grid, run_experiment
 from .measures import SpectralMeasure, riesz_mean
 from .spectral import NAMED_DENSITIES, evaluate_named_density
 
@@ -133,6 +136,9 @@ def _cmd_kernel(args) -> int:
     except ValueError as err:
         sys.stderr.write(f"usage error: {err}\n")
         return EX_USAGE
+    except AccuracyError as err:
+        sys.stderr.write(f"inconclusive: {err} (best estimate {err.best_estimate})\n")
+        return EXIT_CODES["inconclusive"]
     value = complex(ev.value)
     print(json.dumps({
         "t": args.t, "x": args.x, "y": args.y,

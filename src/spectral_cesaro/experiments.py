@@ -20,7 +20,6 @@ import numpy as np
 
 from . import kernels, spectral
 from .errors import BoundaryError, ParameterError, SingularityError
-from .operators import constant_potential, wkb_coefficients
 from .quadrature import integrate
 from .summability import FinitePart, finite_part_eval
 from .testfn import make_bump
@@ -62,6 +61,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.tol is not None and self.tol <= 0:
             raise ParameterError("tol must be positive")
+        # the remainders are reported as doubles, so never below double precision
+        if self.dps < 15:
+            raise ParameterError(f"dps must be at least 15, got {self.dps}")
 
     @classmethod
     def from_file(cls, experiment, path, overrides=None):
@@ -348,7 +350,7 @@ def _exp_wkb_constant(cfg):
     ok = True
     probes = []
     for c in (1.0, 2.5):
-        tab = wkb_coefficients(constant_potential(c), 0.0)
+        tab = spectral.wkb_coefficients(c, 0.0, 0.0, 0.0)
         worst = 0.0
         for omega in (3.0, 5.0, 10.0):
             series = tab.density_series(0, 0, omega)

@@ -153,13 +153,12 @@ class SpectralMeasure:
                    support_lower_bound=min(0.0, first))
 
     @classmethod
-    def from_generator(cls, atom_fn, support_lower_bound=0.0):
-        return cls(atom_fn=atom_fn, support_lower_bound=support_lower_bound)
+    def from_generator(cls, atom_fn):
+        return cls(atom_fn=atom_fn)
 
     @classmethod
-    def from_density(cls, density_riesz, support_lower_bound=0.0):
-        return cls(density_riesz=density_riesz,
-                   support_lower_bound=support_lower_bound)
+    def from_density(cls, density_riesz):
+        return cls(density_riesz=density_riesz)
 
     # ------------------------------------------------------------ accessors
     def atom_arrays(self, lam, backend=None):

@@ -4,7 +4,9 @@ Closed forms: the free-line density cos(sqrt(lam) (x-y)) / (2 pi sqrt(lam)),
 its d-dimensional Bessel generalization, and the Dirichlet-interval
 sine-series density. Cesaro-averaged comparisons (Weyl law on the diagonal,
 free-line equivalence off the diagonal) are exposed as report-producing
-checks.
+checks. The WKB table (:func:`wkb_coefficients`) holds the high-frequency
+expansion of the density of -d2/dx2 + V, read from V, V', V'' and V''' at
+one point.
 
 :func:`_sine_series` is the only float eigen-series of the interval; the
 staircase, the density smear and every interval kernel pair its atoms with
@@ -39,6 +41,8 @@ __all__ = [
     "free_line_density_measure",
     "weyl_density_measure",
     "interval_minus_free_measure",
+    "WkbTable",
+    "wkb_coefficients",
 ]
 
 
@@ -100,6 +104,8 @@ def density_free_line(x: float, y: float, lam: float) -> float:
     Vanishes for lam < 0 (Heaviside factor); lam = 0 is the inverse-sqrt
     singularity.
     """
+    if not math.isfinite(lam):
+        raise DomainError(f"lam={lam} must be finite")
     if lam == 0:
         raise SingularityError("free-line density is singular at lam = 0")
     if lam < 0:
@@ -115,6 +121,8 @@ def density_free_space(d: int, x, y, lam: float) -> float:
     r = |x-y|; on the diagonal the small-argument Bessel limit
     lam^{d/2-1} / (2^d pi^{d/2} Gamma(d/2)) is used.
     """
+    if not math.isfinite(lam):
+        raise DomainError(f"lam={lam} must be finite")
     if d < 1 or int(d) != d:
         raise ParameterError("dimension d must be an integer >= 1")
     if lam <= 0:
@@ -205,6 +213,45 @@ def density_smear_interval(x: float, y: float, phi: TestFunction,
     return _sine_series(x, y, len(pv), lambda k: np.array(pv))
 
 
+# -------------------------------------------------------------- WKB table
+
+@dataclass(frozen=True)
+class WkbTable:
+    """Spectral-density coefficients rho_n^{jk}, j,k in {0,1}, n in {0,1,2}.
+
+    dmu^{jk} ~ (1/pi) sum_n rho_n^{jk} omega^{2 dj1 dk1 - 2n} domega with
+    lambda = omega^2. Truncated at n = 2; higher orders are out of scope.
+    """
+    entries: dict
+
+    def density_series(self, j: int, k: int, omega: float) -> float:
+        """(1/pi) sum_{n<=2} rho_n^{jk} omega^{2 dj1 dk1 - 2n}."""
+        lead = 2 if (j == 1 and k == 1) else 0
+        return sum(self.entries[(n, j, k)] * omega ** (lead - 2 * n)
+                   for n in range(3)) / math.pi
+
+
+def wkb_coefficients(v: float, v1: float, v2: float, v3: float) -> WkbTable:
+    """The WKB table of -d2/dx2 + V through n = 2 at a point x0.
+
+    The arguments are V, V', V'' and V''' at x0: the coefficients are local,
+    and V''' enters only the mixed n = 2 entry.
+    """
+    v, v1, v2, v3 = float(v), float(v1), float(v2), float(v3)
+    rho00 = {0: 1.0, 1: 0.5 * v, 2: 0.125 * (-v2 + 3.0 * v * v)}
+    rho11 = {0: 1.0, 1: -0.5 * v, 2: 0.125 * (v2 - 3.0 * v * v)}
+    # rho_n^{10} = rho_n^{01} = (1/2) d/dx0 rho_n^{00}
+    rho01 = {0: 0.0, 1: 0.25 * v1, 2: 0.0625 * (-v3 + 6.0 * v * v1)}
+
+    entries = {}
+    for n in range(3):
+        entries[(n, 0, 0)] = rho00[n]
+        entries[(n, 1, 1)] = rho11[n]
+        entries[(n, 0, 1)] = rho01[n]
+        entries[(n, 1, 0)] = rho01[n]
+    return WkbTable(entries=entries)
+
+
 # ------------------------------------------------------- measure builders
 
 def interval_measure(x: float, y: Optional[float] = None) -> SpectralMeasure:
@@ -221,7 +268,7 @@ def interval_measure(x: float, y: Optional[float] = None) -> SpectralMeasure:
         w = 2 * B.sin(n * B.mpf(x)) * B.sin(n * B.mpf(yv)) / B.pi
         return xn, w
 
-    return SpectralMeasure.from_generator(atom_fn, support_lower_bound=0.0)
+    return SpectralMeasure.from_generator(atom_fn)
 
 
 def _free_line_density_riesz(c: float):

@@ -307,12 +307,6 @@ _EPS_LADDER = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 _POINT_VALUE_TOL = 5e-4
 
 
-def _phi_family(side: str):
-    if side == "right":
-        return [make_bump(0.1, 1.0), make_bump(0.05, 0.6), make_bump(0.3, 1.5)]
-    return [make_bump(-1.0, 1.0), make_bump(-0.4, 1.2), make_bump(-1.3, 0.5)]
-
-
 def _aitken_limit(vals):
     """Aitken delta-squared estimate of the limit from the last three values."""
     if len(vals) < 3:
@@ -325,23 +319,21 @@ def _aitken_limit(vals):
     return v2 - (v2 - v1) ** 2 / denom
 
 
-def point_value(g: Callable, x0: float, side: str = "both"):
+def point_value(g: Callable, x0: float):
     """Distributional value of g at x0: the common limit of shrinking smears.
 
     Evaluates <g(x0 + eps x), phi(x)> / int(phi) over three bump test
-    functions (deliberately including asymmetric ones; supported in (0, inf)
-    for ``side="right"``) and the fixed ladder eps = 1e-1, 3e-2, 1e-2, 3e-3,
-    1e-3. Each ladder is Aitken-extrapolated to kill the leading O(eps) error
-    of asymmetric smears; the common limit gamma is returned when the
-    per-family estimates agree within 5e-4 (1 + |gamma|), otherwise None.
-    Exceptions raised by ``g`` propagate; quadrature shortfalls on wildly
-    oscillatory integrands fall back to the best available estimate (the
-    consistency gates below still apply).
+    functions (deliberately including asymmetric ones) and the fixed ladder
+    eps = 1e-1, 3e-2, 1e-2, 3e-3, 1e-3. Each ladder is Aitken-extrapolated
+    to kill the leading O(eps) error of asymmetric smears; the common limit
+    gamma is returned when the per-family estimates agree within
+    5e-4 (1 + |gamma|), otherwise None. Exceptions raised by ``g``
+    propagate; quadrature shortfalls on wildly oscillatory integrands fall
+    back to the best available estimate (the consistency gates below still
+    apply).
     """
-    if side not in ("both", "right"):
-        raise ParameterError("side must be 'both' or 'right'")
     limits = []
-    for phi in _phi_family(side):
+    for phi in (make_bump(-1.0, 1.0), make_bump(-0.4, 1.2), make_bump(-1.3, 0.5)):
         lo, hi = phi.support
         norm = integrate(phi, lo, hi, tol=1e-12).value
         vals = []

@@ -23,8 +23,10 @@ relative there, 8e-4 at 6.3e-5).
 """
 
 import functools
+import json
 import math
 import time
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -272,6 +274,29 @@ def test_criteria_cover_every_registry_experiment():
                for name, test in globals().items()
                if name.startswith("test_criterion_")}
     assert covered == set(experiment_names())
+
+
+def test_every_registry_probe_has_a_bench_reference():
+    """Each fitted slope and numeric probe field of a default-config report
+    has a seed reference in ``bench/reference/seed_refs.json``.
+
+    The benchmark counts a field without one as a failed operation, so a
+    new experiment or probe field needs its references recorded with it.
+    """
+    path = Path(__file__).resolve().parents[1] / "bench/reference/seed_refs.json"
+    refs = json.loads(path.read_text())["values"]
+    missing = []
+    for name in experiment_names():
+        report = _run(name)[0]
+        key = f"verify/{name}/seed={ExperimentConfig(name).seed}"
+        fields = [f"{key}/slope/{slope}" for slope in report.fitted_slopes]
+        fields += [f"{key}/probe{i}/{field}"
+                   for i, probe in enumerate(report.probes)
+                   for field, v in probe.items()
+                   if field != "tol" and isinstance(v, (int, float))
+                   and not isinstance(v, bool)]
+        missing += [f for f in fields if f not in refs]
+    assert missing == []
 
 
 _CSV_HEADERS = {

@@ -136,6 +136,17 @@ class TestCliVerify:
         assert cli.main(["verify", "theta-sum", "--config", str(path)]) == 64
         assert capsys.readouterr().err.startswith("usage error: ")
 
+    @pytest.mark.parametrize("dps", ["0", "-5", "14"])
+    def test_dps_below_double_precision_is_usage_error(self, tmp_path, capsys, dps):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"dps = {dps}\n")
+        for argv in (["verify", "poisson-tail", f"--dps={dps}"],
+                     ["verify", "poisson-tail", "--config", str(path)]):
+            assert cli.main(argv) == 64
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"usage error: dps must be at least 15, got {dps}\n"
+
     @pytest.mark.parametrize("argv", [["offdiag-equivalence", "--x", "5"],
                                       ["cylinder-locality", "--x", "4"]])
     def test_point_outside_domain_exit_64(self, capsys, argv):
@@ -192,6 +203,20 @@ class TestCliKernel:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["heat", "line", "--t", "1e-9", "--x", "0", "--y", "1",
+         "--method", "spectral_sum"],
+        ["cylinder", "line", "--t", "1e-6", "--x", "0", "--y", "1",
+         "--method", "spectral_sum"],
+    ], ids=["heat", "cylinder"])
+    def test_quadrature_shortfall_is_inconclusive(self, capsys, argv):
+        rc = cli.main(["kernel", *argv])
+        assert rc == experiments.EXIT_CODES["inconclusive"] == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"inconclusive: quadrature error estimate .* exceeds "
+                            r"tol .* \(best estimate \S+\)\n", captured.err)
 
 
 class TestCliDensity:

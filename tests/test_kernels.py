@@ -578,12 +578,14 @@ def test_averaged_smear_visits_the_reference_pairs_in_order(x, y, eps):
 @given(kind=st.sampled_from(["heat", "cylinder"]),
        case=st.sampled_from(["line", "interval"]),
        x=st.floats(0.1, 3.0), y=st.floats(0.1, 3.0), eps=st.floats(1e-3, 0.1))
+# both sides raise the same AccuracyError here
+@example(kind="cylinder", case="interval", x=1.0, y=1.0, eps=1e-3)
 def test_averaged_smear_decaying_profiles_bit_for_bit(kind, case, x, y, eps):
     kernel = {"heat": sc.heat_kernel, "cylinder": sc.cylinder_kernel}[kind]
     phi = sc.make_bump(0.5, 1.5)
     f = lambda t: kernel(case, eps * t, x, y).value * phi(t)
-    want = complex(sc.integrate(f, 0.5, 1.5, tol=1e-12).value)
-    assert sc.averaged_smear(kind, case, x, y, phi, eps) == want
+    want = _outcome(lambda: complex(sc.integrate(f, 0.5, 1.5, tol=1e-12).value))
+    assert _outcome(sc.averaged_smear, kind, case, x, y, phi, eps) == want
 
 
 def _ulp_bound(terms, value):

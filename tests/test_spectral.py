@@ -241,6 +241,15 @@ def test_staircase_rejects_non_finite_lambda():
         sc.staircase_interval(1.0, 2.0, math.inf)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_free_densities_reject_non_finite_lambda(lam):
+    with pytest.raises(DomainError, match="lam=.*finite"):
+        sc.density_free_line(1.0, 0.0, lam)
+    for d in (1, 2, 3):
+        with pytest.raises(DomainError, match="lam=.*finite"):
+            sc.density_free_space(d, [1.0] + [0.0] * (d - 1), [0.0] * d, lam)
+
+
 # ----------------------------------------- the sums _sine_series replaced
 # The staircase and the density smear as they were written out by hand
 # before both went through spectral._sine_series.

@@ -165,11 +165,6 @@ class TestPointValue:
     def test_heaviside_has_no_value(self):
         assert sc.point_value(lambda s: 1.0 * (np.asarray(s) > 0), 0.0) is None
 
-    def test_one_sided(self):
-        v = sc.point_value(lambda s: np.exp(-s), 0.0, side="right")
-        assert v is not None
-        assert abs(v - 1.0) < 1e-3
-
 
 def _ref_finite_part_eval(g, phi, lam_scale=1.0):
     """finite_part_eval as written with separate exceptional and regular
