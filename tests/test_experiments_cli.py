@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spectral_cesaro
@@ -123,6 +124,53 @@ class TestCliVerify:
         assert "'1e2:inf:24'" in captured.err
         assert "stop inf is not finite" in captured.err
         assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("x, y, inconclusive", [("1", "1.0000001", 0),
+                                                    ("1e-7", "1", 1)])
+    def test_inconclusive_check_is_inconclusive(self, tmp_path, capsys, x, y,
+                                                inconclusive):
+        """Either check inconclusive (x near y, x near 0): exit 2, JSON null."""
+        def strict(const):
+            raise ValueError(f"{const} is not JSON")
+
+        rc = cli.main(["verify", "offdiag-equivalence", "--x", x, "--y", y,
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        out = capsys.readouterr().out
+        summary = (tmp_path / "offdiag-equivalence.summary.json").read_text()
+        for text in (out, summary):
+            report = json.loads(text, parse_constant=strict)
+            assert report["verdict"] == "inconclusive"
+            probe = report["probes"][inconclusive]
+            assert probe["verdict"] == "inconclusive"
+            assert probe["fitted_slope"] is None
+            assert probe["cancellation_ratio"] is None
+        if inconclusive == 0:
+            assert report["fitted_slopes"]["interior"] is None
+
+    def test_summary_writes_non_finite_floats_as_null(self):
+        report = experiments.ExperimentReport(
+            "theta-sum", "pass", [{"a": math.inf, "b": [np.float32("nan"), 1.5]}],
+            {"s": -math.inf, "t": 2.0})
+        assert report.summary_dict() == {
+            "experiment": "theta-sum", "verdict": "pass", "notes": "",
+            "probes": [{"a": None, "b": [None, 1.5]}],
+            "fitted_slopes": {"s": None, "t": 2.0}}
+
+    @pytest.mark.parametrize("name", experiment_names())
+    @pytest.mark.parametrize("key, spec", [("lambda_grid", "1:1:1"),
+                                           ("eps_grid", "1e-3:1e-1")])
+    def test_malformed_grid_is_usage_error(self, tmp_path, capsys, name, key, spec):
+        """Every experiment rejects a bad grid, whether or not it reads one."""
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"{key} = {spec}\n")
+        flag = "--" + key.replace("_", "-")
+        for argv in (["verify", name, flag, spec],
+                     ["verify", name, "--config", str(path)]):
+            assert cli.main(argv) == 64
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("usage error: grid")
 
     def test_missing_config_file_exit_74(self, capsys):
         rc = cli.main(["verify", "theta-sum", "--config", "/nonexistent/path.cfg"])

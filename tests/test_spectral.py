@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import spectral_cesaro as sc
 from spectral_cesaro.errors import DomainError, ParameterError, SingularityError
+from spectral_cesaro.experiments import ExperimentConfig, run_experiment
 from spectral_cesaro.quadrature import _exact_sum
 
 
@@ -47,6 +48,37 @@ def test_free_line_density_riesz_float_matches_mpmath(k, log_lam, x, y):
     g = sc.riesz_mean(m, k, lam, dps=40)
     assert isinstance(g, mp.mpf)
     assert abs(f - float(g)) <= 1e-12 * math.sqrt(lam) / (2 * math.pi)
+
+
+def _besselj_density_riesz(c, k, lam):
+    """The half-integer Bessel form of the free-line Riesz integral, 150 digits."""
+    with mp.workdps(150):
+        S = mp.sqrt(mp.mpf(lam))
+        z = c * S
+        I = (mp.sqrt(mp.pi) * mp.factorial(k) / 2
+             * (2 / z) ** (k + mp.mpf('0.5')) * mp.besselj(k + mp.mpf('0.5'), z))
+        return S * I / mp.pi
+
+
+@settings(max_examples=150, deadline=None)
+@given(c=st.floats(-12.0, math.log10(math.pi)).map(lambda e: 10.0 ** e),
+       k=st.integers(0, 20), lam=st.floats(-2.0, 8.0).map(lambda e: 10.0 ** e))
+@example(c=1.9e-10, k=17, lam=1.0)   # a k log2((2k+1)/z)-bit guard: 7e140 off
+@example(c=0.52, k=20, lam=1.0)      # the same short guard: 4e-16 off
+@example(c=5e-324, k=4, lam=1e8)     # z^2 under 2^-prec: the Beta form
+def test_free_line_density_riesz_mpmath_matches_besselj(c, k, lam):
+    """The elementary sin/cos form at 30 digits against J_{k+1/2} at 150.
+
+    The bound is absolute (relative to sqrt(lam), the scale of the integral),
+    so that it holds near the zeros of J as well.
+    """
+    with mp.workdps(30):
+        got = sc.spectral._free_line_density_riesz(c)(k, mp.mpf(lam), mp)
+        assert isinstance(got, mp.mpf) and mp.mp.prec == 103
+        assert got == +got               # rounded to the working precision
+    want = _besselj_density_riesz(c, k, lam)
+    with mp.workdps(150):
+        assert abs(got - want) <= mp.mpf('1e-27') * mp.sqrt(lam)
 
 
 class TestFreeSpaceDensity:
@@ -216,6 +248,22 @@ class TestOffdiagonalEquivalence:
         fresh, n_fresh, _ = run()
         assert reused == fresh
         assert (n_fresh, n_reused, distinct) == (432, 384, 384)
+
+    def test_registry_run_needs_no_besselj(self, monkeypatch):
+        """The default experiment runs on sin/cos alone, with the old numbers."""
+        def no_besselj(*args, **kwargs):
+            raise AssertionError("mpmath.besselj called")
+
+        monkeypatch.setattr(mp, "besselj", no_besselj)
+        monkeypatch.setattr(mp.mp, "besselj", no_besselj)
+        report, _ = run_experiment(ExperimentConfig(experiment="offdiag-equivalence"))
+        interior, boundary = report.probes
+        assert report.verdict == "pass"
+        assert interior["fitted_slope"] == -3.966512071618764
+        assert interior["order_used"] == 7
+        assert interior["cancellation_ratio"] == 0.030507754323043635
+        assert boundary["fitted_slope"] == -3.8954922014360287
+        assert boundary["cancellation_ratio"] == 1.0
 
     def test_diagonal_redirects(self):
         with pytest.raises(ParameterError):
