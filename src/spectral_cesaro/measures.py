@@ -10,9 +10,8 @@ cancellation-dominated regimes where doubles are not enough. Both read
 their atoms through :meth:`SpectralMeasure.atom_arrays`, from tables that
 one loop grows with the cutoff, one table per backend; the float table is
 filled with one generator call per chunk where the generator works on
-index arrays. The mpmath table also keeps, for the most recent cutoffs,
-the column of factors 1 - mu/lam as raw libmp numbers, so Riesz means of
-several orders at one cutoff divide by lam once.
+index arrays. The mpmath table also keeps its atoms as integer mantissas,
+so the atom part of an mpmath Riesz mean is one exact integer sum rounded once.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ from typing import Callable, Optional
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import (fone, mpc_mul_mpf, mpf_div, mpf_mul, mpf_pow_int, mpf_sub,
-                          mpf_sum)
+from mpmath.libmp import from_man_exp, fzero, mpf_div
 
 from .errors import DataError, DomainError, ParameterError
 from .quadrature import _exact_sum
@@ -62,8 +60,6 @@ class _NumpyBackend(_FloatBackend):
 # cutoff, as happens when the positions converge below it.
 _MAX_ATOMS = 10**9
 _FIRST_CHUNK, _MAX_CHUNK = 256, 1 << 18
-# An mpmath table keeps the Riesz columns of this many most recent cutoffs.
-_MAX_COLUMNS = 64
 # An index-array call agrees with the scalar call within this relative
 # distance: far above the last-ulp differences between numpy's and libm's
 # elementary functions, far below a formula that means something else on
@@ -84,10 +80,8 @@ class _AtomTable:
     to a Riesz mean, and a weight like 2**-n is 0.0 in double precision past
     n = 1074, so a table can cover 1e8 atoms and hold a thousand. The float
     table holds float (or complex) arrays, the mpmath table object arrays
-    of mpmath numbers; both are read-only. ``columns`` maps the raw mpf of a
-    cutoff lam to the Riesz column of the atoms below it (see
-    :meth:`SpectralMeasure._riesz_column`); the table never changes below a
-    cutoff it covers, so a column stays valid as the table grows.
+    of mpmath numbers; both are read-only. The mpmath table also keeps them
+    exactly, for :meth:`riesz_sum`: ``exact`` and ``first_complex``.
     """
 
     def __init__(self, backend):
@@ -96,7 +90,9 @@ class _AtomTable:
         dtype = float if backend is None else object
         self.pos, self.wts = np.empty(0, dtype), np.empty(0, dtype)
         self.vectorized = backend is None   # index-array calls, until a chunk falls back
-        self.columns = {}                   # oldest use first
+        if backend is not None:
+            self.exact = [np.empty(0, object), np.empty(0, np.int64)] * 3
+            self.first_complex = math.inf
 
     def covers(self, lam, n_atoms):
         """Whether every atom below lam is in the table; DataError past _MAX_ATOMS."""
@@ -106,6 +102,55 @@ class _AtomTable:
             raise DataError(f"atom enumeration passed {_MAX_ATOMS:.0e} atoms "
                             f"without a position reaching lam={lam}")
         return False
+
+    def extend_exact(self, pos, wts):
+        """Append new atoms to ``exact``: positions, real and imaginary weight parts."""
+        re_im = [w._mpc_ if isinstance(w, mp.mpc) else (w._mpf_, None) for w in wts]
+        if self.first_complex == math.inf:
+            self.first_complex = next((len(self.exact[0]) + i for i, (_, im)
+                                       in enumerate(re_im) if im), math.inf)
+        columns = ([p._mpf_ for p in pos], [re for re, _ in re_im],
+                   [im or fzero for _, im in re_im])
+        new = [a for raw in columns for a in _mantissas(raw)]
+        self.exact = [np.concatenate(pair) for pair in zip(self.exact, new)]
+
+    def riesz_sum(self, j, lam, k):
+        """Sum of w (1 - mu/lam)**k over the first j atoms: the exact sum, rounded once."""
+        prec, rnd = mp.mp._prec_rounding
+        sign, man, lam_exp, _ = lam._mpf_
+        lam_man = -man if sign else man
+        pos_man, pos_exp, re_man, re_exp, im_man, im_exp = (a[:j] for a in self.exact)
+        lo = np.minimum(pos_exp, lam_exp)         # the exponent of each lam - mu
+        powers = ((lam_man << (lam_exp - lo).astype(object))
+                  - (pos_man << (pos_exp - lo).astype(object))) ** k
+        den = from_man_exp(lam_man ** k, k * lam_exp)
+        parts = [(re_man, re_exp), (im_man, im_exp)][:1 + (self.first_complex < j)]
+        raw = [mpf_div(from_man_exp(*_shifted_sum(m * powers, e + k * lo)), den,
+                       prec, rnd) for m, e in parts]
+        return mp.mp.make_mpc(tuple(raw)) if len(raw) == 2 else mp.mp.make_mpf(raw[0])
+
+
+def _mantissas(raw):
+    """Integer mantissas (object array) and int64 exponents of raw mpfs."""
+    if any(not man and exp for _, man, exp, _ in raw):
+        raise DataError("atom positions and weights must be finite on the mpmath table")
+    return (np.array([-man if sign else man for sign, man, _, _ in raw], dtype=object),
+            np.array([exp for _, _, exp, _ in raw], dtype=np.int64))
+
+
+def _shifted_sum(mans, exps):
+    """Exact sum of mans * 2**exps as (mantissa, exponent): equal exponents added
+    as integers, then these sums from the largest exponent down, as ``mpf_sum``
+    does, in O(terms + exponent span) memory.
+    """
+    xs, group = np.unique(exps, return_inverse=True)
+    sums = np.zeros(len(xs), dtype=object)
+    np.add.at(sums, group, mans)
+    total, top = 0, int(xs[-1])
+    for s, x in zip(sums[::-1], xs[::-1].tolist()):
+        total = (total << (top - x)) + s
+        top = x
+    return total, top
 
 
 @dataclass
@@ -171,7 +216,8 @@ class SpectralMeasure:
         precision) that only grows, so a later call at the same or a lower
         lam enumerates nothing. Raises :class:`DataError` once 1e9 atoms
         have been enumerated without a position reaching lam, as for
-        positions that converge below it.
+        positions that converge below it, and on the mpmath backend for an
+        atom that is not finite.
         """
         if self.atom_fn is None:
             return np.empty(0), np.empty(0)
@@ -186,7 +232,7 @@ class SpectralMeasure:
 
     def _table(self, lam, backend):
         """The table of ``backend`` (None for floats), grown past lam in chunks."""
-        key = _table_key(backend)
+        key = "float" if backend is None else ("mp", mp.mp.prec)
         t = self._cache.get(key)
         if t is None:
             t = self._cache[key] = _AtomTable(backend)
@@ -206,30 +252,11 @@ class SpectralMeasure:
             pos_parts.append(pos[keep])
             wts_parts.append(wts[keep])
         if len(pos_parts) > 1:
+            if backend is not None:
+                t.extend_exact(*(np.concatenate(a[1:]) for a in (pos_parts, wts_parts)))
             t.pos, t.wts = np.concatenate(pos_parts), np.concatenate(wts_parts)
             t.pos.flags.writeable = t.wts.flags.writeable = False
         return t
-
-    def _riesz_column(self, lam, pos):
-        """The factors 1 - mu/lam over ``pos``, as raw libmp numbers.
-
-        ``pos`` is the positions :meth:`atom_arrays` returned for the mpf
-        ``lam``; each factor is ``mpf_div`` then ``mpf_sub`` from one at the
-        working precision and rounding, the operations ``1 - pos / lam`` makes
-        on the object array. A column is kept on the mpmath table of the working
-        precision for each of the ``_MAX_COLUMNS`` most recently used lam.
-        """
-        columns = self._cache[_table_key(mp)].columns
-        key = lam._mpf_
-        col = columns.pop(key, None)
-        if col is None:
-            prec, rnd = mp.mp._prec_rounding
-            col = [mpf_sub(fone, mpf_div(p._mpf_, key, prec, rnd), prec, rnd)
-                   for p in pos]
-            if len(columns) >= _MAX_COLUMNS:
-                del columns[next(iter(columns))]
-        columns[key] = col
-        return col
 
     def _vector_atoms(self, first, m):
         """Atoms first .. first+m-1 from one call with an index array.
@@ -314,35 +341,6 @@ class SpectralMeasure:
         return cls.from_atoms(pos, wts)
 
 
-def _table_key(backend):
-    """Key of a measure's table: one float table, one mpmath table per precision."""
-    return "float" if backend is None else ("mp", mp.mp.prec)
-
-
-def _riesz_sum_mp(wts, col, k):
-    """Sum of w (1 - mu/lam)**k over the weights and their Riesz column.
-
-    Each term is ``mpf_pow_int`` then ``mpf_mul`` (``mpc_mul_mpf`` for a
-    complex weight); real and imaginary parts are summed apart in atom
-    order, so the result is the number ``mp.fsum(wts * (1 - pos / lam) ** k)``
-    returns, bit for bit.
-    """
-    prec, rnd = mp.mp._prec_rounding
-    real, imag = [], []
-    for w, c in zip(wts, col):
-        ck = mpf_pow_int(c, k, prec, rnd)
-        if isinstance(w, mp.mpf):
-            real.append(mpf_mul(w._mpf_, ck, prec, rnd))
-        else:
-            re, im = mpc_mul_mpf(w._mpc_, ck, prec, rnd)
-            real.append(re)
-            imag.append(im)
-    total = mpf_sum(real, prec, rnd)
-    if imag:
-        return mp.mp.make_mpc((total, mpf_sum(imag, prec, rnd)))
-    return mp.mp.make_mpf(total)
-
-
 def riesz_mean(measure: SpectralMeasure, k: int, lam: float, dps: Optional[int] = None):
     """Riesz mean of order k at lam: sum/integral of (1 - mu/lam)**k dm(mu).
 
@@ -351,10 +349,9 @@ def riesz_mean(measure: SpectralMeasure, k: int, lam: float, dps: Optional[int] 
     whose atom terms are added by ``quadrature._exact_sum``: an exact sum of
     exponent buckets rounded once, so the result is the correctly rounded
     sum of the terms, the double ``math.fsum`` returns, whatever their order
-    and cancellation. The mpmath backend takes the factors 1 - mu/lam from a
-    column kept per lam on its atom table, so the means of several orders at
-    one lam divide once, and returns what ``mp.fsum(wts * (1 - pos / lam)
-    ** k)`` over the object arrays returns, bit for bit. Both backends read
+    and cancellation. The mpmath backend's atom part is the exact sum over
+    the atoms rounded once at the working precision, an mpc when one of their
+    weights is (:meth:`_AtomTable.riesz_sum`). Both backends read
     their atoms from :meth:`SpectralMeasure.atom_arrays` and the continuous
     part from ``density_riesz``. Raises :class:`DomainError` for a lam that
     is zero, not finite or not above the support, before any atom is
@@ -392,7 +389,7 @@ def riesz_mean(measure: SpectralMeasure, k: int, lam: float, dps: Optional[int] 
         total = mp.mpf(0)
         pos, wts = measure.atom_arrays(lam_mp, mp)
         if len(pos):
-            total += _riesz_sum_mp(wts, measure._riesz_column(lam_mp, pos), int(k))
+            total += measure._table(lam_mp, mp).riesz_sum(len(pos), lam_mp, int(k))
         if measure.density_riesz is not None:
             total += measure.density_riesz(k, lam_mp, mp)
         return total

@@ -125,27 +125,23 @@ def _divided_difference_points(lambdas, F, N):
     Annihilates polynomials of degree <= N-1 exactly. Each window yields
     (geometric-mean lambda, |dd| / W) where W = sum_l 1/prod_{j!=l}|x_l-x_j|
     normalizes the difference so the result is on the scale of the remainder
-    itself.
+    itself. One Newton table gives each window its differences, by the same operations.
     """
     P = len(lambdas)
+    table = list(F)
+    for order in range(1, N + 1):
+        table = [(table[m + 1] - table[m]) / (lambdas[m + order] - lambdas[m])
+                 for m in range(P - order)]
+    dist = {(a, b): abs(float(lambdas[a] - lambdas[b]))
+            for a in range(P) for b in range(a + 1, min(P, a + N + 1))}
+    logs = np.log([float(x) for x in lambdas])
     pts = []
     for i in range(P - N):
-        xs = lambdas[i:i + N + 1]
-        fs = list(F[i:i + N + 1])
-        for order in range(1, N + 1):
-            fs = [(fs[j + 1] - fs[j]) / (xs[j + order] - xs[j])
-                  for j in range(len(fs) - 1)]
-        dd = fs[0]
         W = 0.0
-        for l in range(N + 1):
-            prod = 1.0
-            for j in range(N + 1):
-                if j != l:
-                    prod *= abs(float(xs[l] - xs[j]))
-            W += 1.0 / prod
-        T = abs(dd) / W
-        lam_mid = float(np.exp(np.mean(np.log([float(x) for x in xs]))))
-        pts.append((lam_mid, T))
+        for l in range(i, i + N + 1):
+            W += 1.0 / math.prod((dist[min(l, j), max(l, j)] for j in range(i, i + N + 1)
+                                  if j != l), start=1.0)
+        pts.append((float(np.exp(np.mean(logs[i:i + N + 1]))), abs(table[i]) / W))
     return pts
 
 
@@ -221,8 +217,7 @@ def cesaro_order_test(measure: SpectralMeasure, beta: float, max_order: int,
             with mp.workdps(dps):
                 F = [mp.mpf(lam) ** (N - 1) * r / mp.factorial(N - 1)
                      for lam, r in zip(lambdas, R)]
-                pts = _divided_difference_points(
-                    [mp.mpf(lam) for lam in lambdas], F, N)
+                pts = _divided_difference_points([mp.mpf(x) for x in lambdas], F, N)
         else:
             fact = math.factorial(N - 1)
             F = [lam ** (N - 1) * r / fact for lam, r in zip(lambdas, R)]

@@ -2,6 +2,8 @@
 
 import math
 import time
+import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import mpmath
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_rational
 
 import spectral_cesaro as sc
 from spectral_cesaro import measures
@@ -430,16 +433,52 @@ def _value_or_error(measure, k, lam):
         return type(err)
 
 
-# ------------------------------------------------- mpmath Riesz columns
+# ------------------------------------------------- mpmath Riesz means
 
 def old_riesz_mean_mp(measure, k, lam, dps):
-    """Reference: the mpmath Riesz mean as one expression over the object arrays."""
+    """The mpmath Riesz mean as one expression over the object arrays."""
     with mpmath.workdps(dps):
         lam_mp = mpmath.mpf(lam)
         total = mpmath.mpf(0)
         pos, wts = measure.atom_arrays(lam_mp, mpmath)
         if len(pos):
             total += mpmath.fsum(wts * (1 - pos / lam_mp) ** k)
+        if measure.density_riesz is not None:
+            total += measure.density_riesz(k, lam_mp, mpmath)
+        return total
+
+
+def fraction(x):
+    """The exact value of a raw mpf."""
+    sign, man, exp, _ = x
+    v = Fraction(man) * Fraction(2) ** exp
+    return -v if sign else v
+
+
+def exact_atom_sum(measure, k, lam_mp):
+    """Exact sums of w (1 - mu/lam)**k over atom_arrays(lam, mp): (re, im, is_complex)."""
+    pos, wts = measure.atom_arrays(lam_mp, mpmath)
+    lam_q = fraction(lam_mp._mpf_)
+    re = im = Fraction(0)
+    for p, w in zip(pos, wts):
+        c = (1 - fraction(p._mpf_) / lam_q) ** k
+        w_re, w_im = w._mpc_ if isinstance(w, mpmath.mpc) else (w._mpf_, None)
+        re += fraction(w_re) * c
+        im += fraction(w_im) * c if w_im else 0
+    return re, im, any(isinstance(w, mpmath.mpc) for w in wts)
+
+
+def rounded_riesz_mean_mp(measure, k, lam, dps):
+    """Reference: the exact atom sum rounded once at the working precision, plus the density."""
+    with mpmath.workdps(dps):
+        prec, rnd = mpmath.mp._prec_rounding
+        lam_mp = mpmath.mpf(lam)
+        total = mpmath.mpf(0)
+        if len(measure.atom_arrays(lam_mp, mpmath)[0]):
+            re, im, is_complex = exact_atom_sum(measure, k, lam_mp)
+            parts = [from_rational(q.numerator, q.denominator, prec, rnd) for q in (re, im)]
+            total += (mpmath.mp.make_mpc(tuple(parts)) if is_complex
+                      else mpmath.mp.make_mpf(parts[0]))
         if measure.density_riesz is not None:
             total += measure.density_riesz(k, lam_mp, mpmath)
         return total
@@ -460,73 +499,121 @@ _MP_MEASURES = st.one_of(
         lambda atoms: SpectralMeasure.from_atoms(*zip(*sorted(atoms)))),
     st.builds(SpectralMeasure.from_generator, st.just(thirds_atom)),
 )
+_MP_STEPS = st.lists(st.tuples(st.sampled_from([0.7, 3.0, 40.0, 250.0])
+                               | st.floats(1e-3, 400), st.integers(0, 9)),
+                     min_size=1, max_size=8)
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    measure=_MP_MEASURES,
-    dps=st.sampled_from([15, 30, 50]),
-    steps=st.lists(st.tuples(st.sampled_from([0.7, 3.0, 40.0, 250.0])
-                             | st.floats(1e-3, 400), st.integers(0, 9)),
-                   min_size=1, max_size=8),
-)
+@given(measure=_MP_MEASURES, dps=st.sampled_from([15, 30, 50]), steps=_MP_STEPS)
 @example(measure=SpectralMeasure.from_atoms([-3.0, 0.0, 2.0], [1 + 2j, 0.5, -1j]),
          dps=30, steps=[(2.5, 2), (2.5, 3), (1.0, 0), (3.5, 9)])
-def test_mp_riesz_mean_is_bit_identical_to_the_array_expression(measure, dps, steps):
-    """Value and type equal the array expression's, lam repeated and descending."""
+def test_mp_riesz_mean_is_the_correctly_rounded_atom_sum(measure, dps, steps):
+    """Type and raw value equal the exact atom sum rounded once, lam repeated and descending."""
     for off, k in steps + steps[::-1]:
         lam = measure.support_lower_bound + off
         if lam == 0:
             continue
         a = sc.riesz_mean(measure, k, lam, dps=dps)
-        b = old_riesz_mean_mp(measure, k, lam, dps)
+        b = rounded_riesz_mean_mp(measure, k, lam, dps)
         assert type(a) is type(b) and raw(a) == raw(b), (k, lam, a, b)
 
 
-def counting_mpf_div(monkeypatch):
+def old_rounding_bound(measure, k, lam, dps):
+    """A bound on the rounding error of old_riesz_mean_mp's atom sum.
+
+    Each factor 1 - mu/lam is a division and a subtraction, each rounded;
+    its power, its product with the weight and the sum add a rounding each.
+    With u = 2**(1 - prec), a factor is off by at most 2u (|c| + |mu/lam|),
+    so each term by at most |w| ((|c| + e)**k (1 + u)**3 - |c|**k).
+    """
+    with mpmath.workdps(dps):
+        u = mpmath.mpf(2) ** (1 - mpmath.mp.prec)
+        lam_mp = mpmath.mpf(lam)
+        pos, wts = measure.atom_arrays(lam_mp, mpmath)
+        with mpmath.workdps(2 * dps + 20):
+            bound = mpmath.mpf(0)
+            for p, w in zip(pos, wts):
+                c = abs(1 - p / lam_mp)
+                e = 2 * u * (c + abs(p / lam_mp))
+                bound += abs(w) * ((c + e) ** k * (1 + u) ** 3 - c ** k)
+            return bound, u
+
+
+def measure_density(measure, k, lam, dps):
+    with mpmath.workdps(dps):
+        if measure.density_riesz is None:
+            return mpmath.mpf(0)
+        return measure.density_riesz(k, mpmath.mpf(lam), mpmath)
+
+
+@settings(max_examples=60, deadline=None)
+@given(measure=_MP_MEASURES, dps=st.sampled_from([15, 30, 50]), steps=_MP_STEPS)
+def test_mp_riesz_mean_is_within_the_old_sums_rounding_error(measure, dps, steps):
+    """The old array expression misses the rounded exact sum by its own rounding alone."""
+    for off, k in steps:
+        lam = measure.support_lower_bound + off
+        if lam == 0:
+            continue
+        new = sc.riesz_mean(measure, k, lam, dps=dps)
+        old = old_riesz_mean_mp(measure, k, lam, dps)
+        bound, u = old_rounding_bound(measure, k, lam, dps)
+        # the rounded atom sums (half an ulp for the new one), then the density's sum
+        slack = u * (abs(new) + abs(old) + abs(new - measure_density(measure, k, lam, dps)))
+        assert abs(new - old) <= 2 * (bound + slack), (k, lam, new, old, bound)
+
+
+def test_second_order_at_a_lambda_calls_no_atom_fn():
     calls = []
-    real = measures.mpf_div
 
-    def mpf_div(*args):
-        calls.append(args)
-        return real(*args)
+    def atom_fn(n, B):
+        calls.append(n)
+        return B.mpf(n) * B.mpf(n), B.mpf(1)
 
-    monkeypatch.setattr(measures, "mpf_div", mpf_div)
-    return calls
-
-
-def test_second_order_at_a_lambda_divides_nothing(monkeypatch):
-    calls = counting_mpf_div(monkeypatch)
-    m = counting_measure()
+    m = SpectralMeasure.from_generator(atom_fn)
     sc.riesz_mean(m, 0, 50.0, dps=30)
-    assert len(calls) == 7          # the atoms 1, 4, ..., 49
+    enumerated = len(calls)
     for k in range(1, 8):
         sc.riesz_mean(m, k, 50.0, dps=30)
-    assert len(calls) == 7
+    assert len(calls) == enumerated
 
 
-def test_column_store_keeps_the_most_recent_lambdas():
-    m = counting_measure()
-    cap = measures._MAX_COLUMNS
-    lams = [10.0 + j for j in range(2 * cap)]
-    for lam in lams:
-        sc.riesz_mean(m, 1, lam, dps=20)
-    sc.riesz_mean(m, 2, lams[cap], dps=20)      # a reuse makes lams[cap] the newest
-    with mpmath.workdps(20):
-        columns = m._cache[("mp", mpmath.mp.prec)].columns
-        kept = [mpmath.mpf(lam)._mpf_ for lam in lams[cap + 1:] + [lams[cap]]]
-    assert len(columns) == cap
-    assert list(columns) == kept
-
-
-def test_column_is_not_reused_at_another_precision(monkeypatch):
-    calls = counting_mpf_div(monkeypatch)
+def test_each_precision_rounds_its_own_sum():
     m = SpectralMeasure.from_atoms([1.0, 3.0], [1.0, 1.0])
     a = sc.riesz_mean(m, 1, 7.0, dps=20)
     b = sc.riesz_mean(m, 1, 7.0, dps=40)
-    assert len(calls) == 4
-    assert {prec for *_, prec, rnd in calls} == {mpmath.libmp.dps_to_prec(20),
-                                                 mpmath.libmp.dps_to_prec(40)}
-    assert raw(a) == raw(old_riesz_mean_mp(m, 1, 7.0, 20))
-    assert raw(b) == raw(old_riesz_mean_mp(m, 1, 7.0, 40))
+    assert raw(a) == raw(rounded_riesz_mean_mp(m, 1, 7.0, 20))
+    assert raw(b) == raw(rounded_riesz_mean_mp(m, 1, 7.0, 40))
     assert raw(a) != raw(b)
+
+
+def dense_atom(n, B):
+    return B.mpf(n) / 100, B.mpf(2) ** (-n)
+
+
+def test_exponent_span_is_summed_exactly_in_bounded_memory():
+    """Weights 2**-n over 1e4 atoms span 1e4 bits of exponent.
+
+    Aligning every term to the smallest exponent takes about 10 MB here;
+    adding equal-exponent groups and shifting the partial sums keeps the
+    peak allocation of the eight means near 3.4 MB.
+    """
+    m = SpectralMeasure.from_generator(dense_atom)
+    sc.riesz_mean(m, 0, 1e2, dps=30)
+    tracemalloc.start()
+    try:
+        means = [sc.riesz_mean(m, k, 1e2, dps=30) for k in range(8)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+    for k in (0, 7):
+        assert raw(means[k]) == raw(rounded_riesz_mean_mp(m, k, 1e2, 30))
+
+
+@pytest.mark.parametrize("pos, wt", [(1.0, math.inf), (1.0, complex(1, math.nan)),
+                                     (math.inf, 1.0)])
+def test_mp_table_rejects_a_non_finite_atom(pos, wt):
+    m = SpectralMeasure.from_generator(lambda n, B: (B.mpf(n) * pos, wt))
+    with pytest.raises(DataError, match="finite"):
+        sc.riesz_mean(m, 1, 5.0, dps=30)

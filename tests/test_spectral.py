@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spectral_cesaro as sc
+from spectral_cesaro import cli
 from spectral_cesaro.errors import DomainError, ParameterError, SingularityError
 from spectral_cesaro.experiments import ExperimentConfig, run_experiment
 from spectral_cesaro.quadrature import _exact_sum
@@ -268,6 +269,47 @@ class TestOffdiagonalEquivalence:
     def test_diagonal_redirects(self):
         with pytest.raises(ParameterError):
             sc.offdiagonal_equivalence_check(1.0, 1.0, 2, [1e3, 1e4])
+
+    @pytest.mark.parametrize("k", [-1, 2.5, -0.5])
+    def test_bad_order_is_rejected_before_any_riesz_mean(self, monkeypatch, capsys, k):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("riesz_mean called")
+
+        monkeypatch.setattr(sc.spectral, "riesz_mean", counted)
+        monkeypatch.setattr(sc.summability, "riesz_mean", counted)
+        with pytest.raises(ParameterError, match="nonnegative integer"):
+            sc.offdiagonal_equivalence_check(1.0, 2.0, k, np.geomspace(1e2, 1e6, 24))
+        if k == int(k):
+            assert cli.main(["verify", "offdiag-equivalence", "--order", str(k)]) == 64
+            assert "nonnegative integer" in capsys.readouterr().err
+        assert calls == []
+
+
+@pytest.mark.parametrize("x, y", [(0.0, 1.0), (2.0, 0.0), (0.0, 0.0), (-0.0, 2.5),
+                                  (1.0, -0.0)])
+def test_interval_measure_at_zero_is_the_zero_measure(monkeypatch, x, y):
+    """Riesz means as when every zero weight was enumerated and dropped, with no atom call."""
+    def no_atoms(*args):
+        raise AssertionError("atom_fn called")
+
+    monkeypatch.setattr(sc.SpectralMeasure, "_scalar_atoms", no_atoms)
+    monkeypatch.setattr(sc.SpectralMeasure, "_vector_atoms", no_atoms)
+    atoms = sc.interval_measure(x, y)
+    diff = sc.interval_minus_free_measure(x, y)
+    for k, lam in [(0, 3.0), (2, 50.0), (5, 1e4)]:
+        a = sc.riesz_mean(atoms, k, lam)
+        assert type(a) is float and a == 0.0
+        d = sc.riesz_mean(diff, k, lam)
+        assert d == diff.density_riesz(k, lam, sc.measures._FloatBackend)
+        with mp.workdps(30):
+            free = mp.mpf(0) + diff.density_riesz(k, mp.mpf(lam), mp)
+        a_mp = sc.riesz_mean(atoms, k, lam, dps=30)
+        assert type(a_mp) is mp.mpf and a_mp._mpf_ == mp.mpf(0)._mpf_
+        d_mp = sc.riesz_mean(diff, k, lam, dps=30)
+        assert type(d_mp) is mp.mpf and d_mp._mpf_ == free._mpf_
 
 
 @pytest.mark.parametrize("name", sc.spectral.NAMED_DENSITIES)

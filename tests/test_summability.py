@@ -5,6 +5,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spectral_cesaro as sc
 from spectral_cesaro.errors import DataError, ParameterError
@@ -227,3 +229,48 @@ def test_finite_part_eval_one_body_bit_for_bit(phi, alpha):
     for scale in (0.3, 1.0, 2.0, 10.0):
         assert _outcome(sc.finite_part_eval, g, phi, scale) == \
             _outcome(_ref_finite_part_eval, g, phi, scale)
+
+
+def old_divided_difference_points(lambdas, F, N):
+    """Reference: each window's own divided-difference triangle."""
+    pts = []
+    for i in range(len(lambdas) - N):
+        xs = lambdas[i:i + N + 1]
+        fs = list(F[i:i + N + 1])
+        for order in range(1, N + 1):
+            fs = [(fs[j + 1] - fs[j]) / (xs[j + order] - xs[j])
+                  for j in range(len(fs) - 1)]
+        W = 0.0
+        for l in range(N + 1):
+            prod = 1.0
+            for j in range(N + 1):
+                if j != l:
+                    prod *= abs(float(xs[l] - xs[j]))
+            W += 1.0 / prod
+        lam_mid = float(np.exp(np.mean(np.log([float(x) for x in xs]))))
+        pts.append((lam_mid, abs(fs[0]) / W))
+    return pts
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), N=st.integers(1, 8), use_mp=st.booleans())
+def test_newton_table_matches_the_sliding_windows(data, N, use_mp):
+    """One Newton table gives every window's points bit for bit, float or 30-digit F."""
+    lambdas = sorted(data.draw(st.lists(st.floats(1e-2, 1e7), min_size=N + 1,
+                                        max_size=24, unique=True)))
+    F = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(lambdas),
+                           max_size=len(lambdas)))
+    if use_mp:
+        with mp.workdps(30):
+            xs = [mp.mpf(x) for x in lambdas]
+            fs = [mp.mpf(f) / 3 for f in F]
+            new = sc.summability._divided_difference_points(xs, fs, N)
+            old = old_divided_difference_points(xs, fs, N)
+        assert all(type(t) is mp.mpf for _, t in new)
+        new = [(x, t._mpf_) for x, t in new]
+        old = [(x, t._mpf_) for x, t in old]
+    else:
+        new = sc.summability._divided_difference_points(lambdas, F, N)
+        old = old_divided_difference_points(lambdas, F, N)
+    assert len(new) == len(lambdas) - N
+    assert new == old
