@@ -8,10 +8,11 @@ rounded sums by ``quadrature._exact_sum``, which returns what ``math.fsum``
 returns but works on whole arrays) and an mpmath backend for the
 cancellation-dominated regimes where doubles are not enough. Both read
 their atoms through :meth:`SpectralMeasure.atom_arrays`, from tables that
-one loop grows with the cutoff, one table per backend; the float table is
-filled with one generator call per chunk where the generator works on
-index arrays. The mpmath table also keeps its atoms as integer mantissas,
-so the atom part of an mpmath Riesz mean is one exact integer sum rounded once.
+one loop grows with the cutoff, one table per backend. On both backends a
+table is filled with one generator call per chunk where the generator
+works on index arrays, and one call per atom where it does not. The mpmath
+table also keeps its atoms as integer mantissas, so the atom part of an
+mpmath Riesz mean is one exact integer sum rounded once.
 """
 
 from __future__ import annotations
@@ -63,12 +64,13 @@ _FIRST_CHUNK, _MAX_CHUNK = 256, 1 << 18
 # An index-array call agrees with the scalar call within this relative
 # distance: far above the last-ulp differences between numpy's and libm's
 # elementary functions, far below a formula that means something else on
-# arrays (int64 overflow, a branch on n).
+# arrays (int64 overflow, a branch on n). On mpmath the distance is a few
+# ulps at the working precision, 2**(3 - prec).
 _AGREE_RTOL = 1e-12
 
 
-def _agree(a, b):
-    return a == b or abs(a - b) <= _AGREE_RTOL * abs(b)
+def _agree(a, b, rtol):
+    return a == b or abs(a - b) <= rtol * abs(b)
 
 
 class _AtomTable:
@@ -89,7 +91,7 @@ class _AtomTable:
         self.last = -math.inf
         dtype = float if backend is None else object
         self.pos, self.wts = np.empty(0, dtype), np.empty(0, dtype)
-        self.vectorized = backend is None   # index-array calls, until a chunk falls back
+        self.vectorized = True      # index-array calls, until a chunk falls back
         if backend is not None:
             self.exact = [np.empty(0, object), np.empty(0, np.int64)] * 3
             self.first_complex = math.inf
@@ -159,11 +161,14 @@ class SpectralMeasure:
 
     atom_fn(n, B) -> (position, weight) defines atom n >= 1 using the numeric
     backend B (float shim or mpmath); positions must be strictly increasing
-    in n. On the float path atom_fn is first called with an int64 index
-    array and a numpy backend (``B.mpf`` makes float arrays, ``B.sin`` is
-    ``np.sin``, ...); from the first chunk where that call raises or its
-    arrays disagree with the scalar calls (see ``_vector_atoms``), it is
-    called once per atom. The continuous part is given by the closed form
+    in n. A table is grown in chunks, and atom_fn is first called once per
+    chunk with an int64 index array: on the float path with a numpy backend
+    (``B.mpf`` makes float arrays, ``B.sin`` is ``np.sin``, ...), answered
+    by float or complex arrays; on the mpmath path with ``B = mp``, answered
+    by arrays (object arrays of mpmath numbers, or anything ``mp.mpmathify``
+    takes elementwise). From the first chunk where that call raises or its
+    arrays disagree with the scalar calls (see ``_vector_atoms``), atom_fn
+    is called once per atom. The continuous part is given by the closed form
     of its Riesz integral, density_riesz(k, lam, B) = int (1 - mu/lam)**k
     dm(mu) over the continuous part below lam, on either backend.
     """
@@ -184,13 +189,15 @@ class SpectralMeasure:
         if not pos:
             raise DataError("measure needs at least one atom")
 
-        # arrays for an index-array call; Python numbers for the mpmath backend
+        # arrays for an index-array call; the given weights for the mpmath backend
         P, W = np.array(pos), np.array(wts)
 
         def atom_fn(n, B):
-            if isinstance(n, np.ndarray):
-                return P[n - 1], W[n - 1]
-            return pos[n - 1], wts[n - 1]
+            if not isinstance(n, np.ndarray):
+                return pos[n - 1], wts[n - 1]
+            if B is mp:
+                return P[n - 1], [wts[i] for i in (n - 1).tolist()]
+            return P[n - 1], W[n - 1]
 
         # zero-weight atoms are not in the support (nor in a saved CSV)
         first = next((p for p, w in zip(pos, wts) if w != 0), 0.0)
@@ -241,7 +248,7 @@ class SpectralMeasure:
             m = min(max(t.n, _FIRST_CHUNK), _MAX_CHUNK)
             if self.n_atoms is not None:
                 m = min(m, self.n_atoms - t.n)
-            chunk = self._vector_atoms(t.n + 1, m) if t.vectorized else None
+            chunk = self._vector_atoms(t.n + 1, m, backend) if t.vectorized else None
             if chunk is None:
                 t.vectorized = False
                 chunk = self._scalar_atoms(t.n + 1, m, lam, backend)
@@ -258,29 +265,45 @@ class SpectralMeasure:
             t.pos.flags.writeable = t.wts.flags.writeable = False
         return t
 
-    def _vector_atoms(self, first, m):
+    def _vector_atoms(self, first, m, backend):
         """Atoms first .. first+m-1 from one call with an index array.
 
-        Returns None, and the caller runs the scalar loop, when the atom
-        function raises, returns arrays that do not broadcast to the index
-        array or are not finite, or disagrees with its scalar output at
-        either end of the chunk.
+        On the float path the call gets ``_NumpyBackend`` and its arrays are
+        made float (or complex); on the mpmath path it gets ``mp`` and each
+        entry is made an mpmath number by ``mp.mpmathify``, as the scalar
+        loop does. Returns None, and the caller runs the scalar loop, when
+        the atom function raises, returns arrays that do not broadcast to
+        the index array or are not finite, or disagrees with its scalar
+        output at either end of the chunk: by more than ``_AGREE_RTOL``
+        relative on floats, by more than 2**(3 - prec) (a few ulps) on mpmath.
         """
         idx = np.arange(first, first + m)
         try:
-            with np.errstate(all="ignore"):  # a non-finite chunk is rejected below
-                p, w = self.atom_fn(idx, _NumpyBackend)
-            pos = np.broadcast_to(np.asarray(p, dtype=float), idx.shape)
-            w = np.asarray(w)
-            wts = np.broadcast_to(w.astype(complex if w.dtype.kind == "c" else float),
-                                  idx.shape)
-            ends = [(j, *self.atom_fn(first + j, _FloatBackend)) for j in (0, m - 1)]
-            if not all(_agree(pos[j], float(sp)) and _agree(wts[j], complex(sw))
+            if backend is None:
+                with np.errstate(all="ignore"):  # a non-finite chunk is rejected below
+                    p, w = self.atom_fn(idx, _NumpyBackend)
+                pos = np.broadcast_to(np.asarray(p, dtype=float), idx.shape)
+                w = np.asarray(w)
+                wts = np.broadcast_to(w.astype(complex if w.dtype.kind == "c" else float),
+                                      idx.shape)
+                finite = np.isfinite(pos).all() and np.isfinite(wts).all()
+                to_pos, to_wt, rtol = float, complex, _AGREE_RTOL
+            else:
+                pos, wts = (np.array([mp.mpmathify(v) for v in
+                                      np.broadcast_to(np.asarray(a, dtype=object),
+                                                      idx.shape)], dtype=object)
+                            for a in self.atom_fn(idx, mp))
+                finite = all(map(mp.isfinite, pos)) and all(map(mp.isfinite, wts))
+                to_pos = to_wt = mp.mpmathify
+                rtol = mp.ldexp(1, 3 - mp.mp.prec)
+            if not finite:
+                return None
+            ends = [(j, *self.atom_fn(first + j, backend or _FloatBackend))
+                    for j in (0, m - 1)]
+            if not all(_agree(pos[j], to_pos(sp), rtol) and _agree(wts[j], to_wt(sw), rtol)
                        for j, sp, sw in ends):
                 return None
         except Exception:  # whatever fails on arrays is left to the scalar loop
-            return None
-        if not (np.isfinite(pos).all() and np.isfinite(wts).all()):
             return None
         return pos, wts
 
@@ -351,11 +374,12 @@ def riesz_mean(measure: SpectralMeasure, k: int, lam: float, dps: Optional[int] 
     sum of the terms, the double ``math.fsum`` returns, whatever their order
     and cancellation. The mpmath backend's atom part is the exact sum over
     the atoms rounded once at the working precision, an mpc when one of their
-    weights is (:meth:`_AtomTable.riesz_sum`). Both backends read
-    their atoms from :meth:`SpectralMeasure.atom_arrays` and the continuous
-    part from ``density_riesz``. Raises :class:`DomainError` for a lam that
-    is zero, not finite or not above the support, before any atom is
-    enumerated.
+    weights is (:meth:`_AtomTable.riesz_sum`). Both backends read their
+    atoms from the measure's table for the backend (the float one through
+    :meth:`SpectralMeasure.atom_arrays`, the mpmath one by one lookup of its
+    exact copy) and the continuous part from ``density_riesz``. Raises
+    :class:`DomainError` for a lam that is zero, not finite or not above
+    the support, before any atom is enumerated.
     """
     if k < 0 or int(k) != k:
         raise ParameterError("Riesz order k must be a nonnegative integer")
@@ -387,9 +411,11 @@ def riesz_mean(measure: SpectralMeasure, k: int, lam: float, dps: Optional[int] 
     with mp.workdps(dps):
         lam_mp = mp.mpf(lam)
         total = mp.mpf(0)
-        pos, wts = measure.atom_arrays(lam_mp, mp)
-        if len(pos):
-            total += measure._table(lam_mp, mp).riesz_sum(len(pos), lam_mp, int(k))
+        if measure.atom_fn is not None:
+            t = measure._table(lam_mp, mp)
+            j = int(np.searchsorted(t.pos, lam_mp))
+            if j:
+                total += t.riesz_sum(j, lam_mp, int(k))
         if measure.density_riesz is not None:
             total += measure.density_riesz(k, lam_mp, mp)
         return total

@@ -70,9 +70,14 @@ def _probe_point(a, b):
 
 
 def _refused(err, value, tol):
-    """Whether an error estimate exceeds ``tol`` by a wide margin."""
-    return (err > np.maximum(tol * 50, 1e-13 * np.maximum(np.abs(value), 1.0))) \
-        & (err > tol)
+    """Whether an error estimate exceeds ``tol`` by a wide margin.
+
+    Elementwise on arrays; with Python's ``max`` and ``abs`` for a float
+    ``err``, where numpy's ufuncs cost microseconds a call. The NaN-carrying
+    term comes first, so that ``max`` returns a NaN as ``np.maximum`` does.
+    """
+    mx, ab = (max, abs) if isinstance(err, float) else (np.maximum, np.abs)
+    return (err > mx(1e-13 * mx(ab(value), 1.0), tol * 50)) & (err > tol)
 
 
 def integrate(f, a, b, tol=1e-10, limit=400):

@@ -276,6 +276,32 @@ def test_criteria_cover_every_registry_experiment():
     assert covered == set(experiment_names())
 
 
+def test_registry_run_makes_few_atom_calls(monkeypatch):
+    """Every atom table of a default registry run is filled by index-array
+    calls: a few dozen atom_fn calls in all, not one per atom."""
+    calls = []
+    init = sc.SpectralMeasure.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        fn = self.atom_fn
+        if fn is not None and fn not in counted:    # a measure may share another's
+
+            def atom_fn(n, B):
+                calls.append(np.size(n))
+                return fn(n, B)
+
+            counted.add(atom_fn)
+            self.atom_fn = atom_fn
+
+    counted = set()
+    monkeypatch.setattr(sc.SpectralMeasure, "__init__", counting_init)
+    for name in experiment_names():
+        run_experiment(ExperimentConfig(name))
+    assert sum(calls) >= 1024       # the 30-digit table at (1, 2) reaches n = 1000
+    assert len(calls) <= 30, calls
+
+
 def test_every_registry_probe_has_a_bench_reference():
     """Each fitted slope and numeric probe field of a default-config report
     has a seed reference in ``bench/reference/seed_refs.json``.

@@ -219,24 +219,79 @@ def test_disagreeing_array_output_is_not_used():
 
 
 def test_tables_grow_once_per_backend():
-    sizes = []
+    """Each atom is enumerated by one index-array call on each backend's table;
+    the only other calls are the scalar checks at the two ends of each chunk."""
+    calls = []
 
     def atom(n, B):
-        sizes.append(np.size(n))
-        return B.mpf(n), B.mpf(2) ** (-n)
+        calls.append((B is mpmath, n))
+        return n * B.mpf(1), B.mpf(2) ** (-n)
+
+    def arrays(on_mp):
+        return [n for is_mp, n in calls if is_mp == on_mp and np.ndim(n)]
 
     m = SpectralMeasure.from_generator(atom)
     sc.riesz_mean(m, 0, 1e4)
-    assert len(sizes) < 100 < sum(sizes)   # index-array calls
+    assert len(calls) < 100 < sum(np.size(n) for _, n in calls)
     for k in range(1, 5):
         sc.riesz_mean(m, k, 1e4)
     sc.riesz_mean(m, 2, 30.0)
-    calls = len(sizes)
+    n_float = len(calls)
+    float_idx = np.concatenate(arrays(False)).tolist()
+    assert float_idx == list(range(1, len(float_idx) + 1))
     sc.riesz_mean(m, 0, 500.0, dps=30)
-    assert len(sizes) == calls + 500
+    assert np.concatenate(arrays(True)).tolist() == list(range(1, 513))
+    scalar_mp = [n for is_mp, n in calls[n_float:] if not np.ndim(n)]
+    assert scalar_mp == [1, 256, 257, 512]      # the ends of the two chunks
+    n_all = len(calls)
     for k in range(4):
         sc.riesz_mean(m, k, 400.0, dps=30)
-    assert len(sizes) == calls + 500
+    assert len(calls) == n_all
+
+
+def _scalar_only(atom):
+    def scalar_atom(n, B):
+        if np.ndim(n):
+            raise TypeError("one index at a time")
+        return atom(n, B)
+    return scalar_atom
+
+
+@pytest.mark.parametrize("atom, end_checks", [
+    (lambda n, B: (B.mpf(n) * n, B.mpf(1) / n), 0),
+    (lambda n, B: (n * n * B.mpf(1), 1.0 / (n * n + 1) if np.ndim(n)
+                   else B.mpf(1) / (n * n + 1)), 2),
+    (lambda n, B: (n * n * B.mpf(1), (B.mpf(1) / n)[:-1] if np.ndim(n)
+                   else B.mpf(1) / n), 0),
+], ids=["raises", "disagrees_at_last", "one_short"])
+def test_mp_chunk_falls_back_to_the_scalar_loop(atom, end_checks):
+    """A rejected index-array call leaves the table to one call per atom,
+    each atom enumerated once, with the means of a scalar-only generator."""
+    calls = []
+
+    def counted(n, B):
+        calls.append((B is mpmath, n))
+        return atom(n, B)
+
+    m = SpectralMeasure.from_generator(counted)
+    ref = SpectralMeasure.from_generator(_scalar_only(atom))
+    for k, lam in [(0, 500.0), (3, 500.0), (2, 90.5), (1, 2000.0)]:
+        assert sc.riesz_mean(m, k, lam, dps=30) == sc.riesz_mean(ref, k, lam, dps=30)
+    assert not m._cache[("mp", 103)].vectorized
+    mp_calls = [n for on_mp, n in calls if on_mp]
+    assert sum(np.ndim(n) for n in mp_calls) == 1           # the rejected chunk
+    assert mp_calls[1 + end_checks:] == list(range(1, 46))  # 45**2 >= 2000
+
+
+def test_from_atoms_mp_chunk_keeps_the_given_weights():
+    """The index-array call on mpmath reads the weights as given, not as the
+    float array numpy makes of them: 2**60 + 1 between two floats stays exact,
+    where no chunk-end check would see it."""
+    m = SpectralMeasure.from_atoms([1.0, 2.0, 3.0], [0.5, 2**60 + 1, 0.25])
+    with mpmath.workdps(30):
+        expected = mpmath.mpf(2**60 + 1) + 0.75
+    assert sc.riesz_mean(m, 0, 3.5, dps=30) == expected
+    assert m._cache[("mp", 103)].vectorized
 
 
 def test_positions_that_never_reach_lambda(monkeypatch):

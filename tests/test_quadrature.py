@@ -236,3 +236,19 @@ def test_exact_sum_fallbacks_raise_as_fsum(values, expected):
     x = np.array(values)
     assert _sum_outcome(math.fsum, x) == expected
     assert _sum_outcome(_exact_sum, x) == expected
+
+
+@pytest.mark.parametrize("err, value", [
+    (1.0, math.nan), (1e-12, math.nan), (math.nan, 1.0), (1.0, math.inf),
+    (1e-5, -3.0 + 4.0j), (1e-5, 1e9), (2e-4, 1e9), (1e-9, 0.5), (1e-8, 0.5),
+    (1.0, complex(math.nan, 1.0)),
+])
+def test_refused_scalar_branch_matches_the_array_branch(err, value):
+    """Python's max and abs give numpy's verdict, NaN value included."""
+    from spectral_cesaro.quadrature import _refused
+    tol = 1e-10
+    scalar = _refused(err, value, tol)
+    assert type(scalar) is bool
+    assert scalar == bool(_refused(np.array([err]), np.array([value]), tol)[0])
+    if math.isnan(abs(value)):
+        assert scalar is False      # a NaN threshold refuses nothing

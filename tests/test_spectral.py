@@ -340,6 +340,63 @@ def test_free_densities_reject_non_finite_lambda(lam):
             sc.density_free_space(d, [1.0] + [0.0] * (d - 1), [0.0] * d, lam)
 
 
+def test_sine_series_complex_parts_are_fsums_bit_for_bit():
+    """A complex profile: each part is the correctly rounded sum of its terms."""
+    g = lambda k: np.exp(1j * k * 0.37) / (2 * k)
+    for x, y, n in [(1.0, 2.0, 5000), (0.3, 0.31, 777), (math.pi / 2, 1.0, 40)]:
+        ks = np.arange(1, n + 1)
+        terms = (2.0 / math.pi) * np.sin(ks * x) * np.sin(ks * y) * g(ks)
+        v = sc.spectral._sine_series(x, y, n, g)
+        assert type(v) is complex
+        assert (v.real, v.imag) == (math.fsum(terms.real.tolist()),
+                                    math.fsum(terms.imag.tolist()))
+
+
+# ------------------------------------------- the mpmath interval atom table
+
+def _weight_ref(x, y, k):
+    with mp.workdps(120):
+        return 2 * mp.sin(k * mp.mpf(x)) * mp.sin(k * mp.mpf(y)) / mp.pi
+
+
+_SINE_POINTS = st.one_of(st.sampled_from([1e-9, math.pi / 2, math.pi]),
+                         st.floats(1e-9, math.pi))
+
+
+@settings(max_examples=12, deadline=None)
+@given(x=_SINE_POINTS, y=_SINE_POINTS, dps=st.sampled_from([15, 30, 50]),
+       first=st.integers(1, 10**6), m=st.integers(1, 5000))
+@example(x=math.pi, y=1e-9, dps=30, first=1, m=1024)
+@example(x=math.pi / 2, y=1.0, dps=30, first=1, m=1024)
+@example(x=2 * math.pi / 3, y=math.pi, dps=50, first=999_000, m=600)
+@example(x=1.0, y=2.0, dps=15, first=300, m=100)
+def test_mp_interval_chunk_weights_within_one_rounding(x, y, dps, first, m):
+    """Each weight of an index-array chunk is within 2**-prec relative of a
+    120-digit (2/pi) sin(kx) sin(ky), and the chunk-end check accepts it."""
+    with mp.workdps(dps):
+        prec = mp.mp.prec
+        chunk = sc.interval_measure(x, y)._vector_atoms(first, m, mp)
+    assert chunk is not None
+    pos, wts = chunk
+    with mp.workdps(120):
+        tol = mp.ldexp(1, -prec)
+        for k, p, w in zip(range(first, first + m), pos, wts):
+            ref = _weight_ref(x, y, k)
+            assert p == k * k
+            assert abs(w - ref) <= tol * abs(ref), (k, w, ref)
+
+
+@pytest.mark.parametrize("x, y", [(1.0, 2.0), (0.5, 2.5), (math.pi, 1.0), (1e-9, 2.0),
+                                  (math.pi / 2, 1.0)])
+def test_mp_interval_table_same_in_one_chunk_or_several(x, y):
+    with mp.workdps(30):
+        grown = sc.interval_measure(x, y)._table(mp.mpf(1024**2), mp)  # 256, 256, 512
+        pos, wts = sc.interval_measure(x, y)._vector_atoms(1, 1024, mp)
+    assert grown.n == 1024 and grown.vectorized
+    assert [p._mpf_ for p in grown.pos] == [p._mpf_ for p in pos]
+    assert [w._mpf_ for w in grown.wts] == [w._mpf_ for w in wts]
+
+
 # ----------------------------------------- the sums _sine_series replaced
 # The staircase and the density smear as they were written out by hand
 # before both went through spectral._sine_series.
