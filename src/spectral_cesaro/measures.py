@@ -134,10 +134,33 @@ class _AtomTable:
 
 def _mantissas(raw):
     """Integer mantissas (object array) and int64 exponents of raw mpfs."""
-    if any(not man and exp for _, man, exp, _ in raw):
+    if not _finite([raw]):
         raise DataError("atom positions and weights must be finite on the mpmath table")
     return (np.array([-man if sign else man for sign, man, _, _ in raw], dtype=object),
             np.array([exp for _, _, exp, _ in raw], dtype=np.int64))
+
+
+def _raw_parts(values):
+    """Raw mpf tuples of mpmath numbers, one list per part: [reals], or
+    [reals, imaginary parts] (fzero for an mpf's) once one is an mpc."""
+    try:
+        return [[v._mpf_ for v in values]]
+    except AttributeError:
+        pairs = [v._mpc_ if isinstance(v, mp.mpc) else (v._mpf_, fzero) for v in values]
+        return [list(part) for part in zip(*pairs)]
+
+
+def _finite(parts):
+    """Whether no raw mpf in ``parts`` (lists, as ``_raw_parts`` makes) is inf
+    or nan, the raw mpfs with a zero mantissa and a nonzero exponent."""
+    return not any(not man and exp for part in parts for _, man, exp, _ in part)
+
+
+def _nonzero(parts):
+    """Per number of ``_raw_parts`` output, whether it is not zero. inf and nan
+    count as nonzero, so that a table keeps them and ``_mantissas`` refuses them."""
+    return np.array([[man != 0 or exp != 0 for _, man, exp, _ in part]
+                     for part in parts]).any(axis=0)
 
 
 def _shifted_sum(mans, exps):
@@ -255,7 +278,7 @@ class SpectralMeasure:
             pos, wts = chunk
             t.n += len(pos)
             t.last = pos[-1]
-            keep = wts != 0
+            keep = wts != 0 if backend is None else _nonzero(_raw_parts(wts))
             pos_parts.append(pos[keep])
             wts_parts.append(wts[keep])
         if len(pos_parts) > 1:
@@ -293,7 +316,7 @@ class SpectralMeasure:
                                       np.broadcast_to(np.asarray(a, dtype=object),
                                                       idx.shape)], dtype=object)
                             for a in self.atom_fn(idx, mp))
-                finite = all(map(mp.isfinite, pos)) and all(map(mp.isfinite, wts))
+                finite = _finite(_raw_parts(pos)) and _finite(_raw_parts(wts))
                 to_pos = to_wt = mp.mpmathify
                 rtol = mp.ldexp(1, 3 - mp.mp.prec)
             if not finite:

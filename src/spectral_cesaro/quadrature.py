@@ -1,16 +1,22 @@
 """Adaptive quadrature, and lobe-by-lobe sums for oscillatory integrands.
 
-The engine is QUADPACK via :func:`scipy.integrate.quad`. For an oscillatory
-integrand the caller supplies breakpoints at consecutive zeros of the
-oscillatory factor, and :func:`lobe_sum` adds the lobes in order. It takes
-the first step of QUADPACK's ``dqagse`` (the 21-point Gauss-Kronrod rule
-``dqk21``) for up to 256 lobes at a time in one vectorised evaluation of the
-integrand. Lobes that step does not accept fall back to :func:`integrate`,
-which subdivides them adaptively.
+The engine is QUADPACK (Piessens et al., 1983): its ``dqagse`` over finite
+ranges and ``dqagie`` over infinite ones, called in scipy's compiled
+extension ``scipy/integrate/_quadpack``. That extension is loaded on first
+use, from its file, by :func:`_quadpack`: importing ``scipy.integrate``
+would also load ``scipy.special``, ``linalg``, ``sparse``, ``spatial`` and
+``optimize``, which take most of a fresh process's time and memory and
+which no caller uses. It is called with the arguments
+:func:`scipy.integrate.quad` passes, so every value, error estimate and
+count is quad's; where the extension cannot be found or does not answer
+with that signature, ``quad`` itself is called.
 
-``scipy.integrate`` is imported on first use, inside :func:`integrate`, not
-when the package is imported: it takes most of the package's import time,
-and most callers never reach it.
+For an oscillatory integrand the caller supplies breakpoints at
+consecutive zeros of the oscillatory factor, and :func:`lobe_sum` adds the
+lobes in order. It takes the first step of ``dqagse`` (the 21-point
+Gauss-Kronrod rule ``dqk21``) for up to 256 lobes at a time in one
+vectorised evaluation of the integrand. Lobes that step does not accept
+fall back to :func:`integrate`, which subdivides them adaptively.
 
 The module also holds :func:`_exact_sum`, the correctly rounded sum of a
 float array that the Riesz means and the eigen-series share.
@@ -18,10 +24,13 @@ float array that the Riesz means and the eigen-series share.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import itertools
 import math
-import warnings
+import os
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
 
@@ -39,24 +48,83 @@ class QuadratureResult:
     def __post_init__(self):
         if not np.isfinite(self.error_estimate):
             raise ValueError("error_estimate must be finite")
-        if self.evaluations <= 0:
-            raise ValueError("evaluations must be positive")
+        if self.evaluations < 0:
+            raise ValueError("evaluations must be non-negative")
+
+
+@functools.cache
+def _quadpack():
+    """scipy's compiled QUADPACK module, or None where it cannot be used.
+
+    The file ``scipy/integrate/_quadpack<suffix>`` is found from where
+    ``scipy`` is installed and loaded on its own, without importing the
+    ``scipy.integrate`` package (nor its siblings). It is used only if its
+    ``_qagse`` and ``_qagie`` answer two probe integrals with quad's
+    signature: (value, error, info dict with ``neval``, ier).
+    """
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(root, "integrate", "_quadpack" + suffix)
+            if not os.path.isfile(path):
+                continue
+            try:
+                loader = ExtensionFileLoader("scipy.integrate._quadpack", path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_loader(loader.name, loader))
+                loader.exec_module(module)
+                # |x| over [0, 1]: one dqk21 step, exact; e^x over (-inf, 0]
+                v, _, info, ier = module._qagse(abs, 0.0, 1.0, (), 1, 1e-10, 1e-10, 50)
+                w, _, info_inf, _ = module._qagie(math.exp, 0.0, -1, (), 1, 1e-10, 1e-10, 50)
+                if (v, info["neval"], ier) == (0.5, 21, 0) and abs(w - 1.0) < 1e-9 \
+                        and info_inf["neval"] > 0:
+                    return module
+            except (ImportError, OSError, AttributeError, TypeError, ValueError,
+                    LookupError):
+                pass
+    return None
 
 
 def _quad_counted(f, a, b, tol, limit=400):
     """QUADPACK over [a, b]: (value, error estimate, calls made to ``f``).
 
+    Calls ``_qagse`` (both ends finite) or ``_qagie`` (an infinite end) of
+    :func:`_quadpack` as :func:`scipy.integrate.quad` does with
+    ``full_output=1``: the same ``bound``/``inf`` mapping for [a, inf),
+    (-inf, b] and (-inf, inf), the same sign flip for b < a, the same
+    value 0 with no calls for a == b, and quad's ``ValueError`` for
+    ``ier`` 6 (invalid input). QUADPACK's other codes are left to the
+    caller's test of the error estimate, as quad leaves them with
+    ``full_output=1``; an exception raised by ``f`` propagates unchanged.
+    Without the extension, ``quad`` is called with these arguments.
+
     The count is QUADPACK's own ``neval``, which is the number of times
     ``f`` was called (twice per node on a doubly infinite range), so ``f``
-    is passed to ``quad`` unwrapped.
+    is passed unwrapped.
     """
-    from scipy.integrate import quad
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        val, err, info = quad(f, a, b, epsabs=tol, epsrel=max(tol, 1e-13),
-                              limit=limit, full_output=1)[:3]
-    return val, err, info["neval"]
+    if a == b:
+        return 0.0, 0.0, 0
+    epsrel = max(tol, 1e-13)
+    qp = _quadpack()
+    if qp is None:
+        from scipy.integrate import quad
+        val, err, info = quad(f, a, b, epsabs=tol, epsrel=epsrel, limit=limit,
+                              full_output=1)[:3]
+        return val, err, info["neval"]
+    flip, a, b = b < a, min(a, b), max(a, b)
+    opts = ((), 1, tol, epsrel, limit)      # args, full_output, epsabs, epsrel, limit
+    if b != math.inf and a != -math.inf:
+        out = qp._qagse(f, a, b, *opts)
+    elif a != -math.inf:                    # [a, inf)
+        out = qp._qagie(f, a, 1, *opts)
+    elif b == math.inf:                     # (-inf, inf): the bound is not read
+        out = qp._qagie(f, 0.0, 2, *opts)
+    else:                                   # (-inf, b]
+        out = qp._qagie(f, b, -1, *opts)
+    if out[-1] == 6:        # invalid input, answered without an info dict
+        raise ValueError("Invalid 'limit' argument. There must be at least one subinterval")
+    val, err, info = out[:3]
+    return -val if flip else val, err, info["neval"]
 
 
 def _probe_point(a, b):
@@ -88,7 +156,8 @@ def integrate(f, a, b, tol=1e-10, limit=400):
     (carrying the best estimate) when the reported error exceeds ``tol`` by
     a wide margin. ``evaluations`` is QUADPACK's count of calls to ``f``
     (summed over both parts of a complex integrand); the probe call that
-    tells real from complex is not counted.
+    tells real from complex is not counted. An empty range (a == b) gives
+    value 0 and error 0 from no evaluations.
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
@@ -191,8 +260,8 @@ def lobe_sum(f, breakpoints, tol=1e-12):
     to 256 lobes on a (lobes x 21) array of Gauss-Kronrod nodes, and each
     lobe gets the first step of QUADPACK's ``dqagse`` (the ``dqk21`` rule
     and its acceptance test). A lobe that step accepts gets, bit for bit,
-    the value and error estimate ``scipy.integrate.quad`` returns from the
-    same integrand values. Every other lobe, or one whose estimate
+    the value and error estimate ``dqagse`` (and so
+    ``scipy.integrate.quad``) returns from the same integrand values. Every other lobe, or one whose estimate
     :func:`integrate` would refuse, is integrated by :func:`integrate`
     (``limit=200``), which calls ``f`` at scalar points, subdivides
     adaptively and raises :class:`AccuracyError` as before. A complex

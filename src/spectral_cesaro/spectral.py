@@ -365,8 +365,11 @@ def _free_line_density_riesz(c: float):
     with j_k the spherical Bessel function. The c = 0 case reduces to the
     Beta function.
 
-    The float branch takes J_{k+1/2} from scipy's jv, and the Beta form for
-    every z < 1e-8. The mpmath branch is elementary (DLMF 10.49): j_k comes
+    The float branch takes J_{k+1/2} from scipy's jv (imported on first
+    use), and the Beta form for every z < 1e-8, with
+    B(1/2, k+1) = 2^{2k+1} (k!)^2 / (2k+1)! divided as integers, so
+    correctly rounded (scipy's ``beta`` is an ulp off at 42 of k = 0..59).
+    The mpmath branch is elementary (DLMF 10.49): j_k comes
     from sin z and cos z, one ``mp.cos_sin`` call, by the upward recurrence
     j_{m+1} = (2m+1)/z j_m - j_{m-1} from j_0 = sin z/z and
     j_1 = (sin z/z - cos z)/z. Below z ~ k the recurrence loses about
@@ -399,13 +402,14 @@ def _free_line_density_riesz(c: float):
                 I = mp.ldexp(mp.factorial(k) * j, k) / z ** k
                 value = S * I / mp.pi
             return +value
-        from scipy.special import beta, jv
         S = math.sqrt(lam)
         z = c * S
         # below z = 1e-8 the relative z^2/(4k+6) term is under rounding, and
         # (2/z)**(k+1/2) would overflow at tiny separations: the c = 0 form
         if z < 1e-8:
-            return S * beta(0.5, k + 1) / (2.0 * math.pi)
+            beta = (math.factorial(k) ** 2 << (2 * k + 1)) / math.factorial(2 * k + 1)
+            return S * beta / (2.0 * math.pi)
+        from scipy.special import jv
         I = (math.sqrt(math.pi) * math.factorial(k) / 2.0
              * (2.0 / z) ** (k + 0.5) * jv(k + 0.5, z))
         return S * I / math.pi

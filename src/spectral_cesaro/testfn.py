@@ -104,31 +104,37 @@ def make_bump(a: float, b: float) -> TestFunction:
     if not a < b:
         raise ParameterError("bump requires a < b")
     a, b = float(a), float(b)
-    du = 2.0 / (b - a)
+    width = b - a
+    du = 2.0 / width
 
     # k-th derivative in u has the form Q(u) / (1-u^2)^(2k) * exp(-1/(1-u^2))
     def make(order, poly):
         dscale = du**order
-        coeffs = tuple(float(c) for c in poly)
+        power = 2 * order
+        coeffs_desc = tuple(float(c) for c in reversed(poly))   # Horner's order
 
         def ev(x):
-            if type(x) is float or np.ndim(x) == 0:
-                u = (2.0 * float(x) - a - b) / (b - a)
-                if not -1.0 < u < 1.0:
-                    return 0.0
-                q = 1.0 - u * u
-                acc = 0.0
-                for c in reversed(coeffs):
-                    acc = acc * u + c
-                return acc / q ** (2 * order) * math.exp(-1.0 / q) * dscale
-            x = np.asarray(x, dtype=float)
-            u = (2.0 * x - a - b) / (b - a)
+            if type(x) is not float:
+                if np.ndim(x):
+                    return ev_array(np.asarray(x, dtype=float))
+                x = float(x)
+            u = (2.0 * x - a - b) / width
+            if not -1.0 < u < 1.0:
+                return 0.0
+            q = 1.0 - u * u
+            acc = 0.0
+            for c in coeffs_desc:
+                acc = acc * u + c
+            return acc / q ** power * math.exp(-1.0 / q) * dscale
+
+        def ev_array(x):
+            u = (2.0 * x - a - b) / width
             out = np.zeros_like(u)
             inside = np.abs(u) < 1.0
             ui = u[inside]
             q = 1.0 - ui * ui
             core = np.exp(-1.0 / q)
-            out[inside] = P.polyval(ui, poly) / q ** (2 * order) * core * dscale
+            out[inside] = P.polyval(ui, poly) / q ** power * core * dscale
             return out
 
         def deriv(k):

@@ -361,19 +361,31 @@ class TestCliRiesz:
 _IMPORT_GUARD = """
 import contextlib, io, sys
 scipy_loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+heavy = lambda: sorted(m for m in ("scipy.integrate", "scipy.special", "scipy.linalg")
+                       if m in sys.modules)
 import spectral_cesaro
 from spectral_cesaro import cli
 print(scipy_loaded())
 with contextlib.redirect_stdout(io.StringIO()):
     rc = cli.main(["verify", "wkb-constant"])
 print(rc, scipy_loaded())
+for args in (["verify", "finite-part-scaling"], ["verify", "weyl-diagonal"],
+             ["kernel", "heat", "line", "--t", "0.5", "--x", "0", "--y", "0.3",
+              "--method", "spectral_sum"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(args)
+    print(rc, heavy())
+print("scipy.integrate._quadpack" in sys.modules)
 """
 
 
 def test_package_import_leaves_scipy_unloaded(tmp_path):
     """scipy, most of the package's import time, loads where it is called.
 
-    ``wkb-constant``, like most registry experiments, never calls it.
+    ``wkb-constant``, like most registry experiments, never calls it. The
+    experiments and kernels that integrate reach QUADPACK's compiled
+    extension without importing ``scipy.integrate``, and the Weyl density
+    takes its Beta function without ``scipy.special``.
     """
     src = str(Path(spectral_cesaro.__file__).resolve().parents[1])
     env = dict(os.environ,
@@ -381,7 +393,7 @@ def test_package_import_leaves_scipy_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], cwd=tmp_path,
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "0 []"]
+    assert proc.stdout.splitlines() == ["[]", "0 []", "0 []", "0 []", "0 []", "True"]
 
 
 def test_console_script_usage_error_subprocess():

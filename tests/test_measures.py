@@ -263,7 +263,13 @@ def _scalar_only(atom):
                    else B.mpf(1) / (n * n + 1)), 2),
     (lambda n, B: (n * n * B.mpf(1), (B.mpf(1) / n)[:-1] if np.ndim(n)
                    else B.mpf(1) / n), 0),
-], ids=["raises", "disagrees_at_last", "one_short"])
+    (lambda n, B: (B.mpf(n) * n, [mpmath.inf if j == 5 else B.mpf(1) / j
+                                  for j in n.tolist()] if np.ndim(n)
+                   else B.mpf(1) / n), 0),
+    (lambda n, B: (B.mpf(n) * n, [mpmath.mpc(1, mpmath.nan) if j == 9 else B.mpf(1) / j
+                                  for j in n.tolist()] if np.ndim(n)
+                   else B.mpf(1) / n), 0),
+], ids=["raises", "disagrees_at_last", "one_short", "returns_inf", "returns_complex_nan"])
 def test_mp_chunk_falls_back_to_the_scalar_loop(atom, end_checks):
     """A rejected index-array call leaves the table to one call per atom,
     each atom enumerated once, with the means of a scalar-only generator."""
@@ -664,6 +670,18 @@ def test_exponent_span_is_summed_exactly_in_bounded_memory():
     assert peak < 6 * 2**20
     for k in (0, 7):
         assert raw(means[k]) == raw(rounded_riesz_mean_mp(m, k, 1e2, 30))
+
+
+def test_mp_raw_parts_tell_finite_and_nonzero_as_mpmath_does():
+    with mpmath.workdps(30):
+        values = [mpmath.mpf(0), mpmath.mpf(-2.5), mpmath.mpf(2) ** -2000, mpmath.inf,
+                  -mpmath.inf, mpmath.nan, mpmath.mpc(0, 0), mpmath.mpc(0, -1),
+                  mpmath.mpc(3, 0), mpmath.mpc(mpmath.nan, 0), mpmath.mpc(0, mpmath.inf)]
+        for chunk in (values[:3], values[:6], values[6:], values):
+            arr = np.array(chunk, dtype=object)
+            parts = measures._raw_parts(arr)
+            assert measures._finite(parts) == all(map(mpmath.isfinite, chunk))
+            assert measures._nonzero(parts).tolist() == (arr != 0).tolist()
 
 
 @pytest.mark.parametrize("pos, wt", [(1.0, math.inf), (1.0, complex(1, math.nan)),

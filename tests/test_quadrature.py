@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import spectral_cesaro as sc
+from spectral_cesaro import quadrature
 from spectral_cesaro.errors import AccuracyError, ParameterError
-from spectral_cesaro.quadrature import _exact_sum
+from spectral_cesaro.quadrature import QuadratureResult, _exact_sum
 
 # catalogued closed-form integrals: (f, a, b, exact)
 CATALOG = [
@@ -81,6 +82,124 @@ def test_evaluations_count_the_calls(case):
     if case == "limit exhausted":
         assert r.evaluations == 21 * (2 * limit - 1)
         assert r.error_estimate > tol
+
+
+def test_empty_range_is_zero_from_no_evaluations():
+    for f in (np.exp, lambda t: np.exp(1j * t)):
+        for a in (0.5, math.inf, -math.inf):
+            r = sc.integrate(f, a, a)
+            assert (r.value, r.error_estimate, r.evaluations) == (0.0, 0.0, 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        QuadratureResult(value=0.0, error_estimate=0.0, evaluations=-1)
+
+
+class _WrongSignature:
+    """A stand-in extension loader whose ``_qagse``/``_qagie`` answer as quad
+    does with ``full_output=0``."""
+
+    def __init__(self, name, path):
+        self.name = name
+
+    def create_module(self, spec):
+        return None
+
+    def exec_module(self, module):
+        module._qagse = module._qagie = lambda *args: (0.5, 0.0, 0)
+
+
+class _NoExtension(_WrongSignature):
+    def create_module(self, spec):
+        raise ImportError("cannot load the extension")
+
+
+@pytest.fixture(params=["direct", "not loaded", "wrong signature"])
+def quadpack_route(request, monkeypatch):
+    """QUADPACK through the loaded extension, or through ``quad`` when the
+    loader fails or the module it loads does not answer with quad's signature."""
+    quadrature._quadpack.cache_clear()
+    if request.param != "direct":
+        loader = _NoExtension if request.param == "not loaded" else _WrongSignature
+        monkeypatch.setattr(quadrature, "ExtensionFileLoader", loader)
+    assert (quadrature._quadpack() is None) == (request.param != "direct")
+    yield request.param
+    quadrature._quadpack.cache_clear()
+
+
+def _sharp_peak(t):
+    return 1.0 / (1e-4 + (t - 0.37) ** 2)
+
+
+# the shapes of integral the package makes: (f, a, b, tol, limit)
+_QUAD_CASES = {
+    "finite": (lambda x: math.exp(-x) * math.sin(3 * x), 0.0, 2.0, 1e-12, 400),
+    "finite, epsrel above tol": (lambda x: 1.0 / (1.0 + x), 0.0, 50.0, 1e-15, 400),
+    "[a, inf)": (lambda u: u**-0.5 * math.exp(-u), 0.0, math.inf, 1e-10, 400),
+    "(-inf, b]": (lambda x: math.exp(x) / (1.0 + x * x), -math.inf, 0.5, 1e-12, 400),
+    "(-inf, inf)": _COUNT_CASES["line heat"],
+    "b < a": (lambda x: math.cos(x) ** 2, 3.0, -1.0, 1e-12, 400),
+    "b < a, infinite": (lambda x: math.exp(-x * x), math.inf, 1.0, 1e-12, 400),
+    "complex": (lambda t: np.exp(-t) * np.exp(1j * t), 0.0, math.inf, 1e-11, 400),
+    "lobe fallback": (_sharp_peak, 0.25, 0.5, 1e-13, 200),
+    "accuracy error": (lambda t: math.sin(1e5 * t), 0.0, 1.0, 1e-12, 200),
+    "limit exhausted": _COUNT_CASES["limit exhausted"],
+}
+
+
+def _quad_reference(f, a, b, tol, limit):
+    """(value, error, neval) of scipy's quad with integrate's arguments, both
+    parts of a complex integrand summed as integrate sums them."""
+    kw = dict(epsabs=tol, epsrel=max(tol, 1e-13), limit=limit, full_output=1)
+    if not isinstance(f(_probe(a, b)), complex):
+        val, err, info = quad(f, a, b, **kw)[:3]
+        return val, err, info["neval"]
+    vr, er, ir = quad(lambda x: np.real(f(x)), a, b, **kw)[:3]
+    vi, ei, ii = quad(lambda x: np.imag(f(x)), a, b, **kw)[:3]
+    return vr + 1j * vi, er + ei, ir["neval"] + ii["neval"]
+
+
+def _probe(a, b):
+    return quadrature._probe_point(a, b)
+
+
+@pytest.mark.parametrize("case", sorted(_QUAD_CASES))
+def test_quadpack_routes_are_quad_bit_for_bit(case, quadpack_route):
+    """Value, error estimate and count are quad's, on every route to QUADPACK."""
+    f, a, b, tol, limit = _QUAD_CASES[case]
+    value, err, neval = _quad_reference(f, a, b, tol, limit)
+    if case == "accuracy error":
+        with pytest.raises(AccuracyError) as info:
+            sc.integrate(f, a, b, tol=tol, limit=limit)
+        assert _bits(info.value.best_estimate) == _bits(value)
+        assert _bits(info.value.error_estimate) == _bits(err)
+        return
+    r = sc.integrate(f, a, b, tol=tol, limit=limit)
+    assert (_bits(r.value), _bits(r.error_estimate), r.evaluations) \
+        == (_bits(value), _bits(err), neval)
+
+
+def _bits(v):
+    return type(v), np.asarray(v).tobytes()
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.0, math.inf), (1.0, -math.inf)])
+def test_quadpack_routes_pass_errors_on_unchanged(a, b, quadpack_route):
+    """An exception from the integrand (after the probe call) propagates as
+    it is; an invalid limit raises quad's ValueError."""
+    failure = KeyError("integrand failed")
+
+    def f(x):
+        if x == _probe(a, b):
+            return 1.0
+        raise failure
+
+    with pytest.raises(KeyError) as info:
+        sc.integrate(f, a, b)
+    assert info.value is failure
+    with pytest.raises(ValueError) as ours:
+        sc.integrate(math.exp, a, b, limit=0)
+    with pytest.raises(ValueError) as scipys:
+        quad(math.exp, a, b, limit=0, full_output=1)
+    assert str(ours.value) == str(scipys.value)
 
 
 def test_lobe_sum_count_with_fallbacks(monkeypatch):

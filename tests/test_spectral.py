@@ -51,6 +51,16 @@ def test_free_line_density_riesz_float_matches_mpmath(k, log_lam, x, y):
     assert abs(f - float(g)) <= 1e-12 * math.sqrt(lam) / (2 * math.pi)
 
 
+def test_free_line_density_riesz_float_beta_is_correctly_rounded():
+    """The c = 0 float form takes B(1/2, k+1) rounded once from its exact
+    rational value, checked against mpmath at 50 digits."""
+    density_riesz = sc.weyl_density_measure().density_riesz
+    for k in range(60):
+        with mp.workdps(50):
+            beta = float(mp.beta(mp.mpf(1) / 2, k + 1))
+        assert density_riesz(k, 1.0, sc.measures._FloatBackend) == beta / (2.0 * math.pi)
+
+
 def _besselj_density_riesz(c, k, lam):
     """The half-integer Bessel form of the free-line Riesz integral, 150 digits."""
     with mp.workdps(150):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import spectral_cesaro as sc
 from spectral_cesaro.errors import ParameterError, UnsupportedOrderError
-from spectral_cesaro.testfn import finite_difference_derivative
+from spectral_cesaro.testfn import _bump_step, finite_difference_derivative
 
 
 class TestGaussian:
@@ -157,3 +157,30 @@ def test_scalar_call_is_the_ndim_path_bit_for_bit(kind, order, x, make):
     # the float fast path inside the evaluator agrees with its np.ndim path
     v = float(arg)
     assert _bits(phi._evaluate(v)) == _bits(phi._evaluate(np.float64(v)))
+
+
+def _bump_reference(a, b, order, x):
+    """The bump's scalar value with every factor formed per call, in the
+    evaluator's order of operations."""
+    poly, o = np.array([1.0]), 0
+    while o < order:
+        poly, o = _bump_step(poly, o)
+    u = (2.0 * float(x) - a - b) / (b - a)
+    if not -1.0 < u < 1.0:
+        return 0.0
+    q = 1.0 - u * u
+    acc = 0.0
+    for c in reversed(tuple(float(c) for c in poly)):
+        acc = acc * u + c
+    return acc / q ** (2 * order) * math.exp(-1.0 / q) * (2.0 / (b - a)) ** order
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(-3.0, 3.0), width=st.floats(1e-3, 5.0), order=st.integers(0, 8),
+       t=st.floats(-0.1, 1.1))
+def test_bump_scalar_value_is_the_per_call_formula_bit_for_bit(a, width, order, t):
+    b = a + width
+    x = a + t * width
+    value = sc.make_bump(a, b).derivative(order)(x)
+    assert type(value) is float
+    assert np.float64(value).tobytes() == np.float64(_bump_reference(a, b, order, x)).tobytes()
