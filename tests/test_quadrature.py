@@ -129,6 +129,10 @@ def _sharp_peak(t):
     return 1.0 / (1e-4 + (t - 0.37) ** 2)
 
 
+def _bits(v):
+    return type(v), np.asarray(v).tobytes()
+
+
 # the shapes of integral the package makes: (f, a, b, tol, limit)
 _QUAD_CASES = {
     "finite": (lambda x: math.exp(-x) * math.sin(3 * x), 0.0, 2.0, 1e-12, 400),
@@ -149,16 +153,12 @@ def _quad_reference(f, a, b, tol, limit):
     """(value, error, neval) of scipy's quad with integrate's arguments, both
     parts of a complex integrand summed as integrate sums them."""
     kw = dict(epsabs=tol, epsrel=max(tol, 1e-13), limit=limit, full_output=1)
-    if not isinstance(f(_probe(a, b)), complex):
+    if not isinstance(f(quadrature._probe_point(a, b)), complex):
         val, err, info = quad(f, a, b, **kw)[:3]
         return val, err, info["neval"]
     vr, er, ir = quad(lambda x: np.real(f(x)), a, b, **kw)[:3]
     vi, ei, ii = quad(lambda x: np.imag(f(x)), a, b, **kw)[:3]
     return vr + 1j * vi, er + ei, ir["neval"] + ii["neval"]
-
-
-def _probe(a, b):
-    return quadrature._probe_point(a, b)
 
 
 @pytest.mark.parametrize("case", sorted(_QUAD_CASES))
@@ -177,10 +177,6 @@ def test_quadpack_routes_are_quad_bit_for_bit(case, quadpack_route):
         == (_bits(value), _bits(err), neval)
 
 
-def _bits(v):
-    return type(v), np.asarray(v).tobytes()
-
-
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.0, math.inf), (1.0, -math.inf)])
 def test_quadpack_routes_pass_errors_on_unchanged(a, b, quadpack_route):
     """An exception from the integrand (after the probe call) propagates as
@@ -188,7 +184,7 @@ def test_quadpack_routes_pass_errors_on_unchanged(a, b, quadpack_route):
     failure = KeyError("integrand failed")
 
     def f(x):
-        if x == _probe(a, b):
+        if x == quadrature._probe_point(a, b):
             return 1.0
         raise failure
 
