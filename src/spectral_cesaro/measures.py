@@ -5,8 +5,8 @@ A :class:`SpectralMeasure` may hold explicit atoms, an atom generator
 spectral cutoff), and/or a continuous part given by the closed form of its
 Riesz integral. Riesz-mean evaluation has a float backend (correctly
 rounded sums by ``quadrature._exact_sum``, which returns what ``math.fsum``
-returns but works on whole arrays) and an mpmath backend for the
-cancellation-dominated regimes where doubles are not enough. Both read
+returns by error-free extraction over whole arrays) and an mpmath backend
+for the cancellation-dominated regimes where doubles are not enough. Both read
 their atoms through :meth:`SpectralMeasure.atom_arrays`, from tables that
 one loop grows with the cutoff, one table per backend. On both backends a
 table is filled with one generator call per chunk where the generator
@@ -207,13 +207,12 @@ class SpectralMeasure:
     def from_atoms(cls, positions, weights):
         pos = [float(p) for p in positions]
         wts = list(weights)
-        if any(b <= a for a, b in zip(pos, pos[1:])):
+        # arrays for an index-array call; the given weights for the mpmath backend
+        P, W = np.array(pos), np.array(wts)
+        if np.any(np.diff(P) <= 0):
             raise ParameterError("atom positions must be strictly increasing")
         if not pos:
             raise DataError("measure needs at least one atom")
-
-        # arrays for an index-array call; the given weights for the mpmath backend
-        P, W = np.array(pos), np.array(wts)
 
         def atom_fn(n, B):
             if not isinstance(n, np.ndarray):
@@ -350,11 +349,10 @@ class SpectralMeasure:
         """Write nonzero-weight atoms below lam_max as lambda,weight_re,weight_im rows."""
         pos, wts = self.atom_arrays(lam_max)
         wts = np.asarray(wts, dtype=complex)
+        rows = [f"{p!r},{re!r},{im!r}" for p, re, im
+                in zip(pos.tolist(), wts.real.tolist(), wts.imag.tolist())]
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["lambda", "weight_re", "weight_im"])
-            for p, wt in zip(pos, wts):
-                w.writerow([repr(float(p)), repr(float(wt.real)), repr(float(wt.imag))])
+            fh.write("\r\n".join(["lambda,weight_re,weight_im", *rows, ""]))
 
     @classmethod
     def load_csv(cls, path):
@@ -362,29 +360,40 @@ class SpectralMeasure:
 
         Raises :class:`DataError`, naming the file (and the line), for an
         empty file, a wrong header, a row with fewer than three fields or a
-        field that is not a number.
+        field that is not a number (found by :mod:`csv` where ``np.loadtxt`` fails).
         """
         with open(path, newline="") as fh:
-            r = csv.reader(fh)
-            header = next(r, None)
-            if header is None:
-                raise DataError(f"{path}: empty file, expected a CSV header")
-            if [h.strip() for h in header] != ["lambda", "weight_re", "weight_im"]:
-                raise DataError(f"{path}: unexpected CSV header {header!r}")
-            pos, wts = [], []
+            lines = fh.read().splitlines()
+        r = csv.reader(lines)
+        header = next(r, None)
+        if header is None:
+            raise DataError(f"{path}: empty file, expected a CSV header")
+        if [h.strip() for h in header] != ["lambda", "weight_re", "weight_im"]:
+            raise DataError(f"{path}: unexpected CSV header {header!r}")
+        rows = lines[1:]
+        if not rows:
+            return cls()
+        try:
+            data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2,
+                              usecols=(0, 1, 2)) if all(rows) else None
+        except ValueError:
+            data = None
+        if data is None:
+            data = []
             for row in r:
                 if len(row) < 3:
                     raise DataError(f"{path}: line {r.line_num} has {len(row)} "
                                     f"fields, expected 3")
                 try:
-                    pos.append(float(row[0]))
-                    wts.append(float(row[1]) + 1j * float(row[2]))
+                    data.append([float(v) for v in row[:3]])
                 except ValueError as err:
                     raise DataError(f"{path}: line {r.line_num}: {err}") from None
-        if not pos:
-            return cls()
-        wts = [w.real if w.imag == 0 else w for w in wts]
-        return cls.from_atoms(pos, wts)
+            data = np.array(data)
+        with np.errstate(invalid="ignore"):     # inf * 0j, as Python has it
+            w = data[:, 1] + 1j * data[:, 2]    # float(re) + 1j * float(im)
+        wts = (w.real.tolist() if not w.imag.any()
+               else [v.real if v.imag == 0 else v for v in w.tolist()])
+        return cls.from_atoms(data[:, 0].tolist(), wts)
 
 
 def riesz_mean(measure: SpectralMeasure, k: int, lam: float, dps: Optional[int] = None):
@@ -392,8 +401,8 @@ def riesz_mean(measure: SpectralMeasure, k: int, lam: float, dps: Optional[int] 
 
     Atoms exactly at lam are excluded (strict inequality). ``dps`` selects the
     mpmath backend with that many digits; default is the float backend,
-    whose atom terms are added by ``quadrature._exact_sum``: an exact sum of
-    exponent buckets rounded once, so the result is the correctly rounded
+    whose atom terms are added by ``quadrature._exact_sum`` (error-free
+    extraction over whole arrays), so the result is the correctly rounded
     sum of the terms, the double ``math.fsum`` returns, whatever their order
     and cancellation. The mpmath backend's atom part is the exact sum over
     the atoms rounded once at the working precision, an mpc when one of their
@@ -422,11 +431,8 @@ def riesz_mean(measure: SpectralMeasure, k: int, lam: float, dps: Optional[int] 
         pos, wts = measure.atom_arrays(lam)
         if len(pos):
             terms = wts * (1.0 - pos / lam) ** k
-            if np.iscomplexobj(terms):
-                is_complex = True
-                total += complex(_exact_sum(terms.real), _exact_sum(terms.imag))
-            else:
-                total += _exact_sum(terms)
+            is_complex = np.iscomplexobj(terms)
+            total += _exact_sum(terms)
         if measure.density_riesz is not None:
             total += measure.density_riesz(k, lam, _FloatBackend)
         return complex(total) if is_complex or total.imag != 0 else total.real

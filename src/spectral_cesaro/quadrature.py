@@ -19,7 +19,8 @@ vectorised evaluation of the integrand. Lobes that step does not accept
 fall back to :func:`integrate`, which subdivides them adaptively.
 
 The module also holds :func:`_exact_sum`, the correctly rounded sum of a
-float array that the Riesz means and the eigen-series share.
+float array that the Riesz means and the eigen-series share, by error-free
+extraction (Rump, Ogita & Oishi, 2008).
 """
 
 from __future__ import annotations
@@ -157,10 +158,12 @@ def integrate(f, a, b, tol=1e-10, limit=400):
     a wide margin. ``evaluations`` is QUADPACK's count of calls to ``f``
     (summed over both parts of a complex integrand); the probe call that
     tells real from complex is not counted. An empty range (a == b) gives
-    value 0 and error 0 from no evaluations.
+    value 0 and error 0 from no evaluations; a NaN limit, ParameterError.
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
+    if math.isnan(a) or math.isnan(b):
+        raise ParameterError("integration limits must not be NaN")
     probe = f(_probe_point(a, b))
     if np.iscomplexobj(probe) or isinstance(probe, complex):
         vr, er, nr = _quad_counted(lambda x: np.real(f(x)), a, b, tol, limit)
@@ -311,48 +314,57 @@ def lobe_sum(f, breakpoints, tol=1e-12):
                             evaluations=calls)
 
 
-_SUM_BLOCK = 1 << 14        # entries split at a time; bounds the temporaries
-_SUM_RUN = 1 << 25          # entries per pair of bucket accumulators
-_SPLIT = 2.0**27 + 1.0      # Veltkamp's splitter for 53-bit doubles
-_SPLIT_MAX = 2.0**995       # x * _SPLIT overflows from about 2**996
-_BUCKETS = 2100             # frexp exponents -1073 .. 1024, shifted by 1075
+_SUM_BLOCK = 1 << 10        # entries per block; each block of q sums exactly
 
 
 def _exact_sum(x):
-    """The correctly rounded sum of the 1-D float array ``x``.
+    """The correctly rounded sum of the 1-D array ``x``: the double (for a
+    complex x, the pair of doubles) ``math.fsum`` returns, by error-free
+    extraction (Rump, Ogita & Oishi, "Accurate floating-point summation,
+    Part I: faithful rounding", SIAM J. Sci. Comput. 31(1), 2008).
 
-    Returns the double ``math.fsum(x)`` returns, without walking the array
-    one element at a time. Each entry is split exactly into two halves of at
-    most 26 significant bits (Veltkamp), and each half is added into a bucket
-    for the binary exponent of its entry. Every partial sum in a bucket is
-    then a multiple of the bucket's unit with at most 27 + log2(n) bits, so
-    the bucket totals are exact while n < 2**25 entries share an
-    accumulator; ``math.fsum`` over the nonzero totals (at most 4200 per
-    2**25 entries) rounds their exact sum once.
+    With |p| <= 2**e for the residual p (x at first), blocks of m <= 1024
+    entries and 2**k >= m + 2, a pass sets sigma = 2**(e + k) and forms
+    q = (sigma + p) - sigma, the block sums tau of q and p <- p - q, all
+    exactly: q is a multiple of u*sigma (u = 2**-53) of size at most 2**e,
+    so a block's partial sums are multiples of u*sigma below sigma, and the
+    new |p| <= u*sigma. The rounded block sums of the new p are each within
+    2(m - 1)u * m*u*sigma of exact, so sum(x) is within B = blocks * m**2 *
+    2**-52 * u*sigma of S, the taus plus these sums. Rounding is monotone:
+    once ``math.fsum`` rounds S - B and S + B alike, that is the answer,
+    mostly after one pass. Every second pass resets the bound to max|p|, so
+    that an exactly zero or tied sum, never certified, ends when p is 0.
 
     Falls back to ``math.fsum`` over the whole array, in order, when it has
     fewer than 64 entries, an entry is not finite or has magnitude 2**995 or
-    more (where the split overflows), or every entry is zero: NaN, inf,
-    ``ValueError`` for inf - inf, ``OverflowError`` and the sign of a zero
-    sum are then exactly as ``math.fsum`` gives them.
+    more, or every entry is zero: NaN, inf, ``ValueError`` for inf - inf,
+    ``OverflowError`` and the sign of a zero sum are then exactly as
+    ``math.fsum`` gives them.
     """
-    if len(x) < 64 or not (-_SPLIT_MAX < x.min() and x.max() < _SPLIT_MAX):
+    if x.dtype.kind == "c":     # contiguous copies: strided views sum slower
+        return complex(_exact_sum(x.real.copy()), _exact_sum(x.imag.copy()))
+    lo, hi = (x.min(), x.max()) if len(x) >= 64 else (0.0, 0.0)   # short: fsum
+    if not (-2.0**995 < lo and hi < 2.0**995) or lo == hi == 0.0:
         return math.fsum(x.tolist())
-    totals = []
-    for run in range(0, len(x), _SUM_RUN):
-        hi_tot, lo_tot = np.zeros(_BUCKETS), np.zeros(_BUCKETS)
-        for start in range(run, min(run + _SUM_RUN, len(x)), _SUM_BLOCK):
-            b = x[start:start + _SUM_BLOCK]
-            bucket = np.frexp(b)[1]
-            bucket += 1075
-            hi = b * _SPLIT
-            lo = hi - b
-            np.subtract(hi, lo, out=hi)
-            np.subtract(b, hi, out=lo)
-            hi_tot += np.bincount(bucket, weights=hi, minlength=_BUCKETS)
-            lo_tot += np.bincount(bucket, weights=lo, minlength=_BUCKETS)
-        totals += [hi_tot[hi_tot != 0], lo_tot[lo_tot != 0]]
-    totals = np.concatenate(totals)
-    if not len(totals) and not x.any():
-        return math.fsum(x.tolist())
-    return math.fsum(totals.tolist())
+    n, m = len(x), min(len(x), _SUM_BLOCK)
+    k = (m + 1).bit_length()                # 2**k >= m + 2
+    starts = np.arange(0, n, m)
+    e = math.frexp(max(hi, -lo))[1]         # |x| < 2**e
+    p, q, residual = x, np.empty(n), np.empty(n)
+    taus = []
+    for npass in itertools.count(1):
+        sigma = math.ldexp(1.0, e + k)
+        np.add(p, sigma, out=q)
+        q -= sigma
+        taus += np.add.reduceat(q, starts).tolist()
+        p = np.subtract(p, q, out=residual)
+        e += k - 53                         # |p| <= u*sigma
+        parts = taus + np.add.reduceat(p, starts).tolist()
+        slack = math.ldexp(len(starts) * m * m, e - 52)
+        if math.fsum(parts + [-slack]) == math.fsum(parts + [slack]):
+            return math.fsum(parts)
+        if npass % 2 == 0:
+            top = np.abs(p, out=q).max()
+            if top == 0.0:
+                return math.fsum(taus)
+            e = math.frexp(top)[1]

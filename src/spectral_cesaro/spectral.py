@@ -175,10 +175,7 @@ def _sine_series(x: float, y: float, n: int, g):
     are each added by ``_exact_sum``.
     """
     ks = np.arange(1, n + 1)
-    terms = (2.0 / math.pi) * np.sin(ks * x) * np.sin(ks * y) * g(ks)
-    if terms.dtype.kind == "c":     # contiguous copies: strided views sum slower
-        return complex(_exact_sum(terms.real.copy()), _exact_sum(terms.imag.copy()))
-    return _exact_sum(terms)
+    return _exact_sum((2.0 / math.pi) * np.sin(ks * x) * np.sin(ks * y) * g(ks))
 
 
 def density_smear_interval(x: float, y: float, phi: TestFunction,

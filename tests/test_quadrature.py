@@ -46,6 +46,15 @@ def test_bad_tolerance_rejected():
         sc.integrate(np.exp, 0, 1, tol=0.0)
 
 
+@pytest.mark.parametrize("a, b", [(0.0, math.nan), (math.nan, 1.0),
+                                  (-math.inf, math.nan)])
+def test_nan_limit_rejected_before_any_call(a, b):
+    g = _counted(math.exp)
+    with pytest.raises(ParameterError, match="NaN"):
+        sc.integrate(g, a, b)
+    assert g.calls == 0
+
+
 def _counted(f):
     """f with a count of its calls in ``.calls``."""
     def g(x):
@@ -328,6 +337,13 @@ def _float_arrays(draw):
     return x
 
 
+def _shuffled(x, negated=False):
+    """x, and -x too if ``negated`` (an exactly zero sum), in a fixed random order."""
+    x = np.concatenate([x, -x]) if negated else x.copy()
+    np.random.default_rng(0).shuffle(x)
+    return x
+
+
 @settings(max_examples=150, deadline=None)
 @given(x=st.one_of(
     _float_arrays(),
@@ -336,6 +352,24 @@ def _float_arrays(draw):
 @example(x=np.full(100, -0.0))
 @example(x=np.array([1.0, -1.0] * 50))
 @example(x=np.array([2.0**-1074, -(2.0**-1022)] * 2**13 + [1.0] * 200))
+# exact ties, which no bound certifies, round to even: down from 1 + 2**-53,
+# up from 1 + 3 * 2**-53; 2**-105 above a tie rounds up
+@example(x=np.array([1.0, 2.0**-53] + [0.0] * 62))
+@example(x=np.array([1.0 + 2.0**-52, 2.0**-53] + [0.0] * 62))
+@example(x=np.array([1.0, 2.0**-53, 2.0**-105] + [0.0] * 61))
+# nonzero entries that cancel exactly, shuffled
+@example(x=_shuffled(np.ldexp(np.arange(1.0, 51.0), np.arange(-1074, 976, 41)),
+                     negated=True))
+# 1,074 binades, all but the two smallest entries cancelled
+@example(x=_shuffled(np.concatenate([2.0 ** np.arange(-1074.0, 0.0), [2.0**-1074],
+                                     -(2.0 ** np.arange(-1073.0, 0.0))])))
+# lengths at the boundaries of 2**k >= n + 2, and one past a 1024-entry block
+@example(x=np.random.default_rng(1).uniform(-1.0, 1.0, 2**14 - 2))
+@example(x=np.random.default_rng(2).uniform(-1.0, 1.0, 2**14 - 1))
+@example(x=np.random.default_rng(3).uniform(-1.0, 1.0, 2**17 - 2))
+@example(x=np.random.default_rng(4).uniform(-1.0, 1.0, 1025))
+# a strided view: the real part of a complex array
+@example(x=np.exp(1j * np.arange(3000.0)).real)
 def test_exact_sum_is_fsum_bit_for_bit(x):
     assert _sum_outcome(_exact_sum, x) == _sum_outcome(math.fsum, x)
 
