@@ -14,6 +14,7 @@ writes the best estimate to stderr, nothing to stdout, and exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -35,7 +36,10 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EX_USAGE)
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process and reused by every
+    :func:`main` call; parsing leaves it unchanged."""
     p = _Parser(prog="spectral-cesaro",
                 description="Summability and Green-kernel verification toolkit")
     sub = p.add_subparsers(dest="command", required=True)

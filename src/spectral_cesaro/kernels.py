@@ -430,11 +430,22 @@ def small_t_coefficients(kind: str, case: str, x: float, y: float,
 # -------------------------------------------------------- averaged smears
 
 def _schrodinger_breakpoints(r2: float, eps: float, a: float, b: float):
-    """Zeros of cos/sin of the phase r2/(4 eps t) inside [a, b], ascending."""
+    """Zeros of cos/sin of the phase r2/(4 eps t) inside [a, b], ascending.
+
+    Raises ParameterError, before any list is built, where there would be
+    more than ``_MAX_SERIES_TERMS`` of them (a support reaching close to 0).
+    """
     theta = lambda t: r2 / (4.0 * eps * t)
-    hi, lo = theta(a), theta(b)     # theta decreases in t
-    k0, k1 = int(math.ceil(lo / math.pi)), int(math.floor(hi / math.pi))
-    pts = [r2 / (4.0 * eps * k * math.pi) for k in range(k0, k1 + 1) if k > 0]
+    lo = theta(b)                   # theta decreases in t
+    hi = theta(a) if 4.0 * eps * a > 0.0 else math.inf   # 4 eps a may underflow
+    k0 = max(int(math.ceil(lo / math.pi)), 1)
+    k1 = int(math.floor(hi / math.pi)) if math.isfinite(hi) else math.inf
+    if k1 - k0 + 1 > _MAX_SERIES_TERMS:
+        raise ParameterError(
+            f"schrodinger smear over the support [{a!r}, {b!r}] at eps={eps!r} "
+            f"would split at {k1 - k0 + 1:.3g} phase zeros, more than the "
+            f"budget of {_MAX_SERIES_TERMS}")
+    pts = [r2 / (4.0 * eps * k * math.pi) for k in range(k0, k1 + 1)]
     return sorted(p for p in pts if a < p < b)
 
 
@@ -448,7 +459,8 @@ def averaged_smear(kind: str, case: str, x: float, y: float,
     256 lobes at a time, with adaptive quadrature only for the lobes that
     pass rejects. Its integrands are numpy expressions in ``t``, so ``phi``
     must accept arrays, and ``phi`` must be supported in a compact subset of
-    t > 0 (ParameterError before any quadrature otherwise); the diagonal
+    t > 0 (ParameterError before any quadrature otherwise, also where a
+    term would need more than ``_MAX_SERIES_TERMS`` lobes); the diagonal
     term alone takes any decaying ``phi``. Decaying profiles use plain
     adaptive quadrature.
     """

@@ -264,12 +264,12 @@ def lobe_sum(f, breakpoints, tol=1e-12):
     lobe gets the first step of QUADPACK's ``dqagse`` (the ``dqk21`` rule
     and its acceptance test). A lobe that step accepts gets, bit for bit,
     the value and error estimate ``dqagse`` (and so
-    ``scipy.integrate.quad``) returns from the same integrand values. Every other lobe, or one whose estimate
-    :func:`integrate` would refuse, is integrated by :func:`integrate`
-    (``limit=200``), which calls ``f`` at scalar points, subdivides
-    adaptively and raises :class:`AccuracyError` as before. A complex
-    ``f`` is treated as :func:`integrate` treats it: real and imaginary
-    parts separately, the lobe accepted only if both are.
+    ``scipy.integrate.quad``) returns from the same integrand values. Every
+    other lobe, or one whose estimate :func:`integrate` would refuse, is
+    integrated by :func:`integrate` (``limit=200``), which calls ``f`` at
+    scalar points, subdivides adaptively and raises :class:`AccuracyError`
+    as before. A complex ``f`` is treated as :func:`integrate` treats it:
+    real and imaginary parts separately, the lobe accepted only if both are.
 
     Returns a :class:`QuadratureResult` whose error estimate is the sum of
     the lobes' estimates; ``evaluations`` counts 21 nodes per part of each

@@ -10,12 +10,16 @@ one point.
 
 :func:`_sine_series` is the only float eigen-series of the interval; the
 staircase, the density smear and every interval kernel pair its atoms with
-their profile g through it.
+their profile g through it. It keeps one read-only table of the atoms at
+the most recent (x, y), at most 2**16 of them (512 KB), so the calls of a
+smear, which move only t, take their sines from it; each entry is the
+product formed without the table, so no sum moves by a bit.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -67,6 +71,9 @@ NAMED_DENSITIES = ("free_line", "free_space", "interval_staircase", "weyl")
 _SMEAR_TAIL_TOL = 1e-14
 # the most terms of one interval eigen-series: the smear's and the kernels'
 _MAX_SERIES_TERMS = 10**7
+# the most atoms _sine_series keeps (512 KB), and the key and table it keeps
+_SINE_TABLE_CAP = 1 << 16
+_sine_cache = (None, None)
 _OFFDIAG_BETA = -4.0
 _OFFDIAG_MAX_ORDER = 8
 _OFFDIAG_DPS = 30
@@ -168,15 +175,43 @@ def staircase_interval(x: float, y: float, lam: float) -> float:
     return _sine_series(x, y, math.isqrt(int(lam)), lambda k: 1.0)
 
 
+def _sine_table(x: float, y: float, size: int):
+    """(2/pi) sin(kx) sin(ky) for k = 1..size, read-only."""
+    ks = np.arange(1, size + 1)
+    table = (2.0 / math.pi) * np.sin(ks * x) * np.sin(ks * y)
+    table.flags.writeable = False
+    return table
+
+
 def _sine_series(x: float, y: float, n: int, g):
     """sum_{k=1}^{n} (2/pi) sin(kx) sin(ky) g(k), each part correctly rounded.
 
     The atoms of ``interval_measure`` paired with a profile ``g``, which maps
     the array ``np.arange(1, n + 1)`` to its values; real and imaginary parts
     are each added by ``_exact_sum``.
+
+    The atoms (2/pi) sin(kx) sin(ky) of the most recent float (x, y) are
+    kept in one read-only table, keyed on the bits of x and y (so -0.0 and
+    0.0 differ), which grows by doubling while the key stays and is
+    replaced when it changes; only t moves between the calls of a smear.
+    Above ``_SINE_TABLE_CAP`` terms, or for a non-float x or y, the atoms
+    are computed for the call alone. A table entry is the product
+    (2/pi) * sin(kx) * sin(ky) formed in that order, as without the table,
+    and numpy's sine of an entry does not depend on the array's length, so
+    every sum is bit for bit the uncached one. The key and the table are
+    read as one immutable pair, so threads may share the table.
     """
+    global _sine_cache
     ks = np.arange(1, n + 1)
-    return _exact_sum((2.0 / math.pi) * np.sin(ks * x) * np.sin(ks * y) * g(ks))
+    if n > _SINE_TABLE_CAP or not (isinstance(x, float) and isinstance(y, float)):
+        return _exact_sum(_sine_table(x, y, n) * g(ks))
+    key = struct.pack("<2d", x, y)
+    held, table = _sine_cache
+    if held != key or len(table) < n:
+        size = n if held != key else min(max(n, 2 * len(table)), _SINE_TABLE_CAP)
+        table = _sine_table(x, y, size)
+        _sine_cache = (key, table)
+    return _exact_sum(table[:n] * g(ks))
 
 
 def density_smear_interval(x: float, y: float, phi: TestFunction,

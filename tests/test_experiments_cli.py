@@ -423,3 +423,28 @@ def test_console_script_usage_error_subprocess():
     proc = subprocess.run([sys.executable, "-m", "spectral_cesaro.cli",
                            "verify"], capture_output=True)
     assert proc.returncode == 64
+
+
+def test_one_parser_serves_successive_calls(capsys):
+    """The parser is built once; a usage error it raised leaves it as it
+    was for the next call, whose output is a fresh process's to the byte."""
+    cli._build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["kernel", "heat", "interval", "--t", "0.1", "--x", "1", "--y", "2",
+                  "--method", "bogus"])
+    assert exc.value.code == 64
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    argv = ["kernel", "cylinder", "interval", "--t", "0.05", "--x", "1", "--y", "2",
+            "--method", "spectral_sum"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    src = str(Path(spectral_cesaro.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "spectral_cesaro.cli", *argv],
+                          env=env, capture_output=True)
+    assert proc.returncode == 0 and proc.stdout == out.encode()
+    assert cli.main(["verify", "poisson-tail", "--dps", "10"]) == 64
+    assert capsys.readouterr().err == "usage error: dps must be at least 15, got 10\n"
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)

@@ -385,6 +385,34 @@ class TestAveragedSmear:
                * sc.integrate(lambda t: phi(t) / math.sqrt(t), 0.0, 1.0, tol=1e-13).value)
         assert abs(v - ref) / abs(ref) < 1e-10
 
+    @pytest.mark.parametrize("case", ["line", "interval"])
+    @pytest.mark.parametrize("lo", [1e-12, 5e-324])
+    def test_schrodinger_lobes_past_the_budget_are_refused(self, monkeypatch, case, lo):
+        """A support reaching down to 1e-12 would split at about 8e12 phase
+        zeros, and one from 5e-324 (where 4 eps t underflows to 0) at
+        infinitely many; refused from their count, before any list or
+        quadrature."""
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature past the lobe budget")
+        monkeypatch.setattr(sc.kernels, "lobe_sum", no_quadrature)
+        monkeypatch.setattr(sc.kernels, "integrate", no_quadrature)
+        with pytest.raises(ParameterError, match=rf"support \[{lo!r}, 1\.0\] at "
+                           r"eps=0\.01 .*budget of 10000000"):
+            sc.averaged_smear("schrodinger", case, 1.0, 2.0, sc.make_bump(lo, 1.0), 0.01)
+
+    def test_schrodinger_lobe_budget_counts_the_phase_zeros(self, monkeypatch):
+        """At (1, 2), eps = 0.01 the support [0.01, 1] holds the 788 zeros
+        k = 8..795: a budget of 788 takes them, one of 787 refuses."""
+        zeros = sc.kernels._schrodinger_breakpoints(1.0, 0.01, 0.01, 1.0)
+        assert len(zeros) == 788
+        monkeypatch.setattr(sc.kernels, "_MAX_SERIES_TERMS", 788)
+        assert sc.kernels._schrodinger_breakpoints(1.0, 0.01, 0.01, 1.0) == zeros
+        monkeypatch.setattr(sc.kernels, "_MAX_SERIES_TERMS", 787)
+        with pytest.raises(ParameterError, match="788 phase zeros"):
+            sc.kernels._schrodinger_breakpoints(1.0, 0.01, 0.01, 1.0)
+        with pytest.raises(ParameterError, match="inf phase zeros"):
+            sc.kernels._schrodinger_breakpoints(1.0, 0.01, 5e-324, 1.0)
+
 
 @pytest.mark.parametrize("call", [
     lambda: sc.heat_kernel("interval", 1e-20, 1.0, 2.0, "spectral_sum"),

@@ -1,6 +1,8 @@
 """Spectral densities, staircases, smears, and the Cesaro-averaged checks."""
 
 import math
+import struct
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -361,6 +363,89 @@ def test_sine_series_complex_parts_are_fsums_bit_for_bit():
         assert type(v) is complex
         assert (v.real, v.imag) == (math.fsum(terms.real.tolist()),
                                     math.fsum(terms.imag.tolist()))
+
+
+# ------------------------------------------------- the retained sine table
+
+def _uncached_sine_series(x, y, n, g):
+    ks = np.arange(1, n + 1)
+    return _exact_sum((2.0 / math.pi) * np.sin(ks * x) * np.sin(ks * y) * g(ks))
+
+
+def _bits(v):
+    return struct.pack("<2d", v.real, v.imag)
+
+
+_CAP = sc.spectral._SINE_TABLE_CAP
+_PROFILES = {
+    "staircase": lambda t: lambda k: 1.0,
+    "heat": lambda t: lambda k: np.exp(-k**2 * t),
+    "cylinder": lambda t: lambda k: np.exp(-k * t),
+    "wightman": lambda t: lambda k: (np.exp(1j * k * t) / (2 * k)
+                                     * (1.0 - k / (len(k) + 1.0))),
+}
+_TABLE_POINTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, math.pi]),
+                          st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=st.lists(st.tuples(_TABLE_POINTS, _TABLE_POINTS), min_size=1, max_size=3),
+       calls=st.lists(st.tuples(
+           st.integers(0, 2),
+           st.one_of(st.integers(0, 3000),
+                     st.sampled_from([0, 1, _CAP // 2 + 1, _CAP - 1, _CAP, _CAP + 1])),
+           st.sampled_from(sorted(_PROFILES)),
+           st.floats(1e-3, 2.0)), min_size=1, max_size=8))
+@example(points=[(0.0, 1.0), (-0.0, 1.0)],
+         calls=[(0, 50, "staircase", 1.0), (1, 50, "staircase", 1.0),
+                (0, 50, "staircase", 1.0)])
+@example(points=[(1.0, 2.0)],
+         calls=[(0, 10, "heat", 0.5), (0, 3000, "cylinder", 0.01),
+                (0, 0, "heat", 0.5), (0, 7, "wightman", 0.3), (0, _CAP + 1, "heat", 0.5),
+                (0, _CAP, "wightman", 0.3)])
+def test_sine_series_is_the_uncached_formula_bit_for_bit(points, calls):
+    """Whatever the retained table holds, each call sums the products the
+    uncached formula forms: interleaved keys, n growing and shrinking,
+    n = 0, n past the cap, x = +-0.0 and a complex profile."""
+    for i, n, profile, t in calls:
+        x, y = points[i % len(points)]
+        g = _PROFILES[profile](t)
+        got = sc.spectral._sine_series(x, y, n, g)
+        want = _uncached_sine_series(x, y, n, g)
+        assert type(got) is type(want)
+        assert _bits(got) == _bits(want), (x, y, n, profile, t)
+        key, table = sc.spectral._sine_cache
+        assert not table.flags.writeable and len(table) <= _CAP
+
+
+def test_one_read_only_sine_table_is_retained(monkeypatch):
+    """One table at a time: it grows by doubling at the same (x, y), serves
+    shorter series as it is, is left alone past the cap, and is dropped for
+    a new (x, y), where -0.0 is not 0.0."""
+    spectral = sc.spectral
+    monkeypatch.setattr(spectral, "_sine_cache", (None, None))
+    spectral._sine_series(1.0, 2.0, 100, lambda k: 1.0)
+    key, table = spectral._sine_cache
+    assert len(table) == 100 and not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 0.0
+    small = weakref.ref(table)
+    del table
+    spectral._sine_series(1.0, 2.0, 150, lambda k: 1.0)
+    assert small() is None and len(spectral._sine_cache[1]) == 200
+    grown = weakref.ref(spectral._sine_cache[1])
+    for n in (30, 200, 0, _CAP + 1):
+        spectral._sine_series(1.0, 2.0, n, lambda k: 1.0)
+        assert spectral._sine_cache == (key, grown())
+    spectral._sine_series(1.0, 2.0, _CAP - 1, lambda k: 1.0)
+    assert grown() is None and len(spectral._sine_cache[1]) == _CAP - 1
+    spectral._sine_series(1.0, 2.0, _CAP, lambda k: 1.0)
+    assert len(spectral._sine_cache[1]) == _CAP
+    spectral._sine_series(-0.0, 2.0, 10, lambda k: 1.0)
+    minus = spectral._sine_cache
+    spectral._sine_series(0.0, 2.0, 10, lambda k: 1.0)
+    assert spectral._sine_cache[0] != minus[0]
+    assert _bits(minus[1][0]) != _bits(spectral._sine_cache[1][0])   # -0.0 vs 0.0
 
 
 # ------------------------------------------- the mpmath interval atom table
