@@ -10,6 +10,7 @@ import sys
 import numpy as np
 
 import spectral_cesaro as sc
+from spectral_cesaro.experiments import ExperimentConfig, run_experiment
 
 x = 1.0
 print(f"diagonal staircase at x = {x}: raw jumps vs the smooth Weyl density")
@@ -27,9 +28,9 @@ print()
 print("raw values oscillate at the percent level forever;")
 print("the order-2 averaged ratio converges like a power of 1/lambda.")
 
-rep = sc.diagonal_weyl_check(x, 2, [1e4, 1e6])
-print(f"diagonal_weyl_check: {rep.verdict}, worst relative difference "
-      f"{rep.residual:.2e}")
+report, _ = run_experiment(ExperimentConfig("weyl-diagonal", x=x))
+worst = max(p["relative_difference"] for p in report.probes)
+print(f"weyl-diagonal: {report.verdict}, worst relative difference {worst:.2e}")
 
 out = sys.argv[1] if len(sys.argv) > 1 else None
 if out:

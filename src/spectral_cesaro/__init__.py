@@ -9,9 +9,8 @@ from .summability import (CesaroReport, FinitePart, cesaro_limit,
                           cesaro_order_test, finite_part_eval, point_value)
 from .spectral import (DensityEval, WkbTable, density_free_line,
                        density_free_space, density_smear_interval,
-                       diagonal_weyl_check, evaluate_named_density,
-                       free_line_density_measure, interval_measure,
-                       interval_minus_free_measure,
+                       evaluate_named_density, free_line_density_measure,
+                       interval_measure, interval_minus_free_measure,
                        offdiagonal_equivalence_check, staircase_interval,
                        weyl_density_measure, wkb_coefficients)
 from .kernels import (ExpansionCoefficients, KernelEval, averaged_smear,

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import kernels, spectral
 from .errors import BoundaryError, ParameterError, SingularityError
+from .measures import riesz_mean
 from .quadrature import integrate
 from .summability import FinitePart, finite_part_eval
 from .testfn import make_bump
@@ -176,13 +177,16 @@ def _exp_theta_sum(cfg):
 
 def _exp_weyl_diagonal(cfg):
     """Riesz-2 mean of the diagonal sine series against the smooth Weyl density."""
-    checks = [(1e4, 1e-2), (1e6, 3e-3)]
-    rep = spectral.diagonal_weyl_check(cfg.x, cfg.k, [lam for lam, _ in checks])
-    rels = rep.details["relative_differences"]
-    ok = all(rel < tol for rel, (_, tol) in zip(rels, checks))
-    probes = [{"lambda": lam, "relative_difference": rel, "tol": tol}
-              for rel, (lam, tol) in zip(rels, checks)]
-    rows = [(lam, rel) for rel, (lam, _) in zip(rels, checks)]
+    if not 0.0 < cfg.x < math.pi:
+        raise ParameterError("x must lie in (0, pi)")
+    atomic, smooth = spectral.interval_measure(cfg.x), spectral.weyl_density_measure()
+    probes, rows = [], []
+    for lam, tol in [(1e4, 1e-2), (1e6, 3e-3)]:
+        a, s = riesz_mean(atomic, cfg.k, lam), riesz_mean(smooth, cfg.k, lam)
+        rel = abs(a - s) / abs(s)
+        probes.append({"lambda": lam, "relative_difference": rel, "tol": tol})
+        rows.append((lam, rel))
+    ok = all(p["relative_difference"] < p["tol"] for p in probes)
     report = ExperimentReport("weyl-diagonal", "pass" if ok else "fail", probes)
     return report, {"weyl_diagonal.csv": _csv_rows(["lambda", "value"], rows)}
 

@@ -2,11 +2,12 @@
 
 Closed forms: the free-line density cos(sqrt(lam) (x-y)) / (2 pi sqrt(lam)),
 its d-dimensional Bessel generalization, and the Dirichlet-interval
-sine-series density. Cesaro-averaged comparisons (Weyl law on the diagonal,
-free-line equivalence off the diagonal) are exposed as report-producing
-checks. The WKB table (:func:`wkb_coefficients`) holds the high-frequency
-expansion of the density of -d2/dx2 + V, read from V, V', V'' and V''' at
-one point.
+sine-series density. The Cesaro-averaged free-line equivalence off the
+diagonal is a report-producing check; the Weyl law on the diagonal is
+checked by the ``weyl-diagonal`` experiment, from the Riesz means of
+:func:`interval_measure` and :func:`weyl_density_measure`. The WKB table
+(:func:`wkb_coefficients`) holds the high-frequency expansion of the
+density of -d2/dx2 + V, read from V, V', V'' and V''' at one point.
 
 :func:`_sine_series` is the only float eigen-series of the interval; the
 staircase, the density smear and every interval kernel pair its atoms with
@@ -40,7 +41,6 @@ __all__ = [
     "density_free_space",
     "staircase_interval",
     "density_smear_interval",
-    "diagonal_weyl_check",
     "offdiagonal_equivalence_check",
     "evaluate_named_density",
     "interval_measure",
@@ -467,39 +467,6 @@ def interval_minus_free_measure(x: float, y: float) -> SpectralMeasure:
 
 # ------------------------------------------------------------- the checks
 
-def diagonal_weyl_check(x: float, k: int, lam_probes: Sequence[float],
-                        tol: float = 1e-2) -> CesaroReport:
-    """Compare Riesz means of the diagonal sine-series and the Weyl density.
-
-    Both sides run through the same Riesz-mean code path. The verdict holds
-    when the relative difference stays below ``tol`` at every probe.
-    """
-    if not 0.0 < x < math.pi:
-        raise ParameterError("x must lie in (0, pi)")
-    if k < 0:
-        raise ParameterError("k must be >= 0")
-    probes = sorted(float(p) for p in lam_probes)
-    if not probes:
-        raise ParameterError("need at least one probe")
-    atomic = interval_measure(x)
-    smooth = weyl_density_measure()
-    rel = []
-    for lam in probes:
-        a = riesz_mean(atomic, k, lam)
-        s = riesz_mean(smooth, k, lam)
-        rel.append(abs(a - s) / abs(s))
-    worst = max(rel)
-    verdict = "holds" if worst < tol else "fails"
-    slope = 0.0
-    if len(probes) >= 3:
-        slope, _ = np.polyfit(np.log(probes), np.log(np.maximum(rel, 1e-300)), 1)
-    return CesaroReport(
-        claimed_exponent=float(slope) if verdict == "holds" else 0.0,
-        order_used=k, verdict=verdict, fitted_slope=float(slope),
-        residual=float(worst),
-        details={"probes": probes, "relative_differences": rel, "tol": tol})
-
-
 def offdiagonal_equivalence_check(x: float, y: float, k: int,
                                   lam_probes: Sequence[float]) -> CesaroReport:
     """Test the off-diagonal equivalence of sine-series and free-line densities.
@@ -526,7 +493,7 @@ def offdiagonal_equivalence_check(x: float, y: float, k: int,
     if k < 0 or int(k) != k:
         raise ParameterError("Riesz order k must be a nonnegative integer")
     if x == y:
-        raise ParameterError("diagonal point: use diagonal_weyl_check instead")
+        raise ParameterError("diagonal point: run the weyl-diagonal experiment instead")
     probes = sorted(float(p) for p in lam_probes)
     if len(probes) < _OFFDIAG_MAX_ORDER + 4:
         probes = list(np.geomspace(probes[0], probes[-1],
@@ -538,10 +505,10 @@ def offdiagonal_equivalence_check(x: float, y: float, k: int,
                             details={"reason": "near-diagonal degradation"})
 
     diff = interval_minus_free_measure(x, y)
-    means = {}
     report = cesaro_order_test(diff, _OFFDIAG_BETA, _OFFDIAG_MAX_ORDER,
                                lambdas=probes, dps=_OFFDIAG_DPS,
-                               allow_excluded_beta=True, _means=means)
+                               allow_excluded_beta=True)
+    means = report.details.pop("riesz_means")
 
     free = free_line_density_measure(x, y)
     if k not in means:      # the order test stopped below order k

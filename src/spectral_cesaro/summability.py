@@ -13,6 +13,8 @@ the surviving remainder is slope-fitted on a log-log grid.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -79,10 +81,11 @@ def cesaro_limit(measure: SpectralMeasure, max_order: int = 4,
     """Estimate lim f = L (C) by stabilization of successive Riesz orders.
 
     Riesz means of orders 1..max_order are evaluated on geometrically spaced
-    probes; the limit is accepted when orders k and k+1 agree within
-    max(1e-6, 1e-3 |value|) at the three largest probes. Returns
-    (value_or_None, CesaroReport); an 'inconclusive' verdict is returned
-    rather than a wrong value.
+    probes; the limit is accepted at order k when, within
+    max(1e-6, 1e-3 |value|), orders k and k+1 agree at each of the three
+    largest probes and the order-(k+1) values at those probes agree with
+    each other. Returns (value_or_None, CesaroReport); an 'inconclusive'
+    verdict is returned rather than a wrong value.
     """
     if max_order < 1:
         raise ParameterError("max_order must be >= 1")
@@ -101,7 +104,8 @@ def cesaro_limit(measure: SpectralMeasure, max_order: int = 4,
         vk, vk1 = values[k], values[k + 1]
         ref = max(abs(complex(v)) for v in vk1)
         tol = max(1e-6, 1e-3 * ref)
-        if all(abs(complex(a) - complex(b)) <= tol for a, b in zip(vk, vk1)):
+        pairs = list(zip(vk, vk1)) + list(itertools.combinations(vk1, 2))
+        if all(abs(complex(a) - complex(b)) <= tol for a, b in pairs):
             val = vk1[-1]
             spread = max(abs(complex(a) - complex(b)) for a, b in zip(vk, vk1))
             report = CesaroReport(
@@ -166,8 +170,7 @@ def _loglog_slope(pts):
 def cesaro_order_test(measure: SpectralMeasure, beta: float, max_order: int,
                       lambdas: Optional[Sequence[float]] = None,
                       dps: Optional[int] = None,
-                      allow_excluded_beta: bool = False, *,
-                      _means: Optional[dict] = None) -> CesaroReport:
+                      allow_excluded_beta: bool = False) -> CesaroReport:
     """Test f(x) = O(x^beta) (C) by repeated primitives plus slope fitting.
 
     For N = 1..max_order the N-th primitive of the measure (expressed through
@@ -185,9 +188,10 @@ def cesaro_order_test(measure: SpectralMeasure, beta: float, max_order: int,
     The exponent search over N is a first-success heuristic; the theory only
     asserts existence of some N.
 
-    ``_means``, when given, receives the Riesz means of each order k the
-    test reached, as ``_means[k]`` = the list over the sorted probes, so
-    that a caller needing some of them does not compute them again.
+    ``details["riesz_means"][k]`` lists the order-k Riesz means over the
+    sorted probes, for each order k the test reached, so that a caller
+    needing some of them does not compute them again. With ``dps``, they
+    and the primitives and divided differences are formed at that precision.
     """
     if (not allow_excluded_beta and beta < 0
             and abs(beta - round(beta)) < _EXCLUDED_BETA_TOL):
@@ -205,28 +209,25 @@ def cesaro_order_test(measure: SpectralMeasure, beta: float, max_order: int,
     if span < 10.0 ** 1.5:
         raise ParameterError("probe grid must span at least 1.5 decades")
 
+    xs, at_dps = lambdas, contextlib.nullcontext()
+    if dps is not None:
+        at_dps = mp.workdps(dps)
+        with at_dps:
+            xs = [mp.mpf(x) for x in lambdas]
     history = []
+    means = {}
     fitted = float("nan")
     residual = float("nan")
     for N in range(1, max_order + 1):
-        k = N - 1
-        R = [riesz_mean(measure, k, lam, dps=dps) for lam in lambdas]
-        if _means is not None:
-            _means[k] = R
-        if dps is not None:
-            with mp.workdps(dps):
-                F = [mp.mpf(lam) ** (N - 1) * r / mp.factorial(N - 1)
-                     for lam, r in zip(lambdas, R)]
-                pts = _divided_difference_points([mp.mpf(x) for x in lambdas], F, N)
-        else:
-            fact = math.factorial(N - 1)
-            F = [lam ** (N - 1) * r / fact for lam, r in zip(lambdas, R)]
-            pts = _divided_difference_points(lambdas, F, N)
+        R = means[N - 1] = [riesz_mean(measure, N - 1, lam, dps=dps) for lam in lambdas]
+        with at_dps:
+            F = [x ** (N - 1) * r / math.factorial(N - 1) for x, r in zip(xs, R)]
+            pts = _divided_difference_points(xs, F, N)
         slope, rms = _loglog_slope(pts)
         if slope is None:
             # remainder annihilated to zero: stronger than any power law
             return CesaroReport(beta, N, "holds", -math.inf, 0.0,
-                                details={"history": history})
+                                details={"history": history, "riesz_means": means})
         f_slope = slope - N
         residual = float(max(t / x ** (beta + N) for x, t in pts if t > 0)) \
             if any(t > 0 for x, t in pts) else 0.0
@@ -234,9 +235,10 @@ def cesaro_order_test(measure: SpectralMeasure, beta: float, max_order: int,
         fitted = f_slope
         if f_slope <= beta + SLOPE_TOLERANCE:
             return CesaroReport(beta, N, "holds", f_slope, residual,
-                                details={"history": history, "fit_rms": rms})
+                                details={"history": history, "fit_rms": rms,
+                                         "riesz_means": means})
     return CesaroReport(beta, max_order, "fails", fitted, residual,
-                        details={"history": history})
+                        details={"history": history, "riesz_means": means})
 
 
 # ------------------------------------------------------------- finite parts

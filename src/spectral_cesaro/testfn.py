@@ -42,12 +42,9 @@ class TestFunction:
     def __call__(self, x):
         """phi at ``x``: a float for a scalar, an array for an array.
 
-        A Python float goes straight to the scalar code, without the
-        ``np.ndim`` test: quadrature calls test functions one point at a time.
+        Each evaluator splits scalars from arrays itself.
         """
-        if type(x) is float:
-            return self._evaluate(x)
-        return self._evaluate(np.asarray(x, dtype=float)) if np.ndim(x) else self._evaluate(float(x))
+        return self._evaluate(x)
 
     def derivative(self, order=1):
         if order < 0:

@@ -104,6 +104,10 @@ class TestCliVerify:
     def test_unknown_experiment_exit_64(self, capsys):
         assert cli.main(["verify", "unknown-name"]) == 64
 
+    def test_weyl_diagonal_point_outside_the_interval_exit_64(self, capsys):
+        assert cli.main(["verify", "weyl-diagonal", "--x", "4"]) == 64
+        assert "x must lie in (0, pi)" in capsys.readouterr().err
+
     def test_heat_two_path_flags(self, capsys):
         rc = cli.main(["verify", "heat-two-path", "--tol", "1e-10"])
         assert rc == 0

@@ -1,5 +1,6 @@
 """Cesaro limits, order tests, finite parts, moment expansion, point values."""
 
+import functools
 import math
 
 import mpmath as mp
@@ -42,6 +43,30 @@ class TestCesaroLimit:
         with pytest.raises(DataError):
             sc.cesaro_limit(m)
 
+    def test_rounding_noise_is_not_a_limit(self):
+        """Order values 0, 0, -2**49 at the probes agree order to order, not probe to probe.
+
+        The measure is the diagonal interval atoms at x = 1 moved to
+        omega = n and weighted by omega**5, minus (1/pi) omega**5 d omega.
+        Its Cesaro limit is the moment M_5 = 0.6019..., but at omega = 1e6
+        either part is about 4e30, so the float means are rounding noise.
+        """
+        interval_atoms = sc.interval_measure(1.0).atom_fn
+
+        def atoms(n, B):
+            lam, w = interval_atoms(n, B)
+            omega = B.sqrt(lam)
+            return omega, w * omega ** 5
+
+        def minus_density(k, lam, B):
+            return -lam ** 6 * math.factorial(5) * math.factorial(k) \
+                / (math.pi * math.factorial(k + 6))
+
+        m = SpectralMeasure(atom_fn=atoms, density_riesz=minus_density)
+        val, rep = sc.cesaro_limit(m, max_order=11, lambdas=np.geomspace(1e3, 1e6, 7))
+        assert val is None
+        assert rep.verdict == "inconclusive"
+
 
 class TestCesaroOrderTest:
     def test_distributionally_small_weighted_atoms(self):
@@ -80,6 +105,26 @@ class TestCesaroOrderTest:
         m = SpectralMeasure.from_generator(lambda n, B: (B.mpf(n), B.mpf(1)))
         with pytest.raises(ParameterError):
             sc.cesaro_order_test(m, -2.0, max_order=4)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), max_order=st.integers(1, 3), dps=st.sampled_from([None, 30]))
+    def test_report_carries_its_riesz_means(self, data, max_order, dps):
+        """details["riesz_means"][k] is riesz_mean over the sorted probes, bit for bit."""
+        x, y = (data.draw(st.floats(0.1, 3.0)) for _ in range(2))
+        inner = data.draw(st.lists(st.floats(10.0, 1e4, exclude_min=True, exclude_max=True),
+                                   min_size=max_order + 2, max_size=10, unique=True))
+        lambdas = [1e4, *inner, 10.0]
+        rep = sc.cesaro_order_test(sc.interval_measure(x, y), -0.5, max_order,
+                                   lambdas=lambdas, dps=dps)
+        means = rep.details["riesz_means"]
+        assert sorted(means) == list(range(rep.order_used))
+        fresh = sc.interval_measure(x, y)
+        for k, got in means.items():
+            want = [sc.riesz_mean(fresh, k, lam, dps=dps) for lam in sorted(lambdas)]
+            if dps is None:
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+            else:
+                assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
 
 
 class TestFinitePart:
@@ -126,16 +171,9 @@ class TestFinitePart:
         assert abs(lhs - rhs) < 1e-10
 
 
-@pytest.mark.parametrize("N", [0, 2])
-def test_moment_expansion_error_decay_slope(N):
-    """Remainder of the moment expansion for sum cos(2n) delta(lam - n).
-
-    The measure is distributionally small with moments (-1/2, 0, 0, ...);
-    the remainder against a gaussian decays faster than any power, so the
-    fitted slope clears N + 2 for every N. Needs mpmath: the remainder
-    sits far below double rounding across the window.
-    """
-    slope_needed = N + 2
+@functools.cache
+def _moment_expansion_error_slope():
+    """Log-log slope of the remainder; the N-truncated expansion is one for every N."""
     xs, ys = [], []
     with mp.workdps(150):
         for eps in np.geomspace(1e-3, 1e-1, 10):
@@ -148,8 +186,21 @@ def test_moment_expansion_error_decay_slope(N):
             d = abs(em * s + em / 2)
             xs.append(float(mp.log(em)))
             ys.append(float(mp.log(d)) if d > 0 else -500.0)
-    slope = np.linalg.lstsq(np.vstack([xs, np.ones(len(xs))]).T, ys,
-                            rcond=None)[0][0]
+    return np.linalg.lstsq(np.vstack([xs, np.ones(len(xs))]).T, ys,
+                           rcond=None)[0][0]
+
+
+@pytest.mark.parametrize("N", [0, 2])
+def test_moment_expansion_error_decay_slope(N):
+    """Remainder of the moment expansion for sum cos(2n) delta(lam - n).
+
+    The measure is distributionally small with moments (-1/2, 0, 0, ...);
+    the remainder against a gaussian decays faster than any power, so the
+    fitted slope clears N + 2 for every N. Needs mpmath: the remainder
+    sits far below double rounding across the window.
+    """
+    slope_needed = N + 2
+    slope = _moment_expansion_error_slope()
     assert slope >= slope_needed, f"slope {slope} < {slope_needed}"
 
 
