@@ -16,7 +16,7 @@ x = 1.0
 print(f"diagonal staircase at x = {x}: raw jumps vs the smooth Weyl density")
 print(f"{'lambda':>10} {'staircase*pi/sqrt':>18} {'Riesz-2 ratio':>14}")
 atomic = sc.interval_measure(x)
-smooth = sc.weyl_density_measure()
+smooth = sc.free_line_density_measure(x, x)
 rows = []
 for lam in np.geomspace(1e2, 1e6, 9):
     raw = sc.staircase_interval(x, x, lam) * math.pi / math.sqrt(lam)

@@ -12,7 +12,7 @@ from .spectral import (DensityEval, WkbTable, density_free_line,
                        evaluate_named_density, free_line_density_measure,
                        interval_measure, interval_minus_free_measure,
                        offdiagonal_equivalence_check, staircase_interval,
-                       weyl_density_measure, wkb_coefficients)
+                       wkb_coefficients)
 from .kernels import (ExpansionCoefficients, KernelEval, averaged_smear,
                       cylinder_kernel, heat_kernel, schrodinger_kernel,
                       small_t_coefficients, wightman_P, wightman_interval)

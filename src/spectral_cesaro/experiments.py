@@ -176,10 +176,14 @@ def _exp_theta_sum(cfg):
 
 
 def _exp_weyl_diagonal(cfg):
-    """Riesz-2 mean of the diagonal sine series against the smooth Weyl density."""
+    """Riesz-k mean (default k = 2) of the diagonal sine series against the
+    smooth Weyl density; k = 0 is the raw staircase, not an average, so k >= 1."""
     if not 0.0 < cfg.x < math.pi:
         raise ParameterError("x must lie in (0, pi)")
-    atomic, smooth = spectral.interval_measure(cfg.x), spectral.weyl_density_measure()
+    if cfg.k < 1:
+        raise ParameterError(f"the Riesz order k must be at least 1, got {cfg.k}")
+    atomic = spectral.interval_measure(cfg.x)
+    smooth = spectral.free_line_density_measure(cfg.x, cfg.x)
     probes, rows = [], []
     for lam, tol in [(1e4, 1e-2), (1e6, 3e-3)]:
         a, s = riesz_mean(atomic, cfg.k, lam), riesz_mean(smooth, cfg.k, lam)

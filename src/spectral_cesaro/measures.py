@@ -7,11 +7,12 @@ Riesz integral. Riesz-mean evaluation has a float backend (correctly
 rounded sums by ``quadrature._exact_sum``, which returns what ``math.fsum``
 returns by error-free extraction over whole arrays) and an mpmath backend
 for the cancellation-dominated regimes where doubles are not enough. Both read
-their atoms through :meth:`SpectralMeasure.atom_arrays`, from tables that
-one loop grows with the cutoff, one table per backend. On both backends a
-table is filled with one generator call per chunk where the generator
-works on index arrays, and one call per atom where it does not. The mpmath
-table also keeps its atoms as integer mantissas, so the atom part of an
+their atoms from tables that one loop grows with the cutoff, one table per
+backend, with one generator call per chunk where the generator works on
+index arrays and one call per atom where it does not. On floats a generator
+gets one numpy namespace for one index or an index array; one-index calls
+raise numpy's overflow, division and invalid-operation errors. The mpmath
+table keeps its weights only as integer mantissas, so the atom part of an
 mpmath Riesz mean is one exact integer sum rounded once.
 """
 
@@ -33,20 +34,8 @@ __all__ = ["SpectralMeasure", "riesz_mean"]
 
 
 class _FloatBackend:
-    """math-like namespace used by atom functions on the float path."""
+    """Float namespace B of atom functions and densities, for an index or an index array."""
     pi = math.pi
-    sin = staticmethod(math.sin)
-    cos = staticmethod(math.cos)
-    exp = staticmethod(math.exp)
-    sqrt = staticmethod(math.sqrt)
-
-    @staticmethod
-    def mpf(x):
-        return float(x)
-
-
-class _NumpyBackend(_FloatBackend):
-    """Array namespace for atom functions called with an index array."""
     sin = staticmethod(np.sin)
     cos = staticmethod(np.cos)
     exp = staticmethod(np.exp)
@@ -57,15 +46,17 @@ class _NumpyBackend(_FloatBackend):
         return np.asarray(x, dtype=float)
 
 
+# A one-index call raises FloatingPointError (an ArithmeticError) where math would
+_ONE_INDEX_ERRORS = dict(over="raise", divide="raise", invalid="raise")
 # Enumeration gives up after this many atoms without a position reaching the
 # cutoff, as happens when the positions converge below it.
 _MAX_ATOMS = 10**9
 _FIRST_CHUNK, _MAX_CHUNK = 256, 1 << 18
 # An index-array call agrees with the scalar call within this relative
-# distance: far above the last-ulp differences between numpy's and libm's
-# elementary functions, far below a formula that means something else on
-# arrays (int64 overflow, a branch on n). On mpmath the distance is a few
-# ulps at the working precision, 2**(3 - prec).
+# distance: far above last-ulp differences (a generator that calls math with
+# one index, a SIMD loop against a scalar one), far below a formula that means
+# something else on arrays (int64 overflow, a branch on n). On mpmath the
+# distance is a few ulps at the working precision, 2**(3 - prec).
 _AGREE_RTOL = 1e-12
 
 
@@ -80,19 +71,20 @@ class _AtomTable:
     every atom below ``last`` (every atom, once n reaches ``n_atoms``).
     Atoms of zero weight are counted but not kept: they add exactly nothing
     to a Riesz mean, and a weight like 2**-n is 0.0 in double precision past
-    n = 1074, so a table can cover 1e8 atoms and hold a thousand. The float
-    table holds float (or complex) arrays, the mpmath table object arrays
-    of mpmath numbers; both are read-only. The mpmath table also keeps them
-    exactly, for :meth:`riesz_sum`: ``exact`` and ``first_complex``.
+    n = 1074, so a table can cover 1e8 atoms and hold a thousand. Both hold
+    read-only positions ``pos`` (floats, or mpfs); the float table holds its
+    weights ``wts``, the mpmath table all atoms exactly, for
+    :meth:`riesz_sum`: ``exact`` and ``first_complex``.
     """
 
     def __init__(self, backend):
         self.n = 0
         self.last = -math.inf
-        dtype = float if backend is None else object
-        self.pos, self.wts = np.empty(0, dtype), np.empty(0, dtype)
         self.vectorized = True      # index-array calls, until a chunk falls back
-        if backend is not None:
+        if backend is None:
+            self.pos, self.wts = np.empty(0), np.empty(0)
+        else:
+            self.pos = np.empty(0, object)
             self.exact = [np.empty(0, object), np.empty(0, np.int64)] * 3
             self.first_complex = math.inf
 
@@ -183,15 +175,16 @@ class SpectralMeasure:
     """Atomic and/or continuous measure in the spectral variable.
 
     atom_fn(n, B) -> (position, weight) defines atom n >= 1 using the numeric
-    backend B (float shim or mpmath); positions must be strictly increasing
-    in n. A table is grown in chunks, and atom_fn is first called once per
-    chunk with an int64 index array: on the float path with a numpy backend
-    (``B.mpf`` makes float arrays, ``B.sin`` is ``np.sin``, ...), answered
-    by float or complex arrays; on the mpmath path with ``B = mp``, answered
-    by arrays (object arrays of mpmath numbers, or anything ``mp.mpmathify``
-    takes elementwise). From the first chunk where that call raises or its
-    arrays disagree with the scalar calls (see ``_vector_atoms``), atom_fn
-    is called once per atom. The continuous part is given by the closed form
+    backend B; positions must be strictly increasing in n. On floats B is
+    one numpy namespace (``B.mpf`` makes float arrays, ``B.sin`` is
+    ``np.sin``, ...) for one index or an index array, and one-index calls
+    run under ``np.errstate(over="raise", divide="raise", invalid="raise")``.
+    A table is grown in chunks, and atom_fn is first called once per chunk
+    with an int64 index array, answered by float or complex arrays, or with
+    ``B = mp`` by arrays of anything ``mp.mpmathify`` takes elementwise.
+    From the first chunk where that call raises or its arrays disagree with
+    the scalar calls (see ``_vector_atoms``), atom_fn is called once per
+    atom. The continuous part is given by the closed form
     of its Riesz integral, density_riesz(k, lam, B) = int (1 - mu/lam)**k
     dm(mu) over the continuous part below lam, on either backend.
     """
@@ -207,7 +200,7 @@ class SpectralMeasure:
     def from_atoms(cls, positions, weights):
         pos = [float(p) for p in positions]
         wts = list(weights)
-        # arrays for an index-array call; the given weights for the mpmath backend
+        # arrays for the float backend; the given weights for the mpmath backend
         P, W = np.array(pos), np.array(wts)
         if np.any(np.diff(P) <= 0):
             raise ParameterError("atom positions must be strictly increasing")
@@ -215,11 +208,11 @@ class SpectralMeasure:
             raise DataError("measure needs at least one atom")
 
         def atom_fn(n, B):
+            if B is not mp:
+                return P[n - 1], W[n - 1]
             if not isinstance(n, np.ndarray):
                 return pos[n - 1], wts[n - 1]
-            if B is mp:
-                return P[n - 1], [wts[i] for i in (n - 1).tolist()]
-            return P[n - 1], W[n - 1]
+            return P[n - 1], [wts[i] for i in (n - 1).tolist()]
 
         # zero-weight atoms are not in the support (nor in a saved CSV)
         first = next((p for p, w in zip(pos, wts) if w != 0), 0.0)
@@ -235,24 +228,20 @@ class SpectralMeasure:
         return cls(density_riesz=density_riesz)
 
     # ------------------------------------------------------------ accessors
-    def atom_arrays(self, lam, backend=None):
-        """Arrays (positions, weights) of the atoms of nonzero weight below lam.
+    def atom_arrays(self, lam):
+        """Float arrays (positions, weights) of the atoms of nonzero weight below lam.
 
-        Float arrays by default; for ``backend=mp``, object arrays of mpmath
-        numbers at the current working precision. Complex float weights come
-        back real only when every imaginary part is exactly zero. The arrays
-        are read-only views of a table kept per backend (and per mpmath
-        precision) that only grows, so a later call at the same or a lower
-        lam enumerates nothing. Raises :class:`DataError` once 1e9 atoms
-        have been enumerated without a position reaching lam, as for
-        positions that converge below it, and on the mpmath backend for an
-        atom that is not finite.
+        Complex weights come back real only when every imaginary part is
+        exactly zero. The arrays are read-only views of the measure's float
+        table, which only grows, so a later call at the same or a lower lam
+        enumerates nothing. Raises :class:`DataError` once 1e9 atoms have
+        been enumerated without a position reaching lam, as for positions
+        that converge below it.
         """
         if self.atom_fn is None:
             return np.empty(0), np.empty(0)
-        if backend is None:
-            lam = float(lam)
-        t = self._table(lam, backend)
+        lam = float(lam)
+        t = self._table(lam, None)
         j = int(np.searchsorted(t.pos, lam))
         pos, wts = t.pos[:j], t.wts[:j]
         if np.iscomplexobj(wts) and not wts.imag.any():
@@ -265,7 +254,7 @@ class SpectralMeasure:
         t = self._cache.get(key)
         if t is None:
             t = self._cache[key] = _AtomTable(backend)
-        pos_parts, wts_parts = [t.pos], [t.wts]
+        pos_parts, wts_parts = [t.pos], [t.wts] if backend is None else []
         while not t.covers(lam, self.n_atoms):
             m = min(max(t.n, _FIRST_CHUNK), _MAX_CHUNK)
             if self.n_atoms is not None:
@@ -281,16 +270,19 @@ class SpectralMeasure:
             pos_parts.append(pos[keep])
             wts_parts.append(wts[keep])
         if len(pos_parts) > 1:
-            if backend is not None:
-                t.extend_exact(*(np.concatenate(a[1:]) for a in (pos_parts, wts_parts)))
-            t.pos, t.wts = np.concatenate(pos_parts), np.concatenate(wts_parts)
-            t.pos.flags.writeable = t.wts.flags.writeable = False
+            if backend is None:
+                t.wts = np.concatenate(wts_parts)
+                t.wts.flags.writeable = False
+            else:
+                t.extend_exact(np.concatenate(pos_parts[1:]), np.concatenate(wts_parts))
+            t.pos = np.concatenate(pos_parts)
+            t.pos.flags.writeable = False
         return t
 
     def _vector_atoms(self, first, m, backend):
         """Atoms first .. first+m-1 from one call with an index array.
 
-        On the float path the call gets ``_NumpyBackend`` and its arrays are
+        On the float path the call gets ``_FloatBackend`` and its arrays are
         made float (or complex); on the mpmath path it gets ``mp`` and each
         entry is made an mpmath number by ``mp.mpmathify``, as the scalar
         loop does. Returns None, and the caller runs the scalar loop, when
@@ -298,12 +290,13 @@ class SpectralMeasure:
         the index array or are not finite, or disagrees with its scalar
         output at either end of the chunk: by more than ``_AGREE_RTOL``
         relative on floats, by more than 2**(3 - prec) (a few ulps) on mpmath.
+        The end calls get the array call's namespace, under ``_ONE_INDEX_ERRORS``.
         """
         idx = np.arange(first, first + m)
         try:
             if backend is None:
                 with np.errstate(all="ignore"):  # a non-finite chunk is rejected below
-                    p, w = self.atom_fn(idx, _NumpyBackend)
+                    p, w = self.atom_fn(idx, _FloatBackend)
                 pos = np.broadcast_to(np.asarray(p, dtype=float), idx.shape)
                 w = np.asarray(w)
                 wts = np.broadcast_to(w.astype(complex if w.dtype.kind == "c" else float),
@@ -320,8 +313,9 @@ class SpectralMeasure:
                 rtol = mp.ldexp(1, 3 - mp.mp.prec)
             if not finite:
                 return None
-            ends = [(j, *self.atom_fn(first + j, backend or _FloatBackend))
-                    for j in (0, m - 1)]
+            with np.errstate(**_ONE_INDEX_ERRORS):
+                ends = [(j, *self.atom_fn(first + j, backend or _FloatBackend))
+                        for j in (0, m - 1)]
             if not all(_agree(pos[j], to_pos(sp), rtol) and _agree(wts[j], to_wt(sw), rtol)
                        for j, sp, sw in ends):
                 return None
@@ -333,12 +327,13 @@ class SpectralMeasure:
         """Atoms first, first+1, ..., one call each, up to the first at or above lam."""
         to_pos, to_wt = (float, complex) if backend is None else (mp.mpmathify,) * 2
         pos, wts = [], []
-        for n in range(first, first + m):
-            p, w = self.atom_fn(n, backend or _FloatBackend)
-            pos.append(to_pos(p))
-            wts.append(to_wt(w))
-            if pos[-1] >= lam:
-                break
+        with np.errstate(**_ONE_INDEX_ERRORS):
+            for n in range(first, first + m):
+                p, w = self.atom_fn(n, backend or _FloatBackend)
+                pos.append(to_pos(p))
+                wts.append(to_wt(w))
+                if pos[-1] >= lam:
+                    break
         if backend is not None:
             return np.array(pos, dtype=object), np.array(wts, dtype=object)
         wts = np.array(wts)
@@ -412,10 +407,11 @@ def riesz_mean(measure: SpectralMeasure, k: int, lam: float, dps: Optional[int] 
     the atoms rounded once at the working precision, an mpc when one of their
     weights is (:meth:`_AtomTable.riesz_sum`). Both backends read their
     atoms from the measure's table for the backend (the float one through
-    :meth:`SpectralMeasure.atom_arrays`, the mpmath one by one lookup of its
-    exact copy) and the continuous part from ``density_riesz``. Raises
-    :class:`DomainError` for a lam that is zero, not finite or not above
-    the support, before any atom is enumerated.
+    :meth:`SpectralMeasure.atom_arrays`, the mpmath one by a search of its
+    positions and a sum over its exact copy) and the continuous part from
+    ``density_riesz``. Raises :class:`DomainError` for a lam that is zero,
+    not finite or not above the support, before any atom is enumerated, and
+    :class:`FloatingPointError` where a float atom function overflows.
     """
     if k < 0 or int(k) != k:
         raise ParameterError("Riesz order k must be a nonnegative integer")

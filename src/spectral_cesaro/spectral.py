@@ -5,7 +5,8 @@ its d-dimensional Bessel generalization, and the Dirichlet-interval
 sine-series density. The Cesaro-averaged free-line equivalence off the
 diagonal is a report-producing check; the Weyl law on the diagonal is
 checked by the ``weyl-diagonal`` experiment, from the Riesz means of
-:func:`interval_measure` and :func:`weyl_density_measure`. The WKB table
+:func:`interval_measure` and :func:`free_line_density_measure` at (x, x),
+whose density is the smooth Weyl density 1/(2 pi sqrt(lam)). The WKB table
 (:func:`wkb_coefficients`) holds the high-frequency expansion of the
 density of -d2/dx2 + V, read from V, V', V'' and V''' at one point.
 
@@ -45,7 +46,6 @@ __all__ = [
     "evaluate_named_density",
     "interval_measure",
     "free_line_density_measure",
-    "weyl_density_measure",
     "interval_minus_free_measure",
     "WkbTable",
     "wkb_coefficients",
@@ -445,13 +445,9 @@ def _free_line_density_riesz(c: float):
 
 
 def free_line_density_measure(x: float, y: float) -> SpectralMeasure:
-    """Continuous measure with the free-line density at separation |x-y|."""
+    """Continuous measure with the free-line density at separation |x-y|;
+    at x = y, the smooth diagonal Weyl density (1/2pi) lam^{-1/2}."""
     return SpectralMeasure.from_density(_free_line_density_riesz(abs(x - y)))
-
-
-def weyl_density_measure() -> SpectralMeasure:
-    """The smooth diagonal Weyl density (1/2pi) lam^{-1/2}."""
-    return SpectralMeasure.from_density(_free_line_density_riesz(0.0))
 
 
 def interval_minus_free_measure(x: float, y: float) -> SpectralMeasure:
@@ -481,7 +477,8 @@ def offdiagonal_equivalence_check(x: float, y: float, k: int,
     pi) the sine series vanishes identically, the ratio is 1, and the check
     fails. Within 1e-6 of the diagonal (|x - y| < 1e-6) no test runs: the
     verdict is "inconclusive", with NaN slope and residual. A negative or
-    non-integer ``k`` raises :class:`ParameterError` before any Riesz mean.
+    non-integer ``k``, or fewer than ``_OFFDIAG_MAX_ORDER + 4`` probes, raises
+    :class:`ParameterError` before any Riesz mean, whatever the point.
     Precision: cancellation loses what the 30-digit weights and density carry,
     not the summation. At (1, 2), order 8 and lam = 1e6 the mean, -1.84e-23,
     is within 3.4e-9 relative of a 90-digit run (1.1e-13 at lam = 1e5).
@@ -496,8 +493,8 @@ def offdiagonal_equivalence_check(x: float, y: float, k: int,
         raise ParameterError("diagonal point: run the weyl-diagonal experiment instead")
     probes = sorted(float(p) for p in lam_probes)
     if len(probes) < _OFFDIAG_MAX_ORDER + 4:
-        probes = list(np.geomspace(probes[0], probes[-1],
-                                   max(24, _OFFDIAG_MAX_ORDER + 6)))
+        raise ParameterError(f"need at least {_OFFDIAG_MAX_ORDER + 4} lam probes, "
+                             f"got {len(probes)}")
     if abs(x - y) < 1e-6:
         return CesaroReport(claimed_exponent=_OFFDIAG_BETA, order_used=0,
                             verdict="inconclusive", fitted_slope=float("nan"),

@@ -108,6 +108,22 @@ class TestCliVerify:
         assert cli.main(["verify", "weyl-diagonal", "--x", "4"]) == 64
         assert "x must lie in (0, pi)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_weyl_diagonal_without_averaging_exit_64(self, capsys, k):
+        """Order 0 is the raw staircase, which the Riesz-averaged law does not cover."""
+        assert cli.main(["verify", "weyl-diagonal", "--k", k]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Riesz order k must be at least 1" in captured.err
+
+    def test_offdiag_short_lambda_grid_exit_64(self, capsys):
+        """Five probes are too few for the order test; none are made up."""
+        rc = cli.main(["verify", "offdiag-equivalence", "--lambda-grid", "1e2:1e6:5"])
+        assert rc == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at least 12 lam probes, got 5" in captured.err
+
     def test_heat_two_path_flags(self, capsys):
         rc = cli.main(["verify", "heat-two-path", "--tol", "1e-10"])
         assert rc == 0
@@ -396,7 +412,7 @@ for args in (["verify", "finite-part-scaling"], ["verify", "weyl-diagonal"],
         rc = cli.main(args)
     print(rc, heavy())
 for measure, k in ((spectral_cesaro.free_line_density_measure(1.0, 2.0), 3),
-                   (spectral_cesaro.weyl_density_measure(), 2)):
+                   (spectral_cesaro.free_line_density_measure(1.0, 1.0), 2)):
     value = spectral_cesaro.riesz_mean(measure, k, 1e4)
     print(type(value).__name__, heavy())
 print("scipy.integrate._quadpack" in sys.modules)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_rational
+from mpmath.libmp import from_man_exp, from_rational
 
 import spectral_cesaro as sc
 from spectral_cesaro import measures
@@ -227,7 +227,7 @@ def test_interval_riesz_columns_are_fsum_bit_for_bit():
 
 def test_disagreeing_array_output_is_not_used():
     with np.errstate(all="ignore"):
-        w = overflowing_atom(np.arange(1, 1025), measures._NumpyBackend)[1]
+        w = overflowing_atom(np.arange(1, 1025), measures._FloatBackend)[1]
     assert not np.allclose(w, [1.0 / n**7 for n in range(1, 1025)])
     m = SpectralMeasure.from_generator(overflowing_atom)
     pos, wts = m.atom_arrays(1024.5)
@@ -303,6 +303,16 @@ def test_mp_chunk_falls_back_to_the_scalar_loop(atom, end_checks):
     mp_calls = [n for on_mp, n in calls if on_mp]
     assert sum(np.ndim(n) for n in mp_calls) == 1           # the rejected chunk
     assert mp_calls[1 + end_checks:] == list(range(1, 46))  # 45**2 >= 2000
+
+
+@pytest.mark.parametrize("make", [_scalar_only, lambda atom: atom],
+                         ids=["scalar_only", "index_arrays"])
+def test_float_overflow_with_one_index_raises(make):
+    """exp(100 n) overflows from n = 8: the one-index calls raise an
+    ArithmeticError out of riesz_mean, as math.exp did, rather than sum an inf."""
+    m = SpectralMeasure.from_generator(make(lambda n, B: (B.mpf(n), B.exp(100 * B.mpf(n)))))
+    with pytest.raises(ArithmeticError):
+        sc.riesz_mean(m, 1, 20.0)
 
 
 def test_from_atoms_mp_chunk_keeps_the_given_weights():
@@ -385,7 +395,7 @@ _TABLE_WEIGHTS = st.one_of(st.just(0.0), st.floats(-5, 5),
 )
 @example(atoms=[(-1.0, 0.0), (2.0, 0j), (3.0, 1.0)], lams=[0.0, 5.0])
 def test_float_and_mp_tables_agree(atoms, lams):
-    """atom_arrays on both backends: the same atoms, ascending then descending lam."""
+    """The float and mpmath tables: the same atoms, ascending then descending lam."""
     if atoms is None:
         m = SpectralMeasure.from_generator(thirds_atom)
     else:
@@ -395,7 +405,7 @@ def test_float_and_mp_tables_agree(atoms, lams):
     for lam in lams + lams[::-1]:
         pos, wts = m.atom_arrays(lam)
         with mpmath.workdps(30):
-            pos_mp, wts_mp = m.atom_arrays(mpmath.mpf(lam), mpmath)
+            pos_mp, wts_mp = mp_table_atoms(m, mpmath.mpf(lam))
         assert len(pos) == len(wts) == len(pos_mp) == len(wts_mp)
         assert [float(p) for p in pos_mp] == pos.tolist()
         assert [complex(w) for w in wts_mp] == [complex(w) for w in wts]
@@ -403,7 +413,7 @@ def test_float_and_mp_tables_agree(atoms, lams):
         assert pos_mp.dtype == wts_mp.dtype == object
         assert all(isinstance(p, mpmath.mpf) for p in pos_mp)
         assert all(isinstance(w, (mpmath.mpf, mpmath.mpc)) for w in wts_mp)
-        assert not (pos_mp.flags.writeable or wts_mp.flags.writeable)
+        assert not pos_mp.flags.writeable
     if m.n_atoms is not None:
         assert all(t.n <= m.n_atoms for t in m._cache.values())
 
@@ -518,12 +528,28 @@ def _value_or_error(measure, k, lam):
 
 # ------------------------------------------------- mpmath Riesz means
 
+def mp_table_atoms(measure, lam_mp, side="left"):
+    """The mpmath table's atoms below lam_mp (at or below, for side="right"):
+    its mpf positions, and its weights rebuilt from the exact mantissas it
+    sums, an mpc from its first complex weight on."""
+    if measure.atom_fn is None:
+        return np.empty(0, object), np.empty(0, object)
+    t = measure._table(lam_mp, mpmath)
+    j = int(np.searchsorted(t.pos, lam_mp, side=side))
+    _, _, re_man, re_exp, im_man, im_exp = (a[:j].tolist() for a in t.exact)
+    raw_re = [from_man_exp(m, e) for m, e in zip(re_man, re_exp)]
+    wts = [mpmath.mp.make_mpc((re, from_man_exp(im_m, im_e))) if i >= t.first_complex
+           else mpmath.mp.make_mpf(re)
+           for i, (re, im_m, im_e) in enumerate(zip(raw_re, im_man, im_exp))]
+    return t.pos[:j], np.array(wts, dtype=object)
+
+
 def old_riesz_mean_mp(measure, k, lam, dps):
     """The mpmath Riesz mean as one expression over the object arrays."""
     with mpmath.workdps(dps):
         lam_mp = mpmath.mpf(lam)
         total = mpmath.mpf(0)
-        pos, wts = measure.atom_arrays(lam_mp, mpmath)
+        pos, wts = mp_table_atoms(measure, lam_mp)
         if len(pos):
             total += mpmath.fsum(wts * (1 - pos / lam_mp) ** k)
         if measure.density_riesz is not None:
@@ -539,8 +565,8 @@ def fraction(x):
 
 
 def exact_atom_sum(measure, k, lam_mp):
-    """Exact sums of w (1 - mu/lam)**k over atom_arrays(lam, mp): (re, im, is_complex)."""
-    pos, wts = measure.atom_arrays(lam_mp, mpmath)
+    """Exact sums of w (1 - mu/lam)**k over the mpmath table: (re, im, is_complex)."""
+    pos, wts = mp_table_atoms(measure, lam_mp)
     lam_q = fraction(lam_mp._mpf_)
     re = im = Fraction(0)
     for p, w in zip(pos, wts):
@@ -557,7 +583,7 @@ def rounded_riesz_mean_mp(measure, k, lam, dps):
         prec, rnd = mpmath.mp._prec_rounding
         lam_mp = mpmath.mpf(lam)
         total = mpmath.mpf(0)
-        if len(measure.atom_arrays(lam_mp, mpmath)[0]):
+        if len(mp_table_atoms(measure, lam_mp)[0]):
             re, im, is_complex = exact_atom_sum(measure, k, lam_mp)
             parts = [from_rational(q.numerator, q.denominator, prec, rnd) for q in (re, im)]
             total += (mpmath.mp.make_mpc(tuple(parts)) if is_complex
@@ -613,7 +639,7 @@ def old_rounding_bound(measure, k, lam, dps):
     with mpmath.workdps(dps):
         u = mpmath.mpf(2) ** (1 - mpmath.mp.prec)
         lam_mp = mpmath.mpf(lam)
-        pos, wts = measure.atom_arrays(lam_mp, mpmath)
+        pos, wts = mp_table_atoms(measure, lam_mp)
         with mpmath.workdps(2 * dps + 20):
             bound = mpmath.mpf(0)
             for p, w in zip(pos, wts):

@@ -15,6 +15,8 @@ from spectral_cesaro import cli
 from spectral_cesaro.errors import DomainError, ParameterError, SingularityError
 from spectral_cesaro.experiments import ExperimentConfig, run_experiment
 from spectral_cesaro.quadrature import _exact_sum
+from spectral_cesaro.spectral import _free_line_density_riesz
+from test_measures import mp_table_atoms
 
 
 class TestFreeLineDensity:
@@ -57,11 +59,25 @@ def test_free_line_density_riesz_float_matches_mpmath(k, log_lam, x, y):
 def test_free_line_density_riesz_float_beta_is_correctly_rounded():
     """The c = 0 float form takes B(1/2, k+1) rounded once from its exact
     rational value, checked against mpmath at 50 digits."""
-    density_riesz = sc.weyl_density_measure().density_riesz
+    density_riesz = sc.free_line_density_measure(1.0, 1.0).density_riesz
     for k in range(60):
         with mp.workdps(50):
             beta = float(mp.beta(mp.mpf(1) / 2, k + 1))
         assert density_riesz(k, 1.0, sc.measures._FloatBackend) == beta / (2.0 * math.pi)
+
+
+@pytest.mark.parametrize("x", [1.0, -2.5, 0.0, math.pi])
+def test_free_line_measure_on_the_diagonal_is_the_c0_density(x):
+    """free_line_density_measure(x, x) is the Weyl density _free_line_density_riesz(0.0),
+    bit for bit on both backends."""
+    diagonal = sc.free_line_density_measure(x, x).density_riesz
+    weyl = _free_line_density_riesz(0.0)
+    for k in range(9):
+        for lam in (1e-3, 1.0, 1e4, 1e6):
+            a = diagonal(k, lam, sc.measures._FloatBackend)
+            assert a.hex() == weyl(k, lam, sc.measures._FloatBackend).hex()
+            with mp.workdps(30):
+                assert diagonal(k, mp.mpf(lam), mp)._mpf_ == weyl(k, mp.mpf(lam), mp)._mpf_
 
 
 def _besselj_density_riesz(c, k, lam):
@@ -193,7 +209,7 @@ class TestSmear:
 
 def _weyl_relative_differences(x, k, probes):
     """|R_k(interval atoms) - R_k(Weyl density)| / |R_k(Weyl density)| per probe."""
-    atomic, smooth = sc.interval_measure(x), sc.weyl_density_measure()
+    atomic, smooth = sc.interval_measure(x), sc.free_line_density_measure(x, x)
     rel = []
     for lam in probes:
         s = sc.riesz_mean(smooth, k, lam)
@@ -219,7 +235,7 @@ class TestDiagonalWeylCheck:
     def test_weyl_law_riesz2_at_1e6(self):
         """staircase(x,x,lam) * pi / sqrt(lam) -> 1 in Riesz-2 mean, 1% at 1e6."""
         atomic = sc.interval_measure(1.0)
-        smooth = sc.weyl_density_measure()
+        smooth = sc.free_line_density_measure(1.0, 1.0)
         a = sc.riesz_mean(atomic, 2, 1e6)
         s = sc.riesz_mean(smooth, 2, 1e6)
         assert abs(a / s - 1.0) < 1e-2
@@ -243,9 +259,9 @@ class TestOffdiagonalEquivalence:
             1.0, 1.0 + 1e-9, 2, np.geomspace(1e2, 1e6, 24))
         assert rep.verdict == "inconclusive"
 
-    @pytest.mark.parametrize("grid", [list(np.geomspace(1e2, 1e6, 24)), [1e2, 1e6]])
-    def test_ratio_reuses_the_order_tests_means(self, monkeypatch, grid):
+    def test_ratio_reuses_the_order_tests_means(self, monkeypatch):
         """The ratio takes the order test's order-k means; the report is as before."""
+        grid = list(np.geomspace(1e2, 1e6, 24))
         calls, alive = [], []       # measures kept alive keep their ids apart
         original = sc.spectral.riesz_mean
 
@@ -293,8 +309,22 @@ class TestOffdiagonalEquivalence:
         assert boundary["cancellation_ratio"] == 1.0
 
     def test_diagonal_redirects(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="diagonal point"):
             sc.offdiagonal_equivalence_check(1.0, 1.0, 2, [1e3, 1e4])
+
+    @pytest.mark.parametrize("grid", [[1e2, 1e6], list(np.geomspace(1e2, 1e6, 11)), []],
+                             ids=["two", "eleven", "empty"])
+    @pytest.mark.parametrize("y", [2.0, 0.0, 1.0 + 1e-9])
+    def test_short_probe_grid_is_rejected_before_any_riesz_mean(self, monkeypatch, grid, y):
+        """Fewer than 12 probes (the order test's 8 orders + 4) raise, at an
+        interior, boundary or near-diagonal point; no other grid replaces them."""
+        def no_riesz_mean(*args, **kwargs):
+            raise AssertionError("riesz_mean called")
+
+        monkeypatch.setattr(sc.spectral, "riesz_mean", no_riesz_mean)
+        monkeypatch.setattr(sc.summability, "riesz_mean", no_riesz_mean)
+        with pytest.raises(ParameterError, match=f"at least 12 lam probes, got {len(grid)}"):
+            sc.offdiagonal_equivalence_check(1.0, y, 2, grid)
 
     @pytest.mark.parametrize("k", [-1, 2.5, -0.5])
     def test_bad_order_is_rejected_before_any_riesz_mean(self, monkeypatch, capsys, k):
@@ -495,15 +525,28 @@ def test_mp_interval_chunk_weights_within_one_rounding(x, y, dps, first, m):
             assert abs(w - ref) <= tol * abs(ref), (k, w, ref)
 
 
+@pytest.mark.parametrize("make", [sc.interval_measure, sc.interval_minus_free_measure])
+@pytest.mark.parametrize("x, y", [(1.0, 2.0), (0.5, 2.5), (math.pi / 2, 1.0), (3.0, 1e-9)])
+def test_float_interval_tables_stay_vectorized_to_1e10(make, x, y):
+    """The chunk-end checks call the atom function with one index in the same
+    numpy namespace as the index array, so every chunk up to 1e5 atoms is taken."""
+    m = make(x, y)
+    sc.riesz_mean(m, 2, 1e10)
+    table = m._cache["float"]
+    assert table.vectorized and table.n >= 100_000      # 1e5**2 = 1e10
+
+
 @pytest.mark.parametrize("x, y", [(1.0, 2.0), (0.5, 2.5), (math.pi, 1.0), (1e-9, 2.0),
                                   (math.pi / 2, 1.0)])
 def test_mp_interval_table_same_in_one_chunk_or_several(x, y):
     with mp.workdps(30):
-        grown = sc.interval_measure(x, y)._table(mp.mpf(1024**2), mp)  # 256, 256, 512
+        m = sc.interval_measure(x, y)
+        grown = m._table(mp.mpf(1024**2), mp)  # 256, 256, 512
+        grown_pos, grown_wts = mp_table_atoms(m, mp.mpf(1024**2), side="right")
         pos, wts = sc.interval_measure(x, y)._vector_atoms(1, 1024, mp)
     assert grown.n == 1024 and grown.vectorized
-    assert [p._mpf_ for p in grown.pos] == [p._mpf_ for p in pos]
-    assert [w._mpf_ for w in grown.wts] == [w._mpf_ for w in wts]
+    assert [p._mpf_ for p in grown_pos] == [p._mpf_ for p in pos]
+    assert [w._mpf_ for w in grown_wts] == [w._mpf_ for w in wts]
 
 
 # ----------------------------------------- the sums _sine_series replaced
