@@ -60,8 +60,8 @@ class ExperimentConfig:
     seed: int = 20260808
 
     def __post_init__(self):
-        if self.tol is not None and self.tol <= 0:
-            raise ParameterError("tol must be positive")
+        if self.tol is not None and not 0 < self.tol < math.inf:
+            raise ParameterError(f"tol must be a positive finite number, got {self.tol!r}")
         # the remainders are reported as doubles, so never below double precision
         if self.dps < 15:
             raise ParameterError(f"dps must be at least 15, got {self.dps}")

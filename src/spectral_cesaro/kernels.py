@@ -430,9 +430,12 @@ def small_t_coefficients(kind: str, case: str, x: float, y: float,
 # -------------------------------------------------------- averaged smears
 
 def _schrodinger_breakpoints(r2: float, eps: float, a: float, b: float):
-    """Zeros of cos/sin of the phase r2/(4 eps t) inside [a, b], ascending.
+    """Zeros of cos/sin of the phase r2/(4 eps t) inside (a, b), ascending.
 
-    Raises ParameterError, before any list is built, where there would be
+    The zeros t_k = r2/(4 eps k pi) come from one numpy expression over k,
+    with the operations in the order of the scalar formula, so each is the
+    double that formula gives; they descend in k and are returned reversed.
+    Raises ParameterError, before any array is built, where there would be
     more than ``_MAX_SERIES_TERMS`` of them (a support reaching close to 0).
     """
     theta = lambda t: r2 / (4.0 * eps * t)
@@ -445,8 +448,8 @@ def _schrodinger_breakpoints(r2: float, eps: float, a: float, b: float):
             f"schrodinger smear over the support [{a!r}, {b!r}] at eps={eps!r} "
             f"would split at {k1 - k0 + 1:.3g} phase zeros, more than the "
             f"budget of {_MAX_SERIES_TERMS}")
-    pts = [r2 / (4.0 * eps * k * math.pi) for k in range(k0, k1 + 1)]
-    return sorted(p for p in pts if a < p < b)
+    pts = r2 / (4.0 * eps * np.arange(k0, k1 + 1) * math.pi)   # descending
+    return pts[(a < pts) & (pts < b)][::-1]
 
 
 def averaged_smear(kind: str, case: str, x: float, y: float,
@@ -455,17 +458,21 @@ def averaged_smear(kind: str, case: str, x: float, y: float,
 
     For the oscillatory Schrodinger profile every off-diagonal term (each
     image, on the interval) is split at its phase lobes and the lobes are
-    added in order by :func:`lobe_sum`: one Gauss-Kronrod-21 pass over up to
-    256 lobes at a time, with adaptive quadrature only for the lobes that
-    pass rejects. Its integrands are numpy expressions in ``t``, so ``phi``
+    added in order by one :func:`lobe_sum` call: one Gauss-Kronrod-21 pass
+    over up to 256 lobes at a time, with adaptive quadrature only for the
+    lobes that pass rejects. Its integrand phi(t)/sqrt(t) e^{i r^2/(4 eps t)}
+    forms phi(t)/sqrt(t) and the phase once for both parts, which
+    :func:`lobe_sum` integrates as two real integrands, so every value is
+    the one two real calls give. It is a numpy expression in ``t``, so ``phi``
     must accept arrays, and ``phi`` must be supported in a compact subset of
     t > 0 (ParameterError before any quadrature otherwise, also where a
     term would need more than ``_MAX_SERIES_TERMS`` lobes); the diagonal
     term alone takes any decaying ``phi``. Decaying profiles use plain
-    adaptive quadrature.
+    adaptive quadrature. A NaN, infinite or non-positive ``eps`` is a
+    ParameterError, raised before any quadrature.
     """
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ParameterError(f"eps must be a positive finite number, got {eps!r}")
     if not phi.decays:
         raise ParameterError("phi must decay")
     _check_case(case, x, y)
@@ -497,22 +504,25 @@ def averaged_smear(kind: str, case: str, x: float, y: float,
     for d, sign in pairs:
         r2 = d * d
 
-        def f_re(t, r2=r2):
-            return phi(t) / np.sqrt(t) * np.cos(r2 / (4.0 * eps * t))
-
-        def f_im(t, r2=r2):
-            return phi(t) / np.sqrt(t) * np.sin(r2 / (4.0 * eps * t))
+        def f(t, r2=r2):
+            # phi(t)/sqrt(t) * e^{i r2/(4 eps t)}; libm's sqrt, cos and sin
+            # at QUADPACK's float nodes, where numpy's scalar calls cost more
+            if type(t) is float:
+                w, phase = phi(t) / math.sqrt(t), r2 / (4.0 * eps * t)
+                return complex(w * math.cos(phase), w * math.sin(phase))
+            w, phase = phi(t) / np.sqrt(t), r2 / (4.0 * eps * t)
+            out = np.empty(np.shape(t), complex)
+            out.real, out.imag = w * np.cos(phase), w * np.sin(phase)
+            return out
 
         if r2 == 0.0:
             # substitute t = s^2: int phi(t)/sqrt(t) dt = 2 int phi(s^2) ds
             s_lo, s_hi = math.sqrt(lo), math.sqrt(hi) if math.isfinite(hi) else math.inf
-            re = 2.0 * integrate(lambda s: phi(s * s), s_lo, s_hi, tol=tol).value
-            im = 0.0
+            value = complex(2.0 * integrate(lambda s: phi(s * s), s_lo, s_hi, tol=tol).value)
         else:
-            pts = [lo] + _schrodinger_breakpoints(r2, eps, lo, hi) + [hi]
-            re = lobe_sum(f_re, pts, tol=tol).value
-            im = lobe_sum(f_im, pts, tol=tol).value
-        contribution = sign * pref * complex(re, im)
+            pts = np.concatenate([[lo], _schrodinger_breakpoints(r2, eps, lo, hi), [hi]])
+            value = lobe_sum(f, pts, tol=tol).value
+        contribution = sign * pref * value
         total += contribution
         if case == "interval" and abs(d) > abs(x) + abs(y) and abs(contribution) < tol:
             break

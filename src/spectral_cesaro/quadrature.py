@@ -14,9 +14,12 @@ with that signature, ``quad`` itself is called.
 For an oscillatory integrand the caller supplies breakpoints at
 consecutive zeros of the oscillatory factor, and :func:`lobe_sum` adds the
 lobes in order. It takes the first step of ``dqagse`` (the 21-point
-Gauss-Kronrod rule ``dqk21``) for up to 256 lobes at a time in one
-vectorised evaluation of the integrand. Lobes that step does not accept
-fall back to :func:`integrate`, which subdivides them adaptively.
+Gauss-Kronrod rule ``dqk21``, in block form over all lobes of a chunk) for
+up to 256 lobes at a time in one vectorised evaluation of the integrand; a
+complex integrand's real and imaginary parts go through that step together,
+as two real integrands. Lobes that step does not accept fall back to
+:func:`integrate`, which subdivides them adaptively. Both refuse a ``tol``
+that is not a positive finite number.
 
 The module also holds :func:`_exact_sum`, the correctly rounded sum of a
 float array that the Riesz means and the eigen-series share, by error-free
@@ -158,10 +161,11 @@ def integrate(f, a, b, tol=1e-10, limit=400):
     a wide margin. ``evaluations`` is QUADPACK's count of calls to ``f``
     (summed over both parts of a complex integrand); the probe call that
     tells real from complex is not counted. An empty range (a == b) gives
-    value 0 and error 0 from no evaluations; a NaN limit, ParameterError.
+    value 0 and error 0 from no evaluations; a NaN limit, or a ``tol`` that
+    is not a positive finite number, ParameterError before ``f`` is called.
     """
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ParameterError("tol must be a positive finite number")
     if math.isnan(a) or math.isnan(b):
         raise ParameterError("integration limits must not be NaN")
     probe = f(_probe_point(a, b))
@@ -210,22 +214,32 @@ def _dqk21(fv, hlgth):
 
     ``fv`` holds f at centre - hlgth*_XGK (columns 0-9), centre + hlgth*_XGK
     (10-19) and the centre (20). Returns (result, abserr, resasc).
+
+    Block form: the sums f(c - h x_j) + f(c + h x_j), their weight products,
+    the |f| sums and the |f - reskh| terms are each formed for all ten
+    abscissae at once, as (rows x 10) arrays. Only the accumulations into
+    ``resg``, ``resk``, ``resabs`` and ``resasc`` run column by column, in
+    QUADPACK's order, so each row gets the same IEEE operations in the same
+    order as QUADPACK's loop: the bits do not move.
     """
     fv1, fv2, fc = fv[:, :10], fv[:, 10:20], fv[:, 20]
+    fsum = fv1 + fv2
+    wk = _WGK[:10] * fsum
+    wg = _WG * fsum[:, 1::2]
+    wabs = _WGK[:10] * (np.abs(fv1) + np.abs(fv2))
     resg = np.zeros_like(fc)
     resk = _WGK[10] * fc
     resabs = np.abs(resk)
     for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):    # Gauss abscissae first
-        fsum = fv1[:, j] + fv2[:, j]
         if j % 2:
-            resg = resg + _WG[j // 2] * fsum
-        resk = resk + _WGK[j] * fsum
-        resabs = resabs + _WGK[j] * (np.abs(fv1[:, j]) + np.abs(fv2[:, j]))
+            resg = resg + wg[:, j // 2]
+        resk = resk + wk[:, j]
+        resabs = resabs + wabs[:, j]
     reskh = resk * 0.5
+    dev = _WGK[:10] * (np.abs(fv1 - reskh[:, None]) + np.abs(fv2 - reskh[:, None]))
     resasc = _WGK[10] * np.abs(fc - reskh)
     for j in range(10):
-        resasc = resasc + _WGK[j] * (np.abs(fv1[:, j] - reskh)
-                                     + np.abs(fv2[:, j] - reskh))
+        resasc = resasc + dev[:, j]
     dhlgth = np.abs(hlgth)
     result = resk * hlgth
     resabs = resabs * dhlgth
@@ -268,15 +282,21 @@ def lobe_sum(f, breakpoints, tol=1e-12):
     other lobe, or one whose estimate :func:`integrate` would refuse, is
     integrated by :func:`integrate` (``limit=200``), which calls ``f`` at
     scalar points, subdivides adaptively and raises :class:`AccuracyError`
-    as before. A complex ``f`` is treated as :func:`integrate` treats it:
-    real and imaginary parts separately, the lobe accepted only if both are.
+    as before.
+
+    A complex ``f`` is two real integrands, Re f and Im f, in one pass: the
+    two parts of a chunk are stacked as rows of one ``dqk21`` step, each
+    part of each lobe is accepted on its own, falls back on its own (to
+    :func:`integrate` of ``f(t).real`` or ``f(t).imag``) and each part is
+    summed on its own, so the value, the error estimate and the count are
+    those of two real calls, one per part (error estimates added).
 
     Returns a :class:`QuadratureResult` whose error estimate is the sum of
     the lobes' estimates; ``evaluations`` counts 21 nodes per part of each
     batched lobe plus the evaluations of each fallback.
     """
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ParameterError("tol must be a positive finite number")
     bp = np.asarray(breakpoints, dtype=float)
     if bp.ndim != 1 or len(bp) < 2:
         raise ParameterError("need at least two breakpoints")
@@ -294,24 +314,28 @@ def lobe_sum(f, breakpoints, tol=1e-12):
         nodes = np.concatenate([centr[:, None] - absc, centr[:, None] + absc,
                                 centr[:, None]], axis=1)
         fv = np.asarray(f(nodes))
-        parts = (fv.real, fv.imag) if np.iscomplexobj(fv) else (fv,)
-        steps = [_first_step(part, hlgth, tol) for part in parts]
-        value = steps[0][0] if len(steps) == 1 else steps[0][0] + 1j * steps[1][0]
-        err = sum(s[1] for s in steps)
-        accepted = np.logical_and.reduce([s[2] for s in steps])
+        parts = (f,)
+        if np.iscomplexobj(fv):     # rows: Re f of each lobe, then Im f of each lobe
+            parts = (lambda t: f(t).real, lambda t: f(t).imag)
+            fv, hlgth = np.concatenate([fv.real, fv.imag]), np.concatenate([hlgth, hlgth])
+        value, err, accepted = _first_step(fv, hlgth, tol)
         accepted &= ~_refused(err, value, tol)     # so that integrate raises
-        calls += 21 * len(parts) * int(np.count_nonzero(accepted))
+        calls += 21 * int(np.count_nonzero(accepted))
         for i in np.flatnonzero(~accepted):
-            r = integrate(f, float(a[i]), float(b[i]), tol=tol, limit=200)
+            part, lobe = divmod(int(i), len(a))
+            r = integrate(parts[part], float(a[lobe]), float(b[lobe]), tol=tol, limit=200)
             value[i], err[i] = r.value, r.error_estimate
             calls += r.evaluations
-        values.append(value)
-        errors.append(err)
-    # left to right; a pairwise np.sum or math.fsum moves smears by an ulp
-    value = np.cumsum(np.concatenate(values))[-1]
-    total_err = np.cumsum(np.concatenate(errors))[-1]
-    return QuadratureResult(value=value, error_estimate=float(total_err),
-                            evaluations=calls)
+        values.append(value.reshape(len(parts), -1))
+        errors.append(err.reshape(len(parts), -1))
+    # a real chunk of a complex f has Im f = 0 on each lobe
+    npart = max(len(v) for v in values)
+    rows = lambda v: v if len(v) == npart else np.concatenate([v, np.zeros_like(v)])
+    # each part left to right; a pairwise np.sum or math.fsum moves smears by an ulp
+    value = np.cumsum(np.concatenate([rows(v) for v in values], axis=1), axis=1)[:, -1]
+    total_err = np.cumsum(np.concatenate([rows(e) for e in errors], axis=1), axis=1)[:, -1]
+    return QuadratureResult(value=value[0] if npart == 1 else complex(*value),
+                            error_estimate=float(sum(total_err)), evaluations=calls)
 
 
 _SUM_BLOCK = 1 << 10        # entries per block; each block of q sums exactly

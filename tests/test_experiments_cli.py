@@ -204,6 +204,18 @@ class TestCliVerify:
         assert cli.main(["verify", "theta-sum", "--config", str(path)]) == 64
         assert capsys.readouterr().err.startswith("usage error: ")
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tol_is_usage_error(self, tmp_path, capsys, tol):
+        """A NaN tol fails every comparison and an infinite one none."""
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"tol = {tol}\n")
+        for argv in (["verify", "heat-two-path", f"--tol={tol}"],
+                     ["verify", "heat-two-path", "--config", str(path)]):
+            assert cli.main(argv) == 64
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"usage error: tol must be a positive finite number, got {tol}\n"
+
     @pytest.mark.parametrize("dps", ["0", "-5", "14"])
     def test_dps_below_double_precision_is_usage_error(self, tmp_path, capsys, dps):
         path = tmp_path / "exp.cfg"

@@ -406,7 +406,8 @@ class TestAveragedSmear:
         zeros = sc.kernels._schrodinger_breakpoints(1.0, 0.01, 0.01, 1.0)
         assert len(zeros) == 788
         monkeypatch.setattr(sc.kernels, "_MAX_SERIES_TERMS", 788)
-        assert sc.kernels._schrodinger_breakpoints(1.0, 0.01, 0.01, 1.0) == zeros
+        assert np.array_equal(sc.kernels._schrodinger_breakpoints(1.0, 0.01, 0.01, 1.0),
+                              zeros)
         monkeypatch.setattr(sc.kernels, "_MAX_SERIES_TERMS", 787)
         with pytest.raises(ParameterError, match="788 phase zeros"):
             sc.kernels._schrodinger_breakpoints(1.0, 0.01, 0.01, 1.0)
@@ -654,6 +655,114 @@ def test_averaged_smear_decaying_profiles_bit_for_bit(kind, case, x, y, eps):
     f = lambda t: kernel(case, eps * t, x, y).value * phi(t)
     want = _outcome(lambda: complex(sc.integrate(f, 0.5, 1.5, tol=1e-12).value))
     assert _outcome(sc.averaged_smear, kind, case, x, y, phi, eps) == want
+
+
+@pytest.mark.parametrize("kind", ["heat", "cylinder", "schrodinger"])
+@pytest.mark.parametrize("case", ["line", "interval"])
+@pytest.mark.parametrize("x, y", [(1.0, 2.0), (1.0, 1.0)])
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_averaged_smear_refuses_non_finite_eps(monkeypatch, kind, case, x, y, eps):
+    """One ParameterError for every kind, before any quadrature."""
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature before the eps check")
+    monkeypatch.setattr(sc.kernels, "lobe_sum", no_quadrature)
+    monkeypatch.setattr(sc.kernels, "integrate", no_quadrature)
+    with pytest.raises(ParameterError, match="eps must be a positive finite number"):
+        sc.averaged_smear(kind, case, x, y, sc.make_bump(1.0, 2.0), eps)
+
+
+def _two_call_smear(case, x, y, phi, eps, tol):
+    """The Schrodinger smear as two real lobe sums per image, one for the
+    cosine and one for the sine part, with numpy's sqrt/cos/sin also at the
+    scalar nodes of the fallback lobes and the phase zeros as a sorted list."""
+    lo, hi = phi.support
+    pairs = _ref_smear_pairs(x, y) if case == "interval" else [(x - y, +1.0)]
+    pref = cmath.exp(-1j * math.pi / 4.0) / math.sqrt(4.0 * math.pi * eps)
+    total = 0.0 + 0.0j
+    for d, sign in pairs:
+        r2 = d * d
+        if r2 == 0.0:
+            re = 2.0 * sc.integrate(lambda s: phi(s * s), math.sqrt(lo), math.sqrt(hi),
+                                    tol=tol).value
+            im = 0.0
+        else:
+            f_re = lambda t: phi(t) / np.sqrt(t) * np.cos(r2 / (4.0 * eps * t))
+            f_im = lambda t: phi(t) / np.sqrt(t) * np.sin(r2 / (4.0 * eps * t))
+            k0 = max(int(math.ceil(r2 / (4.0 * eps * hi) / math.pi)), 1)
+            k1 = int(math.floor(r2 / (4.0 * eps * lo) / math.pi))
+            zeros = [r2 / (4.0 * eps * k * math.pi) for k in range(k0, k1 + 1)]
+            pts = [lo] + sorted(p for p in zeros if lo < p < hi) + [hi]
+            re = sc.lobe_sum(f_re, pts, tol=tol).value
+            im = sc.lobe_sum(f_im, pts, tol=tol).value
+        contribution = sign * pref * complex(re, im)
+        total += contribution
+        if case == "interval" and abs(d) > abs(x) + abs(y) and abs(contribution) < tol:
+            break
+    return complex(total)
+
+
+def _bits(f, *args):
+    """The bits of the complex f returns, or the type and message it raises."""
+    out = _outcome(f, *args)
+    return (out.real.hex(), out.imag.hex()) if isinstance(out, complex) else out
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(["line", "interval"]), x=st.floats(0.1, 3.0),
+       y=st.floats(0.1, 3.0), lo=st.floats(0.2, 1.5), width=st.floats(0.05, 1.5),
+       eps=st.floats(1e-3, 0.1), tol=st.sampled_from([1e-10, 1e-11, 1e-12, 1e-13]))
+def test_schrodinger_smear_is_the_two_call_form_bit_for_bit(case, x, y, lo, width,
+                                                           eps, tol):
+    """One lobe_sum of the complex integrand per image gives the bits of the
+    two real lobe sums, fallback lobes included."""
+    phi = sc.make_bump(lo, lo + width)
+    want = _bits(_two_call_smear, case, x, y, phi, eps, tol)
+    assert _bits(sc.averaged_smear, "schrodinger", case, x, y, phi, eps, tol) == want
+
+
+# the benchmark's smears at (1, 2) with the bump on [1, 2]: six interval eps
+# at tol 1e-12, twelve line eps at tol 1e-13, both geometric from 1e-3 to 1e-1
+_BENCH_SMEARS = {
+    ("interval", 6, 1e-12): [
+        ("0x1.033368b680dfdp-11", "-0x1.8cbd014190c4ep-11"),
+        ("-0x1.20f306fe66928p-7", "-0x1.df2865cfa5632p-10"),
+        ("-0x1.3c4a9cd536ecdp-5", "-0x1.2cf889a1aaa48p-7"),
+        ("-0x1.e700648855e59p-4", "-0x1.b39d319d754afp-6"),
+        ("-0x1.b773bd5bc73edp-3", "-0x1.24f5689444bfep-4"),
+        ("0x1.91e375b40aa4ap-4", "0x1.cf51e1065e743p-4")],
+    ("line", 12, 1e-13): [
+        ("0x1.03336ad623258p-11", "-0x1.8cbd4d3ea43d0p-11"),
+        ("0x1.f5c0dce67e948p-10", "-0x1.148ac24496501p-9"),
+        ("-0x1.9e8f66ee62900p-14", "0x1.e072d43223ef6p-8"),
+        ("0x1.ac821eeed3a4ep-8", "0x1.01194b706c6c3p-6"),
+        ("0x1.03a7187c27910p-6", "0x1.d94c517841767p-6"),
+        ("0x1.9a11af692c1f8p-6", "-0x1.c086519f1ee84p-5"),
+        ("0x1.e3f457912c3ffp-5", "-0x1.5670fc0764df4p-5"),
+        ("-0x1.8e93bcc8df46cp-5", "0x1.38836b793e1f8p-3"),
+        ("0x1.8fba4f56515d0p-4", "-0x1.86fdb94678596p-3"),
+        ("-0x1.b455188c91fc2p-3", "-0x1.0126f9ec29600p-8"),
+        ("-0x1.7484c9d0eb912p-5", "0x1.761744c0e647ep-3"),
+        ("0x1.85907e74fb804p-4", "0x1.034c3ac8323b9p-3")],
+}
+
+
+@pytest.mark.parametrize("case, n, tol", sorted(_BENCH_SMEARS))
+def test_benchmark_schrodinger_smears_keep_their_bits(monkeypatch, case, n, tol):
+    """The float-hex values the two-call form gave; the end lobes of the
+    bump fall back to adaptive quadrature, so their scalar path is pinned."""
+    fallbacks = []
+    integrate = sc.quadrature.integrate
+
+    def recorded(f, a, b, **kwargs):
+        fallbacks.append((a, b))
+        return integrate(f, a, b, **kwargs)
+
+    monkeypatch.setattr(sc.quadrature, "integrate", recorded)
+    phi = sc.make_bump(1.0, 2.0)
+    got = [_bits(sc.averaged_smear, "schrodinger", case, 1.0, 2.0, phi, float(e), tol)
+           for e in np.geomspace(1e-3, 1e-1, n)]
+    assert got == _BENCH_SMEARS[case, n, tol]
+    assert fallbacks
 
 
 def _ulp_bound(terms, value):

@@ -308,6 +308,122 @@ def test_lobe_sum_rejects_bad_breakpoints(bps):
         sc.lobe_sum(np.sin, bps)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-12])
+def test_tol_not_positive_finite_rejected_before_any_call(tol):
+    """A NaN tol would make every refusal test false: no AccuracyError could
+    be raised. Refused, with inf and non-positive ones, before f is called."""
+    g, h = _counted(math.exp), _counted(np.exp)
+    with pytest.raises(ParameterError, match="tol must be a positive finite number"):
+        sc.integrate(g, 0.0, 1.0, tol=tol)
+    with pytest.raises(ParameterError, match="tol must be a positive finite number"):
+        sc.lobe_sum(h, [0.0, 1.0, 2.0], tol=tol)
+    assert g.calls == h.calls == 0
+
+
+def _dqk21_columns(fv, hlgth):
+    """``_dqk21`` in column form, one abscissa at a time (the oracle)."""
+    fv1, fv2, fc = fv[:, :10], fv[:, 10:20], fv[:, 20]
+    xk, wgk, wg = quadrature._XGK, quadrature._WGK, quadrature._WG
+    assert len(xk) == 10
+    resg = np.zeros_like(fc)
+    resk = wgk[10] * fc
+    resabs = np.abs(resk)
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
+        fsum = fv1[:, j] + fv2[:, j]
+        if j % 2:
+            resg = resg + wg[j // 2] * fsum
+        resk = resk + wgk[j] * fsum
+        resabs = resabs + wgk[j] * (np.abs(fv1[:, j]) + np.abs(fv2[:, j]))
+    reskh = resk * 0.5
+    resasc = wgk[10] * np.abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + wgk[j] * (np.abs(fv1[:, j] - reskh) + np.abs(fv2[:, j] - reskh))
+    return resk * hlgth, resasc * np.abs(hlgth)
+
+
+# scalar integrands f(t; c, w): smooth, kinked, jumping, and steep at t = c
+_LOBE_INTEGRANDS = {
+    "wave": lambda t, c, w: math.sin(w * t + c) * math.exp(-t),
+    "kink": lambda t, c, w: abs(t - c) ** 0.3,
+    "jump": lambda t, c, w: 1.0 if t < c else -0.5,
+    "edge": lambda t, c, w: math.exp(-1.0 / (t - c)) if t > c else 0.0,
+}
+
+
+def _dqk21_against_quad(lobes):
+    """Rows of ``_dqk21`` for the lobes (a, width, kind, c, w, scale), each
+    checked against QUADPACK's first step: ``quad(limit=1)`` returns dqk21's
+    result and abserr. Returns (result, abserr, resasc)."""
+    rows, half, quads = [], [], []
+    for a, width, kind, c, w, scale in lobes:
+        b = a + width
+        g = lambda t: scale * _LOBE_INTEGRANDS[kind](t, c, w)
+        centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
+        absc = [hlgth * x for x in quadrature._XGK.tolist()]
+        rows.append([g(centr - x) for x in absc] + [g(centr + x) for x in absc]
+                    + [g(centr)])
+        half.append(hlgth)
+        quads.append(quad(g, a, b, limit=1, full_output=1)[:3])
+    fv, hlgth = np.array(rows), np.array(half)
+    result, abserr, resasc = quadrature._dqk21(fv, hlgth)
+    for i, (value, err, info) in enumerate(quads):
+        assert info["neval"] == 21
+        assert result[i].hex() == float(value).hex()
+        assert abserr[i].hex() == float(err).hex()
+    want_result, want_resasc = _dqk21_columns(fv, hlgth)
+    assert [v.hex() for v in result] == [v.hex() for v in want_result.tolist()]
+    assert [v.hex() for v in resasc] == [v.hex() for v in want_resasc.tolist()]
+    return result, abserr, resasc
+
+
+_LOBES = st.tuples(st.floats(-1.0, 3.0), st.floats(1e-4, 2.0),
+                   st.sampled_from(sorted(_LOBE_INTEGRANDS)), st.floats(-1.0, 3.0),
+                   st.floats(0.5, 80.0), st.sampled_from([1.0, 3e5, 1e-70, 1e-200]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lobes=st.lists(_LOBES, min_size=1, max_size=12))
+@example(lobes=[(1.0, 0.0011, "edge", 0.999, 1.0, 1e-70)])
+def test_dqk21_block_form_is_quadpacks_first_step(lobes):
+    """Each row of the block form is compiled QUADPACK's dqk21, bit for bit."""
+    _dqk21_against_quad(lobes)
+
+
+def test_dqk21_tiny_steep_lobes_have_abserr_equal_to_resasc():
+    """At the 1e-70 scale and below, a lobe on the steep end of a bump is
+    under-resolved: abserr == resasc, the case QUADPACK's first step rejects."""
+    lobes = [(1.0, 0.0011, "edge", 0.999, 1.0, 1e-70), (1.0, 0.003, "edge", 1.0, 1.0, 1.0)]
+    result, abserr, resasc = _dqk21_against_quad(lobes)
+    assert np.all(abserr == resasc) and np.all(abserr < 1e-40)
+
+
+def test_complex_lobe_sum_is_two_real_calls():
+    """Re f is accepted on every lobe, Im f (a sharp peak) falls back on
+    three: the value, error sum and count of two real calls, and the scalar
+    calls of the Im f fallbacks alone."""
+    delta, c = 1e-2, 0.37
+    re = lambda t: np.cos(3.0 * t) * np.exp(-t)
+    im = lambda t: 1.0 / (delta**2 + (t - c) ** 2)
+    pts = [0.0, 0.25, 0.5, 0.75, 1.0]
+    scalar = []
+
+    def f(t):
+        if np.ndim(t) == 0:
+            scalar.append(t)
+        return re(t) + 1j * im(t)
+
+    r_re = sc.lobe_sum(re, pts, tol=1e-13)
+    im_counted = _counted(im)
+    r_im = sc.lobe_sum(im_counted, pts, tol=1e-13)
+    assert r_re.evaluations == 21 * (len(pts) - 1)
+    assert r_im.evaluations > 21 * (len(pts) - 1)
+    r = sc.lobe_sum(f, pts, tol=1e-13)
+    assert (r.value.real.hex(), r.value.imag.hex()) == (r_re.value.hex(), r_im.value.hex())
+    assert r.error_estimate == r_re.error_estimate + r_im.error_estimate
+    assert r.evaluations == r_re.evaluations + r_im.evaluations
+    assert len(scalar) == im_counted.calls - 1      # less the chunk's array call
+
+
 def _sum_outcome(fn, x):
     """The bits of fn(x) (sign of zero and NaN included), or the error it raises."""
     try:
