@@ -6,7 +6,15 @@ at least two independent evaluation paths (eigen-series / image sum / closed
 form), plus small-t expansion extraction and smeared ("averaged") evaluation.
 
 Every interval eigen-series is ``spectral._sine_series`` with the kernel's
-profile g(k); every interval image sum runs over :func:`_images`.
+profile g(k); every interval image sum runs over :func:`_images`. The line
+heat kernel's Fourier integral is the trapezoidal rule at node spacing
+h = 2 pi/(2|x-y| + 4 sqrt(10 t)), whose Poisson aliases lie at least
+4 sqrt(10 t) beyond |x-y| and so add at most 2.1 e^{-40} of the value
+(:func:`_heat_line_trapezoid`); the line cylinder kernel's is QUADPACK in
+u = k t. A route whose error estimate misses its tolerance raises
+AccuracyError, and a route that would need more than 10^7 terms, nodes or
+images, or whose closed form cannot be evaluated in doubles, raises
+ParameterError naming a route that can.
 
 Sign convention for the Wightman kernel: the phase exp(+i k t) is used so
 that the closed form's real part matches the Cesaro-summed series AND its
@@ -19,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,7 +35,7 @@ import numpy as np
 
 from .errors import (BoundaryError, DomainError, ParameterError,
                      SingularityError)
-from .quadrature import integrate, lobe_sum
+from .quadrature import _check_accuracy, _exact_sum, integrate, lobe_sum
 from .spectral import _MAX_SERIES_TERMS, _sine_series
 from .testfn import TestFunction
 
@@ -47,6 +56,9 @@ METHODS = ("closed_form", "spectral_sum", "image_sum")
 # distance to a jump of P in t, and to the light cone in cos t, that raises
 _WIGHTMAN_TOL = 1e-9
 _SCHRODINGER_IMAGES = 8     # image pairs on each side of the interval sum
+_LINE_TOL = 1e-12           # tolerance of the line kernels' Fourier routes
+_U = 2.0 ** -53             # unit roundoff of a double
+_HEAT_ALIAS = 2.1 * math.exp(-40.0)     # all Poisson aliases, relative to T_h
 
 
 @dataclass(frozen=True)
@@ -98,21 +110,71 @@ def _series_length(u: float, alternative: str) -> int:
 
 # ------------------------------------------------------------------- heat
 
+def _heat_line_trapezoid(t: float, d: float) -> KernelEval:
+    """(1/pi) int_0^inf exp(-k^2 t) cos(k d) dk, d >= 0, by the trapezoidal rule.
+
+    The value is T_N = (h/pi)(1/2 + sum_{n=1}^{N} w_n cos(n h d)) with
+    w_n = exp(-a_n), a_n = (n h sqrt t)^2, h = 2 pi/(2d + 4 sqrt(10 t)) and
+    N = int(sqrt(41)/(h sqrt t)) + 1 nodes, the terms summed correctly
+    rounded (Trefethen & Weideman, SIAM Review 56, 2014). Its error estimate
+    adds three bounds:
+
+    - alias: by Poisson summation the whole trapezoid sum T_h is K(d) plus
+      the kernel at m P -+ d for m >= 1, P = 2 pi/h. Each is at least
+      4 sqrt(10 t) m beyond d, so together they add at most 2.1 e^{-40} K(d),
+      and K(d) <= T_h <= |T_N| + tail + rounding.
+    - tail: the nodes past N add at most (h/pi) e^{-q^2}/(1 - e^{-2(N+1)h^2 t}),
+      q = (N+1) h sqrt t > sqrt 41.
+    - rounding: a_n is formed within 7u of itself and n h d within 2u
+      (u = 2^-53), exp and cos are taken within 4 ulp, and the sum, 1/2 + sum
+      and h/pi with three more roundings; that gives
+      u (h/pi)(12 + sum w_n (24 + 24 a_n + 3 n h d)), which holds the second
+      order terms too.
+
+    ``truncation`` is N. More than ``_MAX_SERIES_TERMS`` nodes (d/sqrt t
+    above about 5e6) is a ParameterError naming closed_form; an estimate
+    that ``integrate`` would refuse at tol 1e-12, mostly where the value
+    cancels to far below the n h d rounding (d^2/t large), an AccuracyError
+    with integrate's message and the value as best estimate.
+    """
+    rt = math.sqrt(t)
+    h = 2.0 * math.pi / (2.0 * d + 4.0 * math.sqrt(10.0) * rt)
+    s = h * rt                     # node spacing in units of 1/sqrt(t)
+    nodes = _series_length(math.sqrt(41.0) / s if s > 0.0 else math.inf,
+                           "closed_form")
+    n = np.arange(1.0, nodes + 1.0)
+    a, theta = (n * s) ** 2, n * (h * d)
+    w = np.exp(-a)
+    hp = h / math.pi
+    value = hp * (0.5 + _exact_sum(w * np.cos(theta)))
+    q = (nodes + 1) * s
+    err = (hp * math.exp(-q * q) / -math.expm1(-2.0 * q * s)
+           + _U * hp * (12.0 + float(np.dot(w, 24.0 + 24.0 * a + 3.0 * theta))))
+    err += _HEAT_ALIAS * (abs(value) + err)
+    _check_accuracy(value, err, _LINE_TOL)
+    return KernelEval(value, "spectral_sum", nodes, err)
+
+
 def heat_kernel(case: str, t: float, x: float, y: float,
                 method: str = "closed_form") -> KernelEval:
     """Heat kernel K(t,x,y) on the line or the Dirichlet interval.
 
     line: closed form (4 pi t)^{-1/2} exp(-(x-y)^2/4t); spectral_sum is the
-    Fourier integral (1/2pi) int exp(-k^2 t) cos(k(x-y)) dk over the line,
-    taken as a cosine transform: twice the integrand, integrated over
-    [0, inf) at tol 1e-12. QUADPACK's ``dqagie`` adds f(k) + f(-k) at every
-    node of (-inf, inf), which for this exactly even integrand is 2 f(k),
-    so the half line gives the full-line value, error estimate and any
-    AccuracyError bit for bit, from half the integrand calls. interval:
-    spectral_sum is ``_sine_series`` with profile g(k) = exp(-k^2 t), image_sum
-    the reflected-Gaussian sum over ``_images``; both are truncated with
-    explicit tail bounds, and spectral_sum raises ParameterError where it
-    would need more than 10^7 terms (t below about 4e-13).
+    Fourier integral (1/2pi) int exp(-k^2 t) cos(k(x-y)) dk over the line by
+    the trapezoidal rule of :func:`_heat_line_trapezoid`: nodes n h, with
+    h = 2 pi/(2|x-y| + 4 sqrt(10 t)) so that the Poisson aliases add at most
+    2.1 e^{-40} of the value. Its ``truncation`` is the node count N, about
+    13 where |x-y| << sqrt t, and its ``error_estimate`` bounds the aliases,
+    the nodes past N and the rounding. It raises AccuracyError (with the
+    value as best estimate) where that bound misses tol 1e-12, as for
+    t << (x-y)^2 at t below about 1e-5, and ParameterError naming closed_form
+    where it would need more than 10^7 nodes. interval: spectral_sum is
+    ``_sine_series`` with profile g(k) = exp(-k^2 t), image_sum (and
+    closed_form) the reflected-Gaussian sum over ``_images``; both are
+    truncated with explicit tail bounds. spectral_sum raises ParameterError
+    where it would need more than 10^7 terms (t below about 4e-13), and
+    image_sum where it would need more than 10^7 images (t above about
+    2.5e13), naming the other.
     """
     _check_finite(t, x, y)
     if t <= 0:
@@ -122,10 +184,7 @@ def heat_kernel(case: str, t: float, x: float, y: float,
         if method in ("closed_form", "image_sum"):
             v = math.exp(-((x - y) ** 2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
             return KernelEval(v, "closed_form", None, 5e-17 * abs(v))
-        d, mt, two_pi, exp, cos = x - y, -t, 2.0 * math.pi, math.exp, math.cos
-        r = integrate(lambda k: exp(k * k * mt) * cos(k * d) / two_pi * 2.0,
-                      0.0, math.inf, tol=1e-12)
-        return KernelEval(r.value, "spectral_sum", None, r.error_estimate)
+        return _heat_line_trapezoid(t, abs(x - y))
     if method == "spectral_sum":
         kmax = max(8, _series_length(math.sqrt(40.0 / t), "closed_form or image_sum"))
         v = _sine_series(x, y, kmax, lambda k: np.exp(-k**2 * t))
@@ -134,7 +193,12 @@ def heat_kernel(case: str, t: float, x: float, y: float,
         tail = (2.0 / math.pi) * math.exp(-kmax * kmax * t) * q / (1.0 - q)
         return KernelEval(v, "spectral_sum", kmax, tail)
     if method in ("image_sum", "closed_form"):
-        nimg = max(2, int(math.sqrt(40.0 * t) / (2.0 * math.pi)) + 2)
+        nimg = max(2, int(min(math.sqrt(40.0 * t) / (2.0 * math.pi),
+                              _MAX_SERIES_TERMS)) + 2)
+        if 2 * nimg + 1 > _MAX_SERIES_TERMS:
+            raise ParameterError(
+                f"image_sum would need {2 * nimg + 1:.3g} images, more than the "
+                f"budget of {_MAX_SERIES_TERMS}; use method spectral_sum")
         vals = [s * math.exp(-(d ** 2) / (4.0 * t)) for d, s in _images(x, y, nimg)]
         pref = 1.0 / math.sqrt(4.0 * math.pi * t)
         # first omitted Gaussian dominates the tail
@@ -186,14 +250,27 @@ def cylinder_kernel(case: str, t: float, x: float, y: float,
                     method: str = "closed_form") -> KernelEval:
     """Cylinder kernel T(t,x,y) = kernel of exp(-t sqrt(H)).
 
-    line closed form t/(pi((x-y)^2+t^2)); its spectral_sum is the Fourier
-    integral (1/2pi) int exp(-|k| t) cos(k(x-y)) dk, taken as the heat
-    kernel's is: a cosine transform over [0, inf) of twice the integrand at
-    tol 1e-12, equal bit for bit to the full-line integral. interval closed
-    form in terms of sinh/cosh, spectral_sum ``_sine_series`` with profile
-    g(k) = exp(-k t) and a geometric tail bound (ParameterError where it
-    would need more than 10^7 terms, t below about 4e-6), and a Lorentzian
-    image sum over ``_images`` with an integral tail correction.
+    line closed form t/(pi((x-y)^2+t^2)), a ParameterError naming
+    spectral_sum where (x-y)^2 + t^2 falls below the normal doubles (both
+    below about 1.5e-154); its spectral_sum is the Fourier integral
+    (1/2pi) int exp(-|k| t) cos(k(x-y)) dk in u = k t, i.e.
+    (1/(2pi t)) int exp(-|u|) cos(u (x-y)/t) du, whose integrand decays on
+    the scale 1 at every t. It is taken as a cosine transform: twice the
+    integrand over [0, inf) at tol 1e-12. QUADPACK's ``dqagie`` adds
+    f(u) + f(-u) at every node of (-inf, inf), which for this exactly even
+    integrand is 2 f(u), so the half line gives the full-line value, error
+    estimate and any AccuracyError bit for bit, from half the calls. The
+    trapezoidal rule of the heat kernel does not serve here: exp(-|k| t)
+    has a kink at k = 0, which makes it only O(h^2).
+
+    interval closed form in terms of sinh/cosh, with an error estimate from
+    the cancellation in cosh t - cos(x -+ y); a ParameterError naming
+    image_sum where that difference rounds to 0 (on the diagonal below
+    t of about 1.5e-8), and naming spectral_sum above t = 710, where cosh t
+    overflows. spectral_sum is ``_sine_series`` with profile g(k) = exp(-k t)
+    and a geometric tail bound (ParameterError where it would need more than
+    10^7 terms, t below about 4e-6), and image_sum a Lorentzian sum over
+    ``_images`` with an integral tail correction.
     """
     _check_finite(t, x, y)
     if t <= 0:
@@ -201,16 +278,40 @@ def cylinder_kernel(case: str, t: float, x: float, y: float,
     _check_case(case, x, y)
     if case == "line":
         if method in ("closed_form", "image_sum"):
-            v = t / (math.pi * ((x - y) ** 2 + t * t))
+            q = (x - y) ** 2 + t * t
+            if q < sys.float_info.min:     # 0, or subnormal with digits lost
+                raise ParameterError(
+                    f"the cylinder line closed form underflows at t={t!r}, "
+                    f"x-y={x - y!r}; use method spectral_sum")
+            v = t / (math.pi * q)
             return KernelEval(v, "closed_form", None, 5e-17 * abs(v))
-        d, mt, two_pi, exp, cos = x - y, -t, 2.0 * math.pi, math.exp, math.cos
-        r = integrate(lambda k: exp(k * mt) * cos(k * d) / two_pi * 2.0,
-                      0.0, math.inf, tol=1e-12)
-        return KernelEval(r.value, "spectral_sum", None, r.error_estimate)
+        r, two_pi_t, exp, cos = (x - y) / t, 2.0 * math.pi * t, math.exp, math.cos
+        res = integrate(lambda u: exp(-u) * cos(u * r) / two_pi_t * 2.0,
+                        0.0, math.inf, tol=_LINE_TOL)
+        return KernelEval(res.value, "spectral_sum", None, res.error_estimate)
     if method == "closed_form":
-        v = (math.sinh(t) / (math.cosh(t) - math.cos(x - y))
-             - math.sinh(t) / (math.cosh(t) - math.cos(x + y))) / (2.0 * math.pi)
-        return KernelEval(v, "closed_form", None, 1e-15 * max(abs(v), 1.0))
+        if t > 710.0:
+            raise ParameterError(f"cosh t overflows at t={t!r}; use method "
+                                 "spectral_sum")
+        c, s = math.cosh(t), math.sinh(t)
+        d_minus, d_plus = c - math.cos(x - y), c - math.cos(x + y)
+        if not min(d_minus, d_plus) > 0.0:
+            raise ParameterError(
+                f"cosh t - cos(x -+ y) rounds to 0 at t={t!r}, x={x!r}, y={y!r}; "
+                "use method image_sum")
+        a, b = s / d_minus, s / d_plus
+        v = (a - b) / (2.0 * math.pi)
+
+        def rel(dd, z):
+            # cosh t is within 2u cosh t, cos(x -+ y) within u|x -+ y| + 2u (the
+            # rounded argument, then cos) and their difference dd within u dd;
+            # twice that bounds |dd - D|, and s/dd is then within r/(1-r) of s/D
+            r = 2.0 * _U * (2.0 * c + 2.0 + abs(z) + dd) / dd
+            return r / (1.0 - r) + 3.0 * _U if r < 1.0 else math.inf
+
+        err = ((abs(a) * rel(d_minus, x - y) + abs(b) * rel(d_plus, x + y)
+                + _U * (abs(a) + abs(b))) / (2.0 * math.pi) + 2.0 * _U * abs(v))
+        return KernelEval(v, "closed_form", None, err)
     if method == "spectral_sum":
         kmax = max(8, _series_length(40.0 / t, "closed_form or image_sum"))
         v = _sine_series(x, y, kmax, lambda k: np.exp(-k * t))

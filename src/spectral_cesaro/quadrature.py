@@ -152,6 +152,17 @@ def _refused(err, value, tol):
     return (err > mx(1e-13 * mx(ab(value), 1.0), tol * 50)) & (err > tol)
 
 
+def _check_accuracy(value, err, tol):
+    """Raise :class:`AccuracyError`, carrying ``value`` and ``err``, where
+    :func:`_refused` refuses the estimate ``err`` of the scalar ``value``."""
+    if _refused(err, value, tol):
+        raise AccuracyError(
+            f"quadrature error estimate {err:.2e} exceeds tol {tol:.2e}",
+            best_estimate=value,
+            error_estimate=err,
+        )
+
+
 def integrate(f, a, b, tol=1e-10, limit=400):
     """Adaptive quadrature of ``f`` over ``[a, b]`` (either end may be inf).
 
@@ -175,12 +186,7 @@ def integrate(f, a, b, tol=1e-10, limit=400):
         value, err, n = vr + 1j * vi, er + ei, nr + ni
     else:
         value, err, n = _quad_counted(f, a, b, tol, limit)
-    if _refused(err, value, tol):
-        raise AccuracyError(
-            f"quadrature error estimate {err:.2e} exceeds tol {tol:.2e}",
-            best_estimate=value,
-            error_estimate=err,
-        )
+    _check_accuracy(value, err, tol)
     return QuadratureResult(value=value, error_estimate=float(err), evaluations=n)
 
 

@@ -281,6 +281,25 @@ class TestCliKernel:
         assert captured.err.startswith("usage error: ") and "budget" in captured.err
 
     @pytest.mark.parametrize("argv", [
+        ["heat", "interval", "--t", "1e300", "--x", "1", "--y", "2",
+         "--method", "image_sum"],
+        ["cylinder", "interval", "--t", "1e-9", "--x", "1", "--y", "1"],
+        ["cylinder", "interval", "--t", "1e3", "--x", "1", "--y", "2"],
+        ["cylinder", "line", "--t", "1e-300", "--x", "1", "--y", "1"],
+    ], ids=["heat_images", "cylinder_interval_diagonal", "cylinder_interval_cosh",
+            "cylinder_line_underflow"])
+    def test_route_that_cannot_evaluate_is_usage_error(self, capsys, monkeypatch, argv):
+        """Each of these never returned or ended in a traceback (exit 1)."""
+        def no_images(*args):
+            raise AssertionError("images listed past the budget")
+        monkeypatch.setattr(kernels, "_images", no_images)
+        rc = cli.main(["kernel", *argv])
+        captured = capsys.readouterr()
+        assert rc == 64
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ") and "use method" in captured.err
+
+    @pytest.mark.parametrize("argv", [
         ["heat", "line", "--t", "nan", "--x", "0", "--y", "0"],
         ["heat", "line", "--t", "inf", "--x", "0", "--y", "0"],
         ["cylinder", "line", "--t", "inf", "--x", "0", "--y", "1"],

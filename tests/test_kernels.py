@@ -5,6 +5,7 @@ import math
 import time
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -448,13 +449,12 @@ def test_non_finite_arguments_rejected(call, t, x, y):
         call(t, x, y)
 
 
-# The line Fourier integrands as written before the half-line fold, over the
-# whole line; the kernels now integrate twice these over [0, inf).
+# The line cylinder Fourier integrand in u = k t as written before the
+# half-line fold, over the whole line; the kernel integrates twice it over
+# [0, inf).
 _LINE_FOURIER = {
-    "heat": (sc.heat_kernel, lambda t, x, y: lambda kk: math.exp(-kk * kk * t)
-             * math.cos(kk * (x - y)) / (2.0 * math.pi)),
-    "cylinder": (sc.cylinder_kernel, lambda t, x, y: lambda kk: math.exp(-abs(kk) * t)
-                 * math.cos(kk * (x - y)) / (2.0 * math.pi)),
+    "cylinder": (sc.cylinder_kernel, lambda t, x, y: lambda uu: math.exp(-abs(uu))
+                 * math.cos(uu * ((x - y) / t)) / (2.0 * math.pi * t)),
 }
 _LINE_TOL = 1e-12
 
@@ -473,10 +473,6 @@ def _full_line_quad(f):
 @given(kind=st.sampled_from(sorted(_LINE_FOURIER)),
        t=st.one_of(st.floats(1e-3, 0.05), st.floats(0.05, 3.0)),
        x=st.floats(-4.0, 4.0), y=st.floats(-4.0, 4.0))
-# the estimate 1.4e-12 meets only the relative bound epsrel * |value|, which a
-# fold at tol/2 (so epsrel/2) would not meet
-@example(kind="heat", t=0.018780117783027447, x=2.5799651661104637,
-         y=2.5040674617684413)
 # the full line's estimate is refused: AccuracyError
 @example(kind="cylinder", t=0.016605403786932586, x=1.0482850977782032,
          y=2.800417584331015)
@@ -515,6 +511,176 @@ def test_line_fourier_route_takes_half_the_calls(monkeypatch, kind, t, x, y):
     _, _, full_calls = _full_line_quad(integrand(t, x, y))
     assert [r.evaluations for r in results] == [full_calls // 2]
     assert full_calls % 2 == 0
+
+
+def _heat_line_closed(t, x, y):
+    """The line heat closed form and a bound on its rounding: exp's argument
+    (x-y)^2/4t = z is formed within 4u of itself, then exp, sqrt, the product
+    and the quotient add a few u."""
+    z = (x - y) ** 2 / (4.0 * t)
+    v = sc.heat_kernel("line", t, x, y).value
+    return v, 2.0 ** -53 * (8.0 + 8.0 * z) * v
+
+
+def _assert_heat_line_route_within_its_bound(t, x, y):
+    """The route's value, or the best estimate it refuses, lies within its
+    error estimate of the closed form; a refusal is integrate's."""
+    closed, rounding = _heat_line_closed(t, x, y)
+    try:
+        got = sc.heat_kernel("line", t, x, y, "spectral_sum")
+    except AccuracyError as info:
+        value, err = info.best_estimate, info.error_estimate
+        assert _refused(err, value, _LINE_TOL)
+        assert str(info) == (f"quadrature error estimate {err:.2e} "
+                             f"exceeds tol {_LINE_TOL:.2e}")
+        assert abs(value - closed) <= err + rounding
+        return None
+    assert got.method == "spectral_sum" and type(got.value) is float
+    assert not _refused(got.error_estimate, got.value, _LINE_TOL)
+    assert abs(got.value - closed) <= got.error_estimate + rounding
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.floats(-6.0, 12.0).map(lambda e: 10.0 ** e),
+       x=st.floats(-5.0, 5.0), y=st.one_of(st.none(), st.floats(-5.0, 5.0)))
+# the point whose full-line QUADPACK estimate met only the relative bound
+@example(t=0.018780117783027447, x=2.5799651661104637, y=2.5040674617684413)
+@example(t=1e-6, x=5.0, y=-5.0)         # the most nodes and the deepest cancellation
+@example(t=1e-6, x=1.0, y=None)
+def test_heat_line_trapezoid_is_within_its_estimate(t, x, y):
+    """On log-uniform t in [1e-6, 1e12] and x, y in [-5, 5] (y = x for None),
+    a returned value lies within its error estimate of the closed form, and
+    a value that does not meet tol 1e-12 is refused with integrate's message."""
+    _assert_heat_line_route_within_its_bound(t, x, x if y is None else y)
+
+
+@pytest.mark.parametrize("t, x, y", [
+    (1e7, 1.0, 1.5), (1e8, 1.0, 1.5), (1e10, 1.0, 1.5), (1e12, 1.0, 1.5),
+    (1e-100, 1.0, 1.0),
+    *[(10.0 ** -e, 1.0, 1.0) for e in range(5, 21)],
+])
+def test_heat_line_trapezoid_regressions(t, x, y):
+    """Points where dqagie's line route went wrong: 2.29e-23 against 8.92e-5
+    at t = 1e7; 0.0 with estimate 0.0 from t = 1e8; -0.318 on the diagonal at
+    t = 1e-100; AccuracyError on the diagonal at every decade of [1e-20, 1e-5].
+    Each is now resolved, to a few ulp."""
+    got = _assert_heat_line_route_within_its_bound(t, x, y)
+    assert got is not None and got.error_estimate < 1e-14 * got.value
+    assert got.truncation == 13
+
+
+def test_heat_line_trapezoid_makes_no_quadrature_call(monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("integrate called by the heat line route")
+    monkeypatch.setattr(sc.kernels, "integrate", no_quadrature)
+    for t, x, y in [(0.3, 0.8, 0.1), (0.01, 1.0, 1.0), (1e-4, 0.0, 1.0), (1e9, 2.0, -3.0)]:
+        assert sc.heat_kernel("line", t, x, y, "spectral_sum").truncation > 0
+
+
+def test_heat_line_trapezoid_refuses_more_than_the_node_budget(monkeypatch):
+    """|x-y|/sqrt(t) = 1e8 would need about 4e8 nodes: refused, naming the
+    closed form, before any array exists."""
+    def no_array(*args, **kwargs):
+        raise AssertionError("nodes built past the budget")
+    monkeypatch.setattr(sc.kernels.np, "arange", no_array)
+    for x in (1e8, 1.7e308):
+        with pytest.raises(ParameterError, match="budget.*closed_form"):
+            sc.heat_kernel("line", 1.0, x, -x, "spectral_sum")
+
+
+@pytest.mark.parametrize("t, x, y", [(3e4, 1.0, 1.5), (1e6, 1.0, 1.5),
+                                     (1e12, 1.0, 1.5), (1e-20, 1.0, 1.0)])
+def test_cylinder_line_route_regressions(t, x, y):
+    """Points where the route in k went wrong: 2.35e-31 (estimate 4.7e-31)
+    against 1.06e-5 at t = 3e4; 0.0 with estimate 0.0 from t = 1e6; -0.318
+    (estimate 5.1e-13) on the diagonal at t = 1e-20. In u = k t each is now
+    within its estimate of the closed form, or refused."""
+    closed = sc.cylinder_kernel("line", t, x, y).value
+    try:
+        got = sc.cylinder_kernel("line", t, x, y, "spectral_sum")
+    except AccuracyError as info:
+        assert abs(info.best_estimate - closed) <= info.error_estimate
+        return
+    assert abs(got.value - closed) <= got.error_estimate + 1e-15 * closed
+    assert got.value > 0.5 * closed
+
+
+@pytest.mark.parametrize("method", ["image_sum", "closed_form"])
+@pytest.mark.parametrize("t", [2.5e13, 1e20, 1e300])
+def test_heat_interval_image_sum_refuses_more_than_the_image_budget(monkeypatch, method, t):
+    """From t of about 2.47e13 the image sum would need more than 10^7
+    images (at t = 1e300 it never ended): refused, naming the eigen-series,
+    before any image is listed. The series itself takes 8 terms there."""
+    def no_images(*args):
+        raise AssertionError("images listed past the budget")
+    monkeypatch.setattr(sc.kernels, "_images", no_images)
+    with pytest.raises(ParameterError, match="budget of 10000000; use method spectral_sum"):
+        sc.heat_kernel("interval", t, 1.0, 2.0, method)
+    assert sc.heat_kernel("interval", t, 1.0, 2.0, "spectral_sum").truncation == 8
+
+
+def test_heat_interval_image_budget_is_the_image_count(monkeypatch):
+    """The last t whose 2 nimg + 1 images fit the budget still lists them."""
+    seen = []
+    monkeypatch.setattr(sc.kernels, "_images", lambda x, y, n: seen.append(n) or [])
+    monkeypatch.setattr(sc.kernels, "_MAX_SERIES_TERMS", 2 * 1002 + 1)
+    t = lambda j: (2.0 * math.pi * (j + 0.5)) ** 2 / 40.0   # int(sqrt(40 t)/2pi) = j
+    assert sc.heat_kernel("interval", t(1000), 1.0, 2.0, "image_sum").truncation == 2005
+    assert seen == [1002]
+    with pytest.raises(ParameterError, match="2.01e\\+03 images"):
+        sc.heat_kernel("interval", t(1001), 1.0, 2.0, "image_sum")
+
+
+@pytest.mark.parametrize("case, t, x, y, route", [
+    ("interval", 1e-9, 1.0, 1.0, "image_sum"),
+    ("interval", 1e-12, 0.0, 0.0, "image_sum"),
+    ("interval", 1e3, 1.0, 2.0, "spectral_sum"),
+    ("line", 1e-300, 1.0, 1.0, "spectral_sum"),
+    ("line", 1e-160, 1.0, 1.0, "spectral_sum"),
+])
+def test_cylinder_closed_form_refusals(case, t, x, y, route):
+    """Where a closed form divides by a 0 it rounded to (or by a subnormal
+    that lost its digits), or cosh t overflows, it raises ParameterError
+    naming a route that still evaluates, not a bare arithmetic error."""
+    with pytest.raises(ParameterError, match=f"use method {route}"):
+        sc.cylinder_kernel(case, t, x, y)
+
+
+def _old_cylinder_interval_closed(t, x, y):
+    return (math.sinh(t) / (math.cosh(t) - math.cos(x - y))
+            - math.sinh(t) / (math.cosh(t) - math.cos(x + y))) / (2.0 * math.pi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.floats(-7.5, 2.8).map(lambda e: 10.0 ** e),
+       x=st.floats(0.0, math.pi), y=st.floats(0.0, math.pi),
+       near=st.one_of(st.none(), st.just(0.0), st.floats(-1e-5, 1e-5)))
+@example(t=1e-6, x=1.0, y=1.0, near=None)
+@example(t=1e-7, x=1.0, y=1.0, near=None)
+def test_cylinder_interval_closed_form_reports_its_cancellation(t, x, y, near):
+    """The closed form keeps its bits, and lies within its error estimate of
+    the same formula at 40 digits: near the diagonal (y = x + near) cosh t
+    and cos(x - y) cancel to a few digits at small t."""
+    y = y if near is None else x + near
+    assume(0.0 <= y <= math.pi and (t > 1.5e-8 or x != y))
+    got = sc.cylinder_kernel("interval", t, x, y)
+    assert got.value == _old_cylinder_interval_closed(t, x, y)
+    with mpmath.workdps(40):
+        t_, x_, y_ = mpmath.mpf(t), mpmath.mpf(x), mpmath.mpf(y)
+        exact = (mpmath.sinh(t_) / (mpmath.cosh(t_) - mpmath.cos(x_ - y_))
+                 - mpmath.sinh(t_) / (mpmath.cosh(t_) - mpmath.cos(x_ + y_))) / (2 * mpmath.pi)
+        assert abs(got.value - exact) <= got.error_estimate
+
+
+def test_cylinder_interval_closed_form_estimate_at_small_t():
+    """At (1e-6, 1, 1) the closed form is off by 8.9e-5 relative and at 1e-7
+    by 2.1%; it used to report 1e-15 |v| at both."""
+    for t, off in [(1e-6, 8.8e-5), (1e-7, 2e-2)]:
+        got = sc.cylinder_kernel("interval", t, 1.0, 1.0)
+        image = sc.cylinder_kernel("interval", t, 1.0, 1.0, "image_sum")
+        assert abs(got.value - image.value) > off * abs(image.value)
+        assert got.error_estimate > abs(got.value - image.value)
 
 
 # ------------------------------------------ one eigen-series, one image list
