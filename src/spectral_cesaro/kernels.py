@@ -252,14 +252,15 @@ def cylinder_kernel(case: str, t: float, x: float, y: float,
 
     line closed form t/(pi((x-y)^2+t^2)), a ParameterError naming
     spectral_sum where (x-y)^2 + t^2 falls below the normal doubles (both
-    below about 1.5e-154); its spectral_sum is the Fourier integral
-    (1/2pi) int exp(-|k| t) cos(k(x-y)) dk in u = k t, i.e.
-    (1/(2pi t)) int exp(-|u|) cos(u (x-y)/t) du, whose integrand decays on
-    the scale 1 at every t. It is taken as a cosine transform: twice the
-    integrand over [0, inf) at tol 1e-12. QUADPACK's ``dqagie`` adds
-    f(u) + f(-u) at every node of (-inf, inf), which for this exactly even
-    integrand is 2 f(u), so the half line gives the full-line value, error
-    estimate and any AccuracyError bit for bit, from half the calls. The
+    below about 1.5e-154) or overflows (t above about 1.3e154). Its
+    spectral_sum is the Fourier integral (1/2pi) int exp(-|k| t) cos(k(x-y)) dk
+    in u = k t, i.e. (1/(2pi t)) int exp(-|u|) cos(u (x-y)/t) du, whose
+    integrand decays on the scale 1 at every t. It is taken as a cosine
+    transform: twice the integrand over [0, inf) at tol 1e-12. QUADPACK's
+    ``dqagie`` adds f(u) + f(-u) at every node of (-inf, inf), which for
+    this exactly even integrand is 2 f(u), so the half line gives the
+    full-line value, error estimate and any AccuracyError bit for bit, from
+    half the calls. The
     trapezoidal rule of the heat kernel does not serve here: exp(-|k| t)
     has a kink at k = 0, which makes it only O(h^2).
 
@@ -279,10 +280,10 @@ def cylinder_kernel(case: str, t: float, x: float, y: float,
     if case == "line":
         if method in ("closed_form", "image_sum"):
             q = (x - y) ** 2 + t * t
-            if q < sys.float_info.min:     # 0, or subnormal with digits lost
+            if not sys.float_info.min <= q < math.inf:  # digits lost, or 1/q = 0
                 raise ParameterError(
-                    f"the cylinder line closed form underflows at t={t!r}, "
-                    f"x-y={x - y!r}; use method spectral_sum")
+                    f"(x-y)^2 + t^2 = {q!r} in the cylinder line closed form at "
+                    f"t={t!r}, x-y={x - y!r}; use method spectral_sum")
             v = t / (math.pi * q)
             return KernelEval(v, "closed_form", None, 5e-17 * abs(v))
         r, two_pi_t, exp, cos = (x - y) / t, 2.0 * math.pi * t, math.exp, math.cos
