@@ -7,14 +7,12 @@ form), plus small-t expansion extraction and smeared ("averaged") evaluation.
 
 Every interval eigen-series is ``spectral._sine_series`` with the kernel's
 profile g(k); every interval image sum runs over :func:`_images`. The line
-heat kernel's Fourier integral is the trapezoidal rule at node spacing
-h = 2 pi/(2|x-y| + 4 sqrt(10 t)), whose Poisson aliases lie at least
-4 sqrt(10 t) beyond |x-y| and so add at most 2.1 e^{-40} of the value
-(:func:`_heat_line_trapezoid`); the line cylinder kernel's is QUADPACK in
-u = k t. A route whose error estimate misses its tolerance raises
-AccuracyError, and a route that would need more than 10^7 terms, nodes or
-images, or whose closed form cannot be evaluated in doubles, raises
-ParameterError naming a route that can.
+heat kernel's Fourier integral and the Schrodinger smear are trapezoidal
+rules with estimated Poisson aliases (:func:`_heat_line_trapezoid`,
+:func:`averaged_smear`); the line cylinder kernel's is QUADPACK in u = k t.
+A route whose error estimate misses its tolerance raises AccuracyError; one
+that would need more than 10^7 terms, nodes or images, or whose closed form
+cannot be evaluated in doubles, raises ParameterError naming one that can.
 
 Sign convention for the Wightman kernel: the phase exp(+i k t) is used so
 that the closed form's real part matches the Cesaro-summed series AND its
@@ -35,7 +33,7 @@ import numpy as np
 
 from .errors import (BoundaryError, DomainError, ParameterError,
                      SingularityError)
-from .quadrature import _check_accuracy, _exact_sum, integrate, lobe_sum
+from .quadrature import QuadratureResult, _check_accuracy, _exact_sum, integrate
 from .spectral import _MAX_SERIES_TERMS, _sine_series
 from .testfn import TestFunction
 
@@ -59,6 +57,7 @@ _SCHRODINGER_IMAGES = 8     # image pairs on each side of the interval sum
 _LINE_TOL = 1e-12           # tolerance of the line kernels' Fourier routes
 _U = 2.0 ** -53             # unit roundoff of a double
 _HEAT_ALIAS = 2.1 * math.exp(-40.0)     # all Poisson aliases, relative to T_h
+_SMEAR_W = 2000.0           # the Schrodinger smear's alias frequency times (b-a)/b^2
 
 
 @dataclass(frozen=True)
@@ -159,22 +158,23 @@ def heat_kernel(case: str, t: float, x: float, y: float,
                 method: str = "closed_form") -> KernelEval:
     """Heat kernel K(t,x,y) on the line or the Dirichlet interval.
 
-    line: closed form (4 pi t)^{-1/2} exp(-(x-y)^2/4t); spectral_sum is the
-    Fourier integral (1/2pi) int exp(-k^2 t) cos(k(x-y)) dk over the line by
-    the trapezoidal rule of :func:`_heat_line_trapezoid`: nodes n h, with
-    h = 2 pi/(2|x-y| + 4 sqrt(10 t)) so that the Poisson aliases add at most
-    2.1 e^{-40} of the value. Its ``truncation`` is the node count N, about
-    13 where |x-y| << sqrt t, and its ``error_estimate`` bounds the aliases,
-    the nodes past N and the rounding. It raises AccuracyError (with the
-    value as best estimate) where that bound misses tol 1e-12, as for
-    t << (x-y)^2 at t below about 1e-5, and ParameterError naming closed_form
-    where it would need more than 10^7 nodes. interval: spectral_sum is
-    ``_sine_series`` with profile g(k) = exp(-k^2 t), image_sum (and
-    closed_form) the reflected-Gaussian sum over ``_images``; both are
-    truncated with explicit tail bounds. spectral_sum raises ParameterError
-    where it would need more than 10^7 terms (t below about 4e-13), and
-    image_sum where it would need more than 10^7 images (t above about
-    2.5e13), naming the other.
+    line: closed form (4 pi t)^{-1/2} exp(-(x-y)^2/4t), with error estimate
+    u (5 + (x-y)^2/t)|v| (u = 2^-53) and a ParameterError where (x-y)^2
+    overflows. spectral_sum is the Fourier integral (1/2pi) int exp(-k^2 t)
+    cos(k(x-y)) dk by the trapezoidal rule of :func:`_heat_line_trapezoid`:
+    nodes n h, with h = 2 pi/(2|x-y| + 4 sqrt(10 t)) so that the Poisson
+    aliases add at most 2.1 e^{-40} of the value. Its ``truncation`` is the
+    node count N, about 13 where |x-y| << sqrt t, and its ``error_estimate``
+    bounds the aliases, the nodes past N and the rounding. It raises
+    AccuracyError (with the value as best estimate) where that bound misses
+    tol 1e-12, as for t << (x-y)^2 at t below about 1e-5, and ParameterError
+    naming closed_form where it would need more than 10^7 nodes. interval:
+    spectral_sum is ``_sine_series`` with profile g(k) = exp(-k^2 t),
+    image_sum (and closed_form) the reflected-Gaussian sum over ``_images``;
+    both are truncated with explicit tail bounds. spectral_sum raises
+    ParameterError where it would need more than 10^7 terms (t below about
+    4e-13), and image_sum where it would need more than 10^7 images (t above
+    about 2.5e13), naming the other.
     """
     _check_finite(t, x, y)
     if t <= 0:
@@ -182,8 +182,16 @@ def heat_kernel(case: str, t: float, x: float, y: float,
     _check_case(case, x, y)
     if case == "line":
         if method in ("closed_form", "image_sum"):
-            v = math.exp(-((x - y) ** 2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
-            return KernelEval(v, "closed_form", None, 5e-17 * abs(v))
+            try:        # not d * d, which rounds differently from ** 2 at times
+                a = (x - y) ** 2 / (4.0 * t)
+            except OverflowError:
+                raise ParameterError(f"(x-y)^2 overflows at x-y={x - y!r}") from None
+            r = math.sqrt(4.0 * math.pi * t)
+            v = math.exp(-a) / r
+            # exp(-a) is within (4a + 2)u, r and the quotient add 2.2u, and a
+            # subnormal exp(-a) or v at most 2^-1074 before and after dividing
+            err = (_U * (5.0 + 4.0 * a) * v if v else 0.0) + 2.0**-1074 * (1.0 + 1.0 / r)
+            return KernelEval(v, "closed_form", None, err)
         return _heat_line_trapezoid(t, abs(x - y))
     if method == "spectral_sum":
         kmax = max(8, _series_length(math.sqrt(40.0 / t), "closed_form or image_sum"))
@@ -252,17 +260,15 @@ def cylinder_kernel(case: str, t: float, x: float, y: float,
 
     line closed form t/(pi((x-y)^2+t^2)), a ParameterError naming
     spectral_sum where (x-y)^2 + t^2 falls below the normal doubles (both
-    below about 1.5e-154) or overflows (t above about 1.3e154). Its
+    below about 1.5e-154) or overflows (|x-y| or t above about 1.3e154). Its
     spectral_sum is the Fourier integral (1/2pi) int exp(-|k| t) cos(k(x-y)) dk
     in u = k t, i.e. (1/(2pi t)) int exp(-|u|) cos(u (x-y)/t) du, whose
     integrand decays on the scale 1 at every t. It is taken as a cosine
-    transform: twice the integrand over [0, inf) at tol 1e-12. QUADPACK's
-    ``dqagie`` adds f(u) + f(-u) at every node of (-inf, inf), which for
-    this exactly even integrand is 2 f(u), so the half line gives the
-    full-line value, error estimate and any AccuracyError bit for bit, from
-    half the calls. The
-    trapezoidal rule of the heat kernel does not serve here: exp(-|k| t)
-    has a kink at k = 0, which makes it only O(h^2).
+    transform, twice the integrand over [0, inf) at tol 1e-12: ``dqagie``
+    adds f(u) + f(-u) = 2 f(u) at every node of (-inf, inf), so this gives
+    the full line's value, estimate and any AccuracyError bit for bit from
+    half the calls. The heat kernel's trapezoidal rule does not serve here:
+    exp(-|k| t) has a kink at k = 0, which makes it only O(h^2).
 
     interval closed form in terms of sinh/cosh, with an error estimate from
     the cancellation in cosh t - cos(x -+ y); a ParameterError naming
@@ -279,7 +285,10 @@ def cylinder_kernel(case: str, t: float, x: float, y: float,
     _check_case(case, x, y)
     if case == "line":
         if method in ("closed_form", "image_sum"):
-            q = (x - y) ** 2 + t * t
+            try:
+                q = (x - y) ** 2 + t * t
+            except OverflowError:
+                q = math.inf
             if not sys.float_info.min <= q < math.inf:  # digits lost, or 1/q = 0
                 raise ParameterError(
                     f"(x-y)^2 + t^2 = {q!r} in the cylinder line closed form at "
@@ -531,47 +540,64 @@ def small_t_coefficients(kind: str, case: str, x: float, y: float,
 
 # -------------------------------------------------------- averaged smears
 
-def _schrodinger_breakpoints(r2: float, eps: float, a: float, b: float):
-    """Zeros of cos/sin of the phase r2/(4 eps t) inside (a, b), ascending.
-
-    The zeros t_k = r2/(4 eps k pi) come from one numpy expression over k,
-    with the operations in the order of the scalar formula, so each is the
-    double that formula gives; they descend in k and are returned reversed.
-    Raises ParameterError, before any array is built, where there would be
-    more than ``_MAX_SERIES_TERMS`` of them (a support reaching close to 0).
-    """
-    theta = lambda t: r2 / (4.0 * eps * t)
-    lo = theta(b)                   # theta decreases in t
-    hi = theta(a) if 4.0 * eps * a > 0.0 else math.inf   # 4 eps a may underflow
-    k0 = max(int(math.ceil(lo / math.pi)), 1)
-    k1 = int(math.floor(hi / math.pi)) if math.isfinite(hi) else math.inf
-    if k1 - k0 + 1 > _MAX_SERIES_TERMS:
+def _smear_nodes(phi, lo: float, hi: float, eps: float, delta: float):
+    """Nodes s = 1/hi + n delta over [1/hi, 1/lo] and h(s) = phi(1/s) s^{-3/2};
+    past ``_MAX_SERIES_TERMS`` nodes a ParameterError before any array."""
+    u = (1.0 / lo - 1.0 / hi) / delta + 1.0
+    if not u < _MAX_SERIES_TERMS:
         raise ParameterError(
-            f"schrodinger smear over the support [{a!r}, {b!r}] at eps={eps!r} "
-            f"would split at {k1 - k0 + 1:.3g} phase zeros, more than the "
-            f"budget of {_MAX_SERIES_TERMS}")
-    pts = r2 / (4.0 * eps * np.arange(k0, k1 + 1) * math.pi)   # descending
-    return pts[(a < pts) & (pts < b)][::-1]
+            f"schrodinger smear over the support [{lo!r}, {hi!r}] at eps={eps!r} "
+            f"would need {u + 1:.3g} nodes, more than the budget of {_MAX_SERIES_TERMS}")
+    s = 1.0 / hi + delta * np.arange(int(u) + 1)
+    t = 1.0 / s
+    return s, phi(t) * (t * np.sqrt(t))
+
+
+def _smear_term(phi, lo: float, hi: float, eps: float, r2: float, w: float,
+                alias: float, tol: float) -> QuadratureResult:
+    """int h(s) e^{i omega s} ds, omega = r2/(4 eps), by the trapezoidal rule
+    of :func:`averaged_smear`; ``evaluations`` is its node count."""
+    omega = r2 / (4.0 * eps)
+    delta = 2.0 * math.pi / (omega + w)
+    s, h = _smear_nodes(phi, lo, hi, eps, delta)
+    theta = omega * s
+    value = delta * complex(_exact_sum(h * np.cos(theta)), _exact_sum(h * np.sin(theta)))
+    err = alias + _U * delta * float(np.dot(np.abs(h), 24.0 + 5.0 * theta))
+    _check_accuracy(value, err, tol)
+    return QuadratureResult(value, err, len(s))
 
 
 def averaged_smear(kind: str, case: str, x: float, y: float,
                    phi: TestFunction, eps: float, tol: float = 1e-12) -> complex:
     """Smeared kernel value <G(eps t, x, y), phi(t)> over t in (0, inf).
 
-    For the oscillatory Schrodinger profile every off-diagonal term (each
-    image, on the interval) is split at its phase lobes and the lobes are
-    added in order by one :func:`lobe_sum` call: one Gauss-Kronrod-21 pass
-    over up to 256 lobes at a time, with adaptive quadrature only for the
-    lobes that pass rejects. Its integrand phi(t)/sqrt(t) e^{i r^2/(4 eps t)}
-    forms phi(t)/sqrt(t) and the phase once for both parts, which
-    :func:`lobe_sum` integrates as two real integrands, so every value is
-    the one two real calls give. It is a numpy expression in ``t``, so ``phi``
-    must accept arrays, and ``phi`` must be supported in a compact subset of
-    t > 0 (ParameterError before any quadrature otherwise, also where a
-    term would need more than ``_MAX_SERIES_TERMS`` lobes); the diagonal
-    term alone takes any decaying ``phi``. Decaying profiles use plain
-    adaptive quadrature. A NaN, infinite or non-positive ``eps`` is a
-    ParameterError, raised before any quadrature.
+    Decaying profiles (heat, cylinder) use plain adaptive quadrature. The
+    Schrodinger kernel sums (4 pi eps t)^{-1/2} e^{-i pi/4} e^{i r^2/(4 eps t)}
+    over r = x - y (line) or the images ``_images(x, y, 6)`` nearest first,
+    up to the first beyond |x| + |y| whose term is below ``tol`` (interval).
+    A diagonal term (r = 0) is adaptive quadrature in t = s^2 and takes any
+    decaying ``phi``. Every other term is int h(s) e^{i omega s} ds in
+    s = 1/t, h(s) = phi(1/s) s^{-3/2} on [1/b, 1/a] for phi supported in
+    [a, b], omega = r^2/(4 eps): the trapezoidal rule at spacing
+    Delta = 2 pi/(omega + W), summed correctly rounded, is exact up to its
+    Poisson aliases, all at |xi| >= W (Trefethen & Weideman, SIAM Review 56,
+    2014). There are no lobes and no quadrature call.
+
+    W = 2000 b^2/(b-a). A bump's |h^(xi)| decays like
+    exp(-sqrt(xi (b-a)/(2 b^2))), set by h at s = 1/b, so this W makes the
+    rule commute with t -> c t; on [1, 2] (W = 8000) |h^| is 3.2e-15 at 6000
+    and below 1e-16, the sums' rounding, from 8000. Each term's estimate is
+    the alias 2 max |h^| over [W, 2W], by one FFT of h at spacing pi/(2W)
+    per call, plus the rounding u Delta sum |h_n| (24 + 5 omega s_n): the
+    phase is within 5u omega s_n, and h_n, cos, sin and the sums add 24u.
+    A term ``integrate`` would refuse at ``tol`` raises AccuracyError with
+    its value as best estimate, as for a phi with a kink (|h^| ~ 1/xi^2).
+
+    ``phi`` must accept arrays. Off the diagonal it must be supported in a
+    compact subset of t > 0, and a term or FFT past ``_MAX_SERIES_TERMS``
+    nodes (a support reaching toward 0, a tiny eps) is refused, both by
+    ParameterError before any array is built; so is an eps that is not a
+    positive finite number, before any quadrature.
     """
     if not 0 < eps < math.inf:
         raise ParameterError(f"eps must be a positive finite number, got {eps!r}")
@@ -600,30 +626,22 @@ def averaged_smear(kind: str, case: str, x: float, y: float,
             raise ParameterError(
                 "off-diagonal schrodinger smear needs phi supported in t > 0, "
                 f"got support {phi.support}")
+        w = _SMEAR_W * hi * hi / (hi - lo)
+        step = math.pi / (2.0 * w)      # the FFT's frequencies: 4 w k/m
+        h = _smear_nodes(phi, lo, hi, eps, step)[1]
+        m = max(len(h), 64)
+        alias = 2.0 * step * float(np.abs(np.fft.rfft(h, m))[(m + 3) // 4:].max())
 
     pref = cmath.exp(-1j * math.pi / 4.0) / math.sqrt(4.0 * math.pi * eps)
     total = 0.0 + 0.0j
     for d, sign in pairs:
         r2 = d * d
-
-        def f(t, r2=r2):
-            # phi(t)/sqrt(t) * e^{i r2/(4 eps t)}; libm's sqrt, cos and sin
-            # at QUADPACK's float nodes, where numpy's scalar calls cost more
-            if type(t) is float:
-                w, phase = phi(t) / math.sqrt(t), r2 / (4.0 * eps * t)
-                return complex(w * math.cos(phase), w * math.sin(phase))
-            w, phase = phi(t) / np.sqrt(t), r2 / (4.0 * eps * t)
-            out = np.empty(np.shape(t), complex)
-            out.real, out.imag = w * np.cos(phase), w * np.sin(phase)
-            return out
-
         if r2 == 0.0:
             # substitute t = s^2: int phi(t)/sqrt(t) dt = 2 int phi(s^2) ds
             s_lo, s_hi = math.sqrt(lo), math.sqrt(hi) if math.isfinite(hi) else math.inf
             value = complex(2.0 * integrate(lambda s: phi(s * s), s_lo, s_hi, tol=tol).value)
         else:
-            pts = np.concatenate([[lo], _schrodinger_breakpoints(r2, eps, lo, hi), [hi]])
-            value = lobe_sum(f, pts, tol=tol).value
+            value = _smear_term(phi, lo, hi, eps, r2, w, alias, tol).value
         contribution = sign * pref * value
         total += contribution
         if case == "interval" and abs(d) > abs(x) + abs(y) and abs(contribution) < tol:

@@ -11,14 +11,12 @@ which no caller uses. It is called with the arguments
 count is quad's; where the extension cannot be found or does not answer
 with that signature, ``quad`` itself is called.
 
-For an oscillatory integrand the caller supplies breakpoints at
-consecutive zeros of the oscillatory factor, and :func:`lobe_sum` adds the
-lobes in order. It takes the first step of ``dqagse`` (the 21-point
-Gauss-Kronrod rule ``dqk21``, in block form over all lobes of a chunk) for
-up to 256 lobes at a time in one vectorised evaluation of the integrand; a
-complex integrand's real and imaginary parts go through that step together,
-as two real integrands. Lobes that step does not accept fall back to
-:func:`integrate`, which subdivides them adaptively. Both refuse a ``tol``
+:func:`lobe_sum` adds an oscillatory integrand lobe by lobe between the
+caller's breakpoints, by the first step of ``dqagse`` (the 21-point
+Gauss-Kronrod rule ``dqk21``, in block form) over up to 256 lobes at a
+time, and :func:`integrate` for the lobes that step does not accept. No
+package function calls it; it stays, with its helpers, only while the
+benchmark's tracer (``bench/tracing.py``) names it. Both refuse a ``tol``
 that is not a positive finite number.
 
 The module also holds :func:`_exact_sum`, the correctly rounded sum of a
@@ -274,32 +272,14 @@ def _first_step(fv, hlgth, tol):
 def lobe_sum(f, breakpoints, tol=1e-12):
     """Integrate ``f`` over consecutive intervals and add them left to right.
 
-    ``breakpoints`` is a finite, increasing sequence delimiting the lobes
-    (typically zeros of the oscillatory factor). Integrating lobe by lobe
-    resolves a near-total cancellation between lobes that one adaptive pass
-    over the whole range cannot.
-
-    ``f`` takes and returns numpy arrays: it is called once per chunk of up
-    to 256 lobes on a (lobes x 21) array of Gauss-Kronrod nodes, and each
-    lobe gets the first step of QUADPACK's ``dqagse`` (the ``dqk21`` rule
-    and its acceptance test). A lobe that step accepts gets, bit for bit,
-    the value and error estimate ``dqagse`` (and so
-    ``scipy.integrate.quad``) returns from the same integrand values. Every
-    other lobe, or one whose estimate :func:`integrate` would refuse, is
-    integrated by :func:`integrate` (``limit=200``), which calls ``f`` at
-    scalar points, subdivides adaptively and raises :class:`AccuracyError`
-    as before.
-
-    A complex ``f`` is two real integrands, Re f and Im f, in one pass: the
-    two parts of a chunk are stacked as rows of one ``dqk21`` step, each
-    part of each lobe is accepted on its own, falls back on its own (to
-    :func:`integrate` of ``f(t).real`` or ``f(t).imag``) and each part is
-    summed on its own, so the value, the error estimate and the count are
-    those of two real calls, one per part (error estimates added).
-
-    Returns a :class:`QuadratureResult` whose error estimate is the sum of
-    the lobes' estimates; ``evaluations`` counts 21 nodes per part of each
-    batched lobe plus the evaluations of each fallback.
+    No package function calls it; it stays only while the benchmark's
+    tracer (``bench/tracing.py``) names it. ``f`` takes arrays and is called
+    once per chunk of up to 256 lobes on their Gauss-Kronrod nodes. A lobe
+    that ``dqagse``'s first step accepts gets, bit for bit, the value and
+    estimate ``dqagse`` returns; every other lobe, or one :func:`integrate`
+    would refuse, goes to :func:`integrate` (``limit=200``). A complex ``f``
+    gives the result of two real calls, one per part. The estimates and the
+    ``evaluations`` (21 per part of a batched lobe, plus each fallback's) add.
     """
     if not 0 < tol < math.inf:
         raise ParameterError("tol must be a positive finite number")

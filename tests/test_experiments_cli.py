@@ -299,6 +299,16 @@ class TestCliKernel:
         assert captured.out == ""
         assert captured.err.startswith("usage error: ") and "use method" in captured.err
 
+    @pytest.mark.parametrize("kind", ["heat", "cylinder"])
+    def test_overflowing_square_is_usage_error(self, capsys, kind):
+        """(x - y) ** 2 overflows at x - y = 1e200: it used to end in a bare
+        OverflowError (a traceback, exit 1)."""
+        rc = cli.main(["kernel", kind, "line", "--t", "1", "--x", "1e200", "--y", "-1"])
+        captured = capsys.readouterr()
+        assert rc == 64
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
+
     @pytest.mark.parametrize("argv", [
         ["heat", "line", "--t", "nan", "--x", "0", "--y", "0"],
         ["heat", "line", "--t", "inf", "--x", "0", "--y", "0"],

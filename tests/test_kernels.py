@@ -16,6 +16,7 @@ import spectral_cesaro as sc
 from spectral_cesaro.errors import (AccuracyError, BoundaryError, DomainError,
                                     ParameterError, SingularityError)
 from spectral_cesaro.quadrature import _exact_sum, _refused
+from test_acceptance import _mp_offdiagonal_smear
 
 
 class TestHeatKernel:
@@ -328,9 +329,10 @@ class TestAveragedSmear:
         The bump-smeared oscillatory kernel decays like exp(-c/sqrt(eps));
         the power-law slope clears 4 only below the onset scale eps ~ 5e-4
         for this geometry (phase sweep 1/(8 eps) radians across the support).
-        The grid stops at 1e-4: below it the double-precision lobe sum loses
-        the cancellation (8e-4 relative error at 6.3e-5, 5.1e-14 against
-        2.29e-15 at 10**-4.5).
+        The grid stops at 1e-4: below it the rounding of the phase in doubles
+        swamps the value (1e-3 relative error at 6.3e-5; at 10**-4.5, where
+        the value is 2.29e-15, tol 1e-14 is refused with an estimate of
+        5.5e-13 for the integral).
         """
         phi = sc.make_bump(1.0, 2.0)
         eps = np.geomspace(1e-4, 1e-3, 6)
@@ -343,8 +345,9 @@ class TestAveragedSmear:
     def test_interval_smear_runtime_budget(self):
         """Six interval smears of the benchmark geometry in 3 s.
 
-        On a 2-vCPU Xeon VM: about 0.4 s with the batched lobe rule, about
-        6 s with one adaptive quadrature per lobe.
+        On a 2-vCPU Xeon VM: about 7 ms by the trapezoidal sums in s = 1/t,
+        about 0.07 s with the batched lobe rule they replace and about 6 s
+        with one adaptive quadrature per lobe.
         """
         phi = sc.make_bump(1.0, 2.0)
         t0 = time.perf_counter()
@@ -368,10 +371,10 @@ class TestAveragedSmear:
     def test_schrodinger_offdiagonal_needs_support_in_positive_t(self, monkeypatch,
                                                                  case, support):
         """The phase r^2/(4 eps t) has no value at t = 0: refused before any
-        quadrature, where the lobe split used to divide by zero."""
+        quadrature or node, where the lobe split used to divide by zero."""
         def no_quadrature(*args, **kwargs):
             raise AssertionError("quadrature before the support check")
-        monkeypatch.setattr(sc.kernels, "lobe_sum", no_quadrature)
+        monkeypatch.setattr(sc.kernels, "_smear_nodes", no_quadrature)
         monkeypatch.setattr(sc.kernels, "integrate", no_quadrature)
         with pytest.raises(ParameterError, match="supported in t > 0"):
             sc.averaged_smear("schrodinger", case, 1.0, 2.0, sc.make_bump(*support), 0.01)
@@ -388,32 +391,65 @@ class TestAveragedSmear:
 
     @pytest.mark.parametrize("case", ["line", "interval"])
     @pytest.mark.parametrize("lo", [1e-12, 5e-324])
-    def test_schrodinger_lobes_past_the_budget_are_refused(self, monkeypatch, case, lo):
-        """A support reaching down to 1e-12 would split at about 8e12 phase
-        zeros, and one from 5e-324 (where 4 eps t underflows to 0) at
-        infinitely many; refused from their count, before any list or
+    def test_schrodinger_nodes_past_the_budget_are_refused(self, monkeypatch, case, lo):
+        """A support reaching down to 1e-12 spans 1e12 in s = 1/t, which would
+        take about 1e15 nodes, and one from 5e-324 (where 1/t overflows)
+        infinitely many; refused from their count, before any array or
         quadrature."""
         def no_quadrature(*args, **kwargs):
-            raise AssertionError("quadrature past the lobe budget")
-        monkeypatch.setattr(sc.kernels, "lobe_sum", no_quadrature)
+            raise AssertionError("nodes or quadrature past the budget")
+        monkeypatch.setattr(sc.kernels.np, "arange", no_quadrature)
         monkeypatch.setattr(sc.kernels, "integrate", no_quadrature)
         with pytest.raises(ParameterError, match=rf"support \[{lo!r}, 1\.0\] at "
                            r"eps=0\.01 .*budget of 10000000"):
             sc.averaged_smear("schrodinger", case, 1.0, 2.0, sc.make_bump(lo, 1.0), 0.01)
 
-    def test_schrodinger_lobe_budget_counts_the_phase_zeros(self, monkeypatch):
-        """At (1, 2), eps = 0.01 the support [0.01, 1] holds the 788 zeros
-        k = 8..795: a budget of 788 takes them, one of 787 refuses."""
-        zeros = sc.kernels._schrodinger_breakpoints(1.0, 0.01, 0.01, 1.0)
-        assert len(zeros) == 788
-        monkeypatch.setattr(sc.kernels, "_MAX_SERIES_TERMS", 788)
-        assert np.array_equal(sc.kernels._schrodinger_breakpoints(1.0, 0.01, 0.01, 1.0),
-                              zeros)
-        monkeypatch.setattr(sc.kernels, "_MAX_SERIES_TERMS", 787)
-        with pytest.raises(ParameterError, match="788 phase zeros"):
-            sc.kernels._schrodinger_breakpoints(1.0, 0.01, 0.01, 1.0)
-        with pytest.raises(ParameterError, match="inf phase zeros"):
-            sc.kernels._schrodinger_breakpoints(1.0, 0.01, 5e-324, 1.0)
+    def test_schrodinger_node_budget_counts_the_nodes(self, monkeypatch):
+        """At (1, 2), eps = 1e-5 and the bump on [1, 2], omega = 25000 and
+        W = 8000: int(0.5 (omega + W)/(2 pi) + 1) + 1 = 2628 nodes, more than
+        the FFT's 2548. A budget of 2628 takes them, one of 2627 refuses."""
+        seen = []
+        term = sc.kernels._smear_term
+        monkeypatch.setattr(sc.kernels, "_smear_term",
+                            lambda *args: seen.append(term(*args)) or seen[-1])
+        nodes = int(0.5 / (2.0 * math.pi / (25000.0 + 8000.0)) + 1.0) + 1
+        assert nodes == 2628
+        phi = sc.make_bump(1.0, 2.0)
+        monkeypatch.setattr(sc.kernels, "_MAX_SERIES_TERMS", nodes)
+        sc.averaged_smear("schrodinger", "line", 1.0, 2.0, phi, 1e-5)
+        assert [r.evaluations for r in seen] == [nodes]
+        monkeypatch.setattr(sc.kernels, "_MAX_SERIES_TERMS", nodes - 1)
+        with pytest.raises(ParameterError, match="2.63e\\+03 nodes"):
+            sc.averaged_smear("schrodinger", "line", 1.0, 2.0, phi, 1e-5)
+
+    @pytest.mark.parametrize("case", ["line", "interval"])
+    def test_schrodinger_offdiagonal_makes_no_quadrature_call(self, monkeypatch, case):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("integrate called for an off-diagonal term")
+        monkeypatch.setattr(sc.kernels, "integrate", no_quadrature)
+        for eps in (1e-3, 1e-1):
+            sc.averaged_smear("schrodinger", case, 1.0, 2.0, sc.make_bump(1.0, 2.0), eps)
+
+    def test_schrodinger_smear_refuses_a_kink(self):
+        """A tent on [1, 2] is compactly supported but has kinks, so its
+        transform decays only like 1/xi^2 and the alias estimate misses tol:
+        AccuracyError, whose best estimate lies within its error estimate of
+        the integral at 30 digits."""
+        tent = lambda t: np.maximum(0.0, 1.0 - np.abs(2.0 * np.asarray(t) - 3.0))
+        phi = sc.TestFunction("tent", tent, None, max_order=0, support=(1.0, 2.0))
+        eps = 0.01
+        with pytest.raises(AccuracyError) as info:
+            sc.averaged_smear("schrodinger", "line", 1.0, 2.0, phi, eps)
+        value, err = info.value.best_estimate, info.value.error_estimate
+        assert _refused(err, value, 1e-12) and err > 1e-9
+        with mpmath.workdps(30):
+            w = mpmath.mpf(1) / (4 * mpmath.mpf(eps))
+            f = lambda t: (1 - abs(2 * t - 3)) / mpmath.sqrt(t) * mpmath.expj(w / t)
+            pts = sorted({mpmath.mpf(1), mpmath.mpf(1.5), mpmath.mpf(2)}
+                         | {w / (k * mpmath.pi) for k in range(4, 8)
+                            if 1 < w / (k * mpmath.pi) < 2})
+            ref = complex(mpmath.quad(f, pts))
+        assert abs(value - ref) <= err
 
 
 @pytest.mark.parametrize("call", [
@@ -641,6 +677,7 @@ def test_heat_interval_image_budget_is_the_image_count(monkeypatch):
     ("line", 1e-300, 1.0, 1.0, "spectral_sum"),
     ("line", 1e-160, 1.0, 1.0, "spectral_sum"),
     ("line", 1e200, 1.0, 1.0, "spectral_sum"),
+    ("line", 1.0, 1e200, -1.0, "spectral_sum"),
 ])
 def test_cylinder_closed_form_refusals(case, t, x, y, route):
     """Where a closed form divides by a 0 it rounded to (or by a subnormal
@@ -800,14 +837,14 @@ def test_images_list_the_dirichlet_reflections_in_order(x, y, n):
 def test_averaged_smear_visits_the_reference_pairs_in_order(x, y, eps):
     """The interval smear walks the sorted image list, nearest image first."""
     seen = []
-    breakpoints = sc.kernels._schrodinger_breakpoints
+    term = sc.kernels._smear_term
 
-    def recorded(r2, *args):
+    def recorded(phi, lo, hi, eps, r2, *args):
         seen.append(r2)
-        return breakpoints(r2, *args)
+        return term(phi, lo, hi, eps, r2, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sc.kernels, "_schrodinger_breakpoints", recorded)
+        mp.setattr(sc.kernels, "_smear_term", recorded)
         sc.averaged_smear("schrodinger", "interval", x, y, sc.make_bump(0.5, 1.5), eps)
     want = [d * d for d, _ in _ref_smear_pairs(x, y) if d != 0.0]
     assert seen and seen == want[:len(seen)]
@@ -835,104 +872,93 @@ def test_averaged_smear_refuses_non_finite_eps(monkeypatch, kind, case, x, y, ep
     """One ParameterError for every kind, before any quadrature."""
     def no_quadrature(*args, **kwargs):
         raise AssertionError("quadrature before the eps check")
-    monkeypatch.setattr(sc.kernels, "lobe_sum", no_quadrature)
+    monkeypatch.setattr(sc.kernels, "_smear_nodes", no_quadrature)
     monkeypatch.setattr(sc.kernels, "integrate", no_quadrature)
     with pytest.raises(ParameterError, match="eps must be a positive finite number"):
         sc.averaged_smear(kind, case, x, y, sc.make_bump(1.0, 2.0), eps)
 
 
-def _two_call_smear(case, x, y, phi, eps, tol):
-    """The Schrodinger smear as two real lobe sums per image, one for the
-    cosine and one for the sine part, with numpy's sqrt/cos/sin also at the
-    scalar nodes of the fallback lobes and the phase zeros as a sorted list."""
-    lo, hi = phi.support
-    pairs = _ref_smear_pairs(x, y) if case == "interval" else [(x - y, +1.0)]
-    pref = cmath.exp(-1j * math.pi / 4.0) / math.sqrt(4.0 * math.pi * eps)
-    total = 0.0 + 0.0j
-    for d, sign in pairs:
-        r2 = d * d
-        if r2 == 0.0:
-            re = 2.0 * sc.integrate(lambda s: phi(s * s), math.sqrt(lo), math.sqrt(hi),
-                                    tol=tol).value
-            im = 0.0
-        else:
-            f_re = lambda t: phi(t) / np.sqrt(t) * np.cos(r2 / (4.0 * eps * t))
-            f_im = lambda t: phi(t) / np.sqrt(t) * np.sin(r2 / (4.0 * eps * t))
-            k0 = max(int(math.ceil(r2 / (4.0 * eps * hi) / math.pi)), 1)
-            k1 = int(math.floor(r2 / (4.0 * eps * lo) / math.pi))
-            zeros = [r2 / (4.0 * eps * k * math.pi) for k in range(k0, k1 + 1)]
-            pts = [lo] + sorted(p for p in zeros if lo < p < hi) + [hi]
-            re = sc.lobe_sum(f_re, pts, tol=tol).value
-            im = sc.lobe_sum(f_im, pts, tol=tol).value
-        contribution = sign * pref * complex(re, im)
-        total += contribution
-        if case == "interval" and abs(d) > abs(x) + abs(y) and abs(contribution) < tol:
-            break
-    return complex(total)
+_U = 2.0 ** -53
 
 
-def _bits(f, *args):
-    """The bits of the complex f returns, or the type and message it raises."""
-    out = _outcome(f, *args)
-    return (out.real.hex(), out.imag.hex()) if isinstance(out, complex) else out
+@settings(max_examples=20, deadline=None)
+@given(d=st.floats(0.1, 5.0), sign=st.sampled_from([-1.0, 1.0]),
+       eps=st.floats(-4.0, -1.0).map(lambda e: 10.0 ** e),
+       lo=st.floats(0.3, 3.0), width=st.floats(0.1, 2.0))
+# criterion 7a's onset, 400 lobes: without the rounding term the value is
+# beyond its estimate
+@example(d=1.0, sign=1.0, eps=1e-4, lo=1.0, width=1.0)
+@example(d=1.0, sign=-1.0, eps=1e-3, lo=1.0, width=1.0)   # the bench geometry
+def test_schrodinger_line_smear_is_within_its_estimate(d, sign, eps, lo, width):
+    """On omega = d^2/(4 eps) up to 2e3 and bumps on [lo, lo + width], the
+    line smear lies within its estimate, plus 4u of the sum of its terms'
+    magnitudes, of the smear at 30 digits (Gauss-Legendre on each lobe); a
+    refusal carries a best estimate that does too."""
+    hi = lo + width
+    omega = d * d / (4.0 * eps)
+    assume(omega <= 2e3 and omega * (1.0 / lo - 1.0 / hi) <= 500.0)  # <= 160 lobes
+    phi = sc.make_bump(lo, hi)
+    pref = abs(1.0 / math.sqrt(4.0 * math.pi * eps))
+    terms = pref * sc.integrate(lambda t: phi(t) / np.sqrt(t), lo, hi, tol=1e-14).value
+    ref = _mp_offdiagonal_smear(eps, d, (lo, hi), method="gauss-legendre")
+    seen = []
+    term = sc.kernels._smear_term
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sc.kernels, "_smear_term",
+                   lambda *args: seen.append(term(*args)) or seen[-1])
+        try:
+            got = sc.averaged_smear("schrodinger", "line", sign * d, 0.0, phi, eps,
+                                    tol=1e-13)
+        except AccuracyError as info:
+            got = cmath.exp(-1j * math.pi / 4.0) * pref * info.best_estimate
+            seen.append(sc.QuadratureResult(info.best_estimate, info.error_estimate, 0))
+            assert _refused(info.error_estimate, info.best_estimate, 1e-13)
+    assert len(seen) == 1
+    assert abs(got - ref) <= pref * seen[0].error_estimate + 4.0 * _U * terms
 
 
 @settings(max_examples=30, deadline=None)
-@given(case=st.sampled_from(["line", "interval"]), x=st.floats(0.1, 3.0),
-       y=st.floats(0.1, 3.0), lo=st.floats(0.2, 1.5), width=st.floats(0.05, 1.5),
-       eps=st.floats(1e-3, 0.1), tol=st.sampled_from([1e-10, 1e-11, 1e-12, 1e-13]))
-def test_schrodinger_smear_is_the_two_call_form_bit_for_bit(case, x, y, lo, width,
-                                                           eps, tol):
-    """One lobe_sum of the complex integrand per image gives the bits of the
-    two real lobe sums, fallback lobes included."""
+@given(x=st.floats(0.0, math.pi), y=st.floats(0.0, math.pi),
+       eps=st.floats(-3.0, -1.0).map(lambda e: 10.0 ** e),
+       lo=st.floats(0.5, 2.0), width=st.floats(0.2, 2.0))
+@example(x=1.0, y=2.0, eps=1e-3, lo=1.0, width=1.0)
+@example(x=1.0, y=1.0, eps=1e-2, lo=1.0, width=1.0)      # the diagonal image
+def test_schrodinger_interval_smear_is_its_signed_image_sum(x, y, eps, lo, width):
+    """The interval smear is the line smear at each image distance, signed,
+    added nearest first until the first image beyond |x| + |y| below tol."""
     phi = sc.make_bump(lo, lo + width)
-    want = _bits(_two_call_smear, case, x, y, phi, eps, tol)
-    assert _bits(sc.averaged_smear, "schrodinger", case, x, y, phi, eps, tol) == want
+    want = 0j
+    for d, sign in _ref_smear_pairs(x, y):
+        contribution = sign * sc.averaged_smear("schrodinger", "line", d, 0.0, phi, eps)
+        want += contribution
+        if abs(d) > x + y and abs(contribution) < 1e-12:
+            break
+    assert sc.averaged_smear("schrodinger", "interval", x, y, phi, eps) == want
 
 
-# the benchmark's smears at (1, 2) with the bump on [1, 2]: six interval eps
-# at tol 1e-12, twelve line eps at tol 1e-13, both geometric from 1e-3 to 1e-1
-_BENCH_SMEARS = {
-    ("interval", 6, 1e-12): [
-        ("0x1.033368b680dfdp-11", "-0x1.8cbd014190c4ep-11"),
-        ("-0x1.20f306fe66928p-7", "-0x1.df2865cfa5632p-10"),
-        ("-0x1.3c4a9cd536ecdp-5", "-0x1.2cf889a1aaa48p-7"),
-        ("-0x1.e700648855e59p-4", "-0x1.b39d319d754afp-6"),
-        ("-0x1.b773bd5bc73edp-3", "-0x1.24f5689444bfep-4"),
-        ("0x1.91e375b40aa4ap-4", "0x1.cf51e1065e743p-4")],
-    ("line", 12, 1e-13): [
-        ("0x1.03336ad623258p-11", "-0x1.8cbd4d3ea43d0p-11"),
-        ("0x1.f5c0dce67e948p-10", "-0x1.148ac24496501p-9"),
-        ("-0x1.9e8f66ee62900p-14", "0x1.e072d43223ef6p-8"),
-        ("0x1.ac821eeed3a4ep-8", "0x1.01194b706c6c3p-6"),
-        ("0x1.03a7187c27910p-6", "0x1.d94c517841767p-6"),
-        ("0x1.9a11af692c1f8p-6", "-0x1.c086519f1ee84p-5"),
-        ("0x1.e3f457912c3ffp-5", "-0x1.5670fc0764df4p-5"),
-        ("-0x1.8e93bcc8df46cp-5", "0x1.38836b793e1f8p-3"),
-        ("0x1.8fba4f56515d0p-4", "-0x1.86fdb94678596p-3"),
-        ("-0x1.b455188c91fc2p-3", "-0x1.0126f9ec29600p-8"),
-        ("-0x1.7484c9d0eb912p-5", "0x1.761744c0e647ep-3"),
-        ("0x1.85907e74fb804p-4", "0x1.034c3ac8323b9p-3")],
-}
+@settings(max_examples=300, deadline=None)
+@given(t=st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e),
+       x=st.floats(-5.0, 5.0), y=st.one_of(st.none(), st.floats(-5.0, 5.0)))
+@example(t=1.46e-3, x=1.83, y=0.0)          # 1.2e-13 relative, 1.6e4 times 5e-17
+@example(t=1e-6, x=5.0, y=-5.0)             # exp(-2.5e7) is 0.0
+def test_heat_line_closed_form_is_within_its_estimate(t, x, y):
+    """The line closed form keeps its bits and lies within its estimate, plus
+    4u of itself, of (4 pi t)^{-1/2} exp(-(x-y)^2/4t) at 40 digits."""
+    y = x if y is None else y
+    got = sc.heat_kernel("line", t, x, y)
+    assert got.value == math.exp(-((x - y) ** 2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
+    with mpmath.workdps(40):
+        t_, d = mpmath.mpf(t), mpmath.mpf(x) - mpmath.mpf(y)
+        ref = mpmath.exp(-d * d / (4 * t_)) / mpmath.sqrt(4 * mpmath.pi * t_)
+        assert abs(got.value - ref) <= got.error_estimate + 4 * _U * ref
 
 
-@pytest.mark.parametrize("case, n, tol", sorted(_BENCH_SMEARS))
-def test_benchmark_schrodinger_smears_keep_their_bits(monkeypatch, case, n, tol):
-    """The float-hex values the two-call form gave; the end lobes of the
-    bump fall back to adaptive quadrature, so their scalar path is pinned."""
-    fallbacks = []
-    integrate = sc.quadrature.integrate
-
-    def recorded(f, a, b, **kwargs):
-        fallbacks.append((a, b))
-        return integrate(f, a, b, **kwargs)
-
-    monkeypatch.setattr(sc.quadrature, "integrate", recorded)
-    phi = sc.make_bump(1.0, 2.0)
-    got = [_bits(sc.averaged_smear, "schrodinger", case, 1.0, 2.0, phi, float(e), tol)
-           for e in np.geomspace(1e-3, 1e-1, n)]
-    assert got == _BENCH_SMEARS[case, n, tol]
-    assert fallbacks
+@pytest.mark.parametrize("kernel", [sc.heat_kernel, sc.cylinder_kernel])
+def test_line_closed_form_refuses_an_overflowing_square(kernel):
+    """(x - y) ** 2 overflows from |x - y| of about 1.34e154: a ParameterError,
+    where it used to be a bare OverflowError."""
+    with pytest.raises(ParameterError, match="overflows|= inf"):
+        kernel("line", 1.0, 1e200, -1.0)
 
 
 def _ulp_bound(terms, value):
