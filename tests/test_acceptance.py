@@ -19,7 +19,7 @@ window and stays ``fail``; the test prints its slope and checks the smear
 against an independent mpmath quadrature, then asserts slope >= 4 on eps in
 [1e-4, 1e-3]. The local slope passes 4 near eps = 5e-4, and the
 double-precision trapezoidal sum stays accurate down to about eps = 1e-4
-(4e-5 relative there, where its error estimate is 1.7e-13 of 1e-10).
+(4e-6 relative there, against an error estimate of 1.7e-3 relative).
 """
 
 import functools
