@@ -2,7 +2,7 @@
 
 from .errors import (AccuracyError, BoundaryError, DataError, DomainError,
                      ParameterError, SingularityError, UnsupportedOrderError)
-from .quadrature import QuadratureResult, integrate, lobe_sum
+from .quadrature import QuadratureResult, integrate
 from .testfn import TestFunction, make_bump, make_exp_decay
 from .measures import SpectralMeasure, riesz_mean
 from .summability import (CesaroReport, FinitePart, cesaro_limit,

@@ -171,7 +171,12 @@ def heat_kernel(case: str, t: float, x: float, y: float,
     naming closed_form where it would need more than 10^7 nodes. interval:
     spectral_sum is ``_sine_series`` with profile g(k) = exp(-k^2 t),
     image_sum (and closed_form) the reflected-Gaussian sum over ``_images``;
-    both are truncated with explicit tail bounds. spectral_sum raises
+    both are truncated with explicit tail bounds. The image sum
+    pref sum_j s_j e^{-a_j}, a_j = d_j^2/4t, adds to its tail the rounding
+    u pref sum_j e^{-a_j}(7 + 8 a_j + 1.5 (x+y)|d_j|/t) and 2^-1074 (1 + pref
+    (n + 4)) for subnormals: d_j is within u (3(x+y) + 3|d_j|), far above
+    u|d_j| where x + y - 2 pi cancels, the square and quotient add 2u a_j,
+    exp 2u, and fsum, pref and the product 5u. spectral_sum raises
     ParameterError where it would need more than 10^7 terms (t below about
     4e-13), and image_sum where it would need more than 10^7 images (t above
     about 2.5e13), naming the other.
@@ -207,12 +212,17 @@ def heat_kernel(case: str, t: float, x: float, y: float,
             raise ParameterError(
                 f"image_sum would need {2 * nimg + 1:.3g} images, more than the "
                 f"budget of {_MAX_SERIES_TERMS}; use method spectral_sum")
-        vals = [s * math.exp(-(d ** 2) / (4.0 * t)) for d, s in _images(x, y, nimg)]
         pref = 1.0 / math.sqrt(4.0 * math.pi * t)
+        vals, weight, k = [], 0.0, 1.5 * (x + y) / t
+        for d, s in _images(x, y, nimg):
+            a = d ** 2 / (4.0 * t)
+            vals.append(s * math.exp(-a))
+            weight += abs(vals[-1]) * (7.0 + 8.0 * a + k * abs(d))
         # first omitted Gaussian dominates the tail
         d = 2.0 * (nimg + 1) * math.pi - 2.0 * math.pi
         tail = 4.0 * pref * math.exp(-(d ** 2) / (4.0 * t))
-        return KernelEval(pref * math.fsum(vals), "image_sum", 2 * nimg + 1, tail)
+        err = tail + _U * pref * weight + 2.0**-1074 * (1.0 + pref * (len(vals) + 4))
+        return KernelEval(pref * math.fsum(vals), "image_sum", 2 * nimg + 1, err)
     raise ParameterError(f"unsupported method {method!r} for heat {case}")
 
 
@@ -223,12 +233,16 @@ def schrodinger_kernel(case: str, t: float, x: float, y: float,
     """Schrodinger propagator U(t,x,y); t may be negative, never zero.
 
     The line closed form carries the phase exp(-i sgn(t) pi/4) and modulus
-    (4 pi |t|)^{-1/2}. A pointwise spectral sum is unsupported: the raw
-    series/integral does not converge pointwise, which is the reason this
-    kernel's small-t expansion is only an averaged one. The interval image
-    sum is returned truncated with an infinite error estimate (every image
-    has the same modulus as the main term); it is meaningful only inside
-    smeared quantities.
+    (4 pi |t|)^{-1/2}. Its estimate u (12 + 4|a|)|v| + 2^-1074 |v|/(4 pi |t|)
+    (u = 2^-53): the phase a = (x-y)^2/4t is within 4u|a|, and so is e^{ia};
+    cos and sin, e^{-i sgn(t) pi/4}, the modulus and the product add 9.7u,
+    and a subnormal 4 pi |t| the last term. Where (x-y)^2, a or 4 pi |t|
+    overflows (tiny or huge |t|), ParameterError. A pointwise spectral sum
+    is unsupported: the raw series/integral does not converge pointwise,
+    which is the reason this kernel's small-t expansion is only an averaged
+    one. The interval image sum is returned truncated with an infinite error
+    estimate (every image has the same modulus as the main term); it is
+    meaningful only inside smeared quantities.
     """
     _check_finite(t, x, y)
     if t == 0:
@@ -241,8 +255,16 @@ def schrodinger_kernel(case: str, t: float, x: float, y: float,
     phase = cmath.exp(-1j * math.copysign(1.0, t) * math.pi / 4.0)
     pref = phase / math.sqrt(4.0 * math.pi * abs(t))
     if case == "line":
-        v = pref * cmath.exp(1j * (x - y) ** 2 / (4.0 * t))
-        return KernelEval(v, "closed_form", None, 5e-17 * abs(v))
+        try:        # not d * d, which rounds differently from ** 2 at times
+            a = (x - y) ** 2 / (4.0 * t)
+        except OverflowError:
+            a = math.inf
+        if not (math.isfinite(a) and pref):
+            raise ParameterError(f"the schrodinger line closed form overflows at "
+                                 f"t={t!r}, x-y={x - y!r}")
+        v = pref * cmath.exp(1j * a)
+        err = (_U * (12.0 + 4.0 * abs(a)) + 2.0**-1074 / (4.0 * math.pi * abs(t))) * abs(v)
+        return KernelEval(v, "closed_form", None, err)
     if method != "image_sum":
         raise ParameterError("interval schrodinger kernel has no closed form; "
                              "use image_sum or averaged_smear")

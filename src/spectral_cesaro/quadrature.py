@@ -11,13 +11,9 @@ which no caller uses. It is called with the arguments
 count is quad's; where the extension cannot be found or does not answer
 with that signature, ``quad`` itself is called.
 
-:func:`lobe_sum` adds an oscillatory integrand lobe by lobe between the
-caller's breakpoints, by the first step of ``dqagse`` (the 21-point
-Gauss-Kronrod rule ``dqk21``, in block form) over up to 256 lobes at a
-time, and :func:`integrate` for the lobes that step does not accept. No
-package function calls it; it stays, with its helpers, only while the
-benchmark's tracer (``bench/tracing.py``) names it. Both refuse a ``tol``
-that is not a positive finite number.
+:func:`lobe_sum`, a loop of one :func:`integrate` call per lobe, stays only
+while the benchmark's tracer (``bench/tracing.py``) names it. Both refuse a
+``tol`` that is not a positive finite number.
 
 The module also holds :func:`_exact_sum`, the correctly rounded sum of a
 float array that the Riesz means and the eigen-series share, by error-free
@@ -38,7 +34,7 @@ import numpy as np
 
 from .errors import AccuracyError, ParameterError
 
-__all__ = ["QuadratureResult", "integrate", "lobe_sum"]
+__all__ = ["QuadratureResult", "integrate"]
 
 
 @dataclass(frozen=True)
@@ -140,19 +136,16 @@ def _probe_point(a, b):
 
 
 def _refused(err, value, tol):
-    """Whether an error estimate exceeds ``tol`` by a wide margin.
-
-    Elementwise on arrays; with Python's ``max`` and ``abs`` for a float
-    ``err``, where numpy's ufuncs cost microseconds a call. The NaN-carrying
-    term comes first, so that ``max`` returns a NaN as ``np.maximum`` does.
-    """
-    mx, ab = (max, abs) if isinstance(err, float) else (np.maximum, np.abs)
-    return (err > mx(1e-13 * mx(ab(value), 1.0), tol * 50)) & (err > tol)
+    """Whether the float estimate ``err`` of the scalar ``value`` exceeds
+    ``tol`` by a wide margin. The NaN-carrying term comes first, so that
+    ``max`` returns a NaN ``abs(value)`` and refuses nothing."""
+    return err > max(1e-13 * max(abs(value), 1.0), tol * 50) and err > tol
 
 
 def _check_accuracy(value, err, tol):
     """Raise :class:`AccuracyError`, carrying ``value`` and ``err``, where
-    :func:`_refused` refuses the estimate ``err`` of the scalar ``value``."""
+    :func:`_refused` refuses the float estimate ``err`` of the scalar
+    ``value``."""
     if _refused(err, value, tol):
         raise AccuracyError(
             f"quadrature error estimate {err:.2e} exceeds tol {tol:.2e}",
@@ -188,98 +181,14 @@ def integrate(f, a, b, tol=1e-10, limit=400):
     return QuadratureResult(value=value, error_estimate=float(err), evaluations=n)
 
 
-# dqk21's abscissae (descending, centre omitted), Kronrod weights (centre
-# last) and the Gauss weights of abscissae 1, 3, ..., 9 (Piessens et al.,
-# QUADPACK, 1983)
-_XGK = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720])
-_WGK = np.array([
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077208980765524, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821])
-_WG = np.array([
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338])
-_EPMACH = float(np.finfo(float).eps)
-_UFLOW = float(np.finfo(float).tiny)
-_LOBE_CHUNK = 256       # lobes per integrand call; bounds the node array
-
-
-def _dqk21(fv, hlgth):
-    """QUADPACK's ``dqk21`` on each row of ``fv``, in its operation order.
-
-    ``fv`` holds f at centre - hlgth*_XGK (columns 0-9), centre + hlgth*_XGK
-    (10-19) and the centre (20). Returns (result, abserr, resasc).
-
-    Block form: the sums f(c - h x_j) + f(c + h x_j), their weight products,
-    the |f| sums and the |f - reskh| terms are each formed for all ten
-    abscissae at once, as (rows x 10) arrays. Only the accumulations into
-    ``resg``, ``resk``, ``resabs`` and ``resasc`` run column by column, in
-    QUADPACK's order, so each row gets the same IEEE operations in the same
-    order as QUADPACK's loop: the bits do not move.
-    """
-    fv1, fv2, fc = fv[:, :10], fv[:, 10:20], fv[:, 20]
-    fsum = fv1 + fv2
-    wk = _WGK[:10] * fsum
-    wg = _WG * fsum[:, 1::2]
-    wabs = _WGK[:10] * (np.abs(fv1) + np.abs(fv2))
-    resg = np.zeros_like(fc)
-    resk = _WGK[10] * fc
-    resabs = np.abs(resk)
-    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):    # Gauss abscissae first
-        if j % 2:
-            resg = resg + wg[:, j // 2]
-        resk = resk + wk[:, j]
-        resabs = resabs + wabs[:, j]
-    reskh = resk * 0.5
-    dev = _WGK[:10] * (np.abs(fv1 - reskh[:, None]) + np.abs(fv2 - reskh[:, None]))
-    resasc = _WGK[10] * np.abs(fc - reskh)
-    for j in range(10):
-        resasc = resasc + dev[:, j]
-    dhlgth = np.abs(hlgth)
-    result = resk * hlgth
-    resabs = resabs * dhlgth
-    resasc = resasc * dhlgth
-    abserr = np.abs((resk - resg) * hlgth)
-    scaled = (resasc != 0.0) & (abserr != 0.0)
-    # min(1, z**1.5) with libm's pow, as QUADPACK has it: numpy's SIMD power
-    # is off by an ulp often enough to flip a borderline lobe's acceptance.
-    # Clipping z first gives the same bits and keeps pow from overflowing.
-    z = np.minimum(200.0 * abserr[scaled] / resasc[scaled], 1.0).tolist()
-    p = np.fromiter(map(math.pow, z, itertools.repeat(1.5)), float, len(z))
-    abserr[scaled] = resasc[scaled] * p
-    big = resabs > _UFLOW / (50.0 * _EPMACH)
-    abserr[big] = np.maximum((_EPMACH * 50.0) * resabs[big], abserr[big])
-    return result, abserr, resasc
-
-
-def _first_step(fv, hlgth, tol):
-    """``dqagse``'s first step on each row: (value, error, accepted)."""
-    result, abserr, resasc = _dqk21(fv, hlgth)
-    errbnd = np.maximum(tol, max(tol, 1e-13) * np.abs(result))
-    accepted = ((abserr <= errbnd) & (abserr != resasc)) | (abserr == 0.0)
-    return result, abserr, accepted
-
-
 def lobe_sum(f, breakpoints, tol=1e-12):
     """Integrate ``f`` over consecutive intervals and add them left to right.
 
-    No package function calls it; it stays only while the benchmark's
-    tracer (``bench/tracing.py``) names it. ``f`` takes arrays and is called
-    once per chunk of up to 256 lobes on their Gauss-Kronrod nodes. A lobe
-    that ``dqagse``'s first step accepts gets, bit for bit, the value and
-    estimate ``dqagse`` returns; every other lobe, or one :func:`integrate`
-    would refuse, goes to :func:`integrate` (``limit=200``). A complex ``f``
-    gives the result of two real calls, one per part. The estimates and the
-    ``evaluations`` (21 per part of a batched lobe, plus each fallback's) add.
+    Not exported, and kept only while ``bench/tracing.py`` names it. Each
+    lobe is one :func:`integrate` call (``limit=200``). A complex ``f``, as
+    told by an uncounted call at the first lobe's midpoint, gives the result
+    of two real calls, Re f over every lobe, then Im f. Each part's values,
+    the estimates and the ``evaluations`` add left to right.
     """
     if not 0 < tol < math.inf:
         raise ParameterError("tol must be a positive finite number")
@@ -290,38 +199,17 @@ def lobe_sum(f, breakpoints, tol=1e-12):
         raise ParameterError("breakpoints must be finite")
     if np.any(bp[1:] <= bp[:-1]):
         raise ParameterError("breakpoints must be strictly increasing")
-    values, errors = [], []
-    calls = 0
-    for start in range(0, len(bp) - 1, _LOBE_CHUNK):
-        a = bp[:-1][start:start + _LOBE_CHUNK]
-        b = bp[1:][start:start + _LOBE_CHUNK]
-        centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
-        absc = hlgth[:, None] * _XGK
-        nodes = np.concatenate([centr[:, None] - absc, centr[:, None] + absc,
-                                centr[:, None]], axis=1)
-        fv = np.asarray(f(nodes))
-        parts = (f,)
-        if np.iscomplexobj(fv):     # rows: Re f of each lobe, then Im f of each lobe
-            parts = (lambda t: f(t).real, lambda t: f(t).imag)
-            fv, hlgth = np.concatenate([fv.real, fv.imag]), np.concatenate([hlgth, hlgth])
-        value, err, accepted = _first_step(fv, hlgth, tol)
-        accepted &= ~_refused(err, value, tol)     # so that integrate raises
-        calls += 21 * int(np.count_nonzero(accepted))
-        for i in np.flatnonzero(~accepted):
-            part, lobe = divmod(int(i), len(a))
-            r = integrate(parts[part], float(a[lobe]), float(b[lobe]), tol=tol, limit=200)
-            value[i], err[i] = r.value, r.error_estimate
-            calls += r.evaluations
-        values.append(value.reshape(len(parts), -1))
-        errors.append(err.reshape(len(parts), -1))
-    # a real chunk of a complex f has Im f = 0 on each lobe
-    npart = max(len(v) for v in values)
-    rows = lambda v: v if len(v) == npart else np.concatenate([v, np.zeros_like(v)])
-    # each part left to right; a pairwise np.sum or math.fsum moves smears by an ulp
-    value = np.cumsum(np.concatenate([rows(v) for v in values], axis=1), axis=1)[:, -1]
-    total_err = np.cumsum(np.concatenate([rows(e) for e in errors], axis=1), axis=1)[:, -1]
-    return QuadratureResult(value=value[0] if npart == 1 else complex(*value),
-                            error_estimate=float(sum(total_err)), evaluations=calls)
+    parts = (f,)
+    if np.iscomplexobj(f(0.5 * (bp[0] + bp[1]))):
+        parts = (lambda t: np.real(f(t)), lambda t: np.imag(f(t)))
+    lobes = list(zip(bp[:-1].tolist(), bp[1:].tolist()))
+    rs = [integrate(part, a, b, tol=tol, limit=200) for part in parts for a, b in lobes]
+    # each part left to right; a pairwise np.sum or math.fsum moves sums by an ulp
+    value, error = (np.cumsum(np.reshape(v, (len(parts), -1)), axis=1)[:, -1]
+                    for v in ([r.value for r in rs], [r.error_estimate for r in rs]))
+    return QuadratureResult(value=value[0] if len(parts) == 1 else complex(*value),
+                            error_estimate=float(sum(error)),
+                            evaluations=sum(r.evaluations for r in rs))
 
 
 _SUM_BLOCK = 1 << 10        # entries per block; each block of q sums exactly

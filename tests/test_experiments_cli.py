@@ -303,12 +303,21 @@ class TestCliKernel:
     def test_overflowing_square_is_usage_error(self, capsys):
         """(x - y) ** 2 overflows at x - y = 1e200: it used to end in a bare
         OverflowError (a traceback, exit 1). The cylinder's twin is among
-        test_route_that_cannot_evaluate_is_usage_error."""
+        test_route_that_cannot_evaluate_is_usage_error, the Schrodinger's below."""
         rc = cli.main(["kernel", "heat", "line", "--t", "1", "--x", "1e200", "--y", "-1"])
         captured = capsys.readouterr()
         assert rc == 64
         assert captured.out == ""
         assert captured.err.startswith("usage error: ")
+
+    def test_schrodinger_overflowing_square_is_usage_error(self, capsys):
+        """The Schrodinger line closed form's twin of the heat case above."""
+        rc = cli.main(["kernel", "schrodinger", "line", "--t", "1", "--x", "1e200",
+                       "--y", "-1"])
+        captured = capsys.readouterr()
+        assert rc == 64
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ") and "overflows" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["heat", "line", "--t", "nan", "--x", "0", "--y", "0"],

@@ -961,6 +961,80 @@ def test_heat_line_closed_form_refuses_an_overflowing_square():
         sc.heat_kernel("line", 1.0, 1e200, -1.0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(t=st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e), sign=st.sampled_from([1.0, -1.0]),
+       x=st.floats(-5.0, 5.0), y=st.one_of(st.none(), st.floats(-5.0, 5.0)))
+@example(t=1e-6, sign=-1.0, x=5.0, y=-5.0)     # phase 2.5e7: about 4e-9 relative
+@example(t=1e6, sign=1.0, x=0.0, y=None)
+def test_schrodinger_line_closed_form_is_within_its_estimate(t, sign, x, y):
+    """The line closed form keeps its bits and lies within its estimate of
+    e^{-i sgn(t) pi/4} (4 pi |t|)^{-1/2} e^{i(x-y)^2/4t} at 40 digits."""
+    t, y = sign * t, x if y is None else y
+    got = sc.schrodinger_kernel("line", t, x, y)
+    phase = cmath.exp(-1j * math.copysign(1.0, t) * math.pi / 4.0)
+    pref = phase / math.sqrt(4.0 * math.pi * abs(t))
+    assert got.value == pref * cmath.exp(1j * (x - y) ** 2 / (4.0 * t))
+    with mpmath.workdps(40):
+        t_, d = mpmath.mpf(t), mpmath.mpf(x) - mpmath.mpf(y)
+        ref = (mpmath.expjpi(-mpmath.sign(t_) / 4) / mpmath.sqrt(4 * mpmath.pi * abs(t_))
+               * mpmath.expj(d * d / (4 * t_)))
+        assert abs(got.value - ref) <= got.error_estimate
+
+
+@pytest.mark.parametrize("t, x, y", [
+    (1.0, 1e200, -1.0),         # (x - y) ** 2 overflows
+    (1e-320, 1.0, 0.0),         # the phase (x-y)^2/4t overflows
+    (1.0, 1e308, -1e308),       # x - y is inf
+    (1e308, 1.0, 0.0),          # 4 pi |t| overflows: the modulus would be 0
+], ids=["square", "phase", "difference", "modulus"])
+def test_schrodinger_line_closed_form_refuses_what_overflows(t, x, y):
+    """Each was an OverflowError or ValueError traceback, or a value 0."""
+    for s in (t, -t):
+        with pytest.raises(ParameterError, match="overflows"):
+            sc.schrodinger_kernel("line", s, x, y)
+
+
+def test_schrodinger_line_closed_form_at_subnormal_t():
+    """4 pi |t| rounds by up to 4% at t = 5e-324; the estimate says so."""
+    got = sc.schrodinger_kernel("line", 5e-324, 1.0, 1.0)
+    with mpmath.workdps(40):
+        ref = mpmath.expjpi(mpmath.mpf(-1) / 4) / mpmath.sqrt(4 * mpmath.pi * mpmath.mpf(5e-324))
+        assert 1e-3 * abs(ref) < abs(got.value - ref) <= got.error_estimate
+
+
+def _mp_heat_interval(t, x, y):
+    """The interval heat kernel at 60 digits: images for t < 1 (the nearest,
+    up to exponent 200), the eigen-series e^{-k^2 t} up to k^2 t = 200 else."""
+    with mpmath.workdps(60):
+        t_, x_, y_ = mpmath.mpf(t), mpmath.mpf(x), mpmath.mpf(y)
+        if t < 1.0:
+            n = int(math.sqrt(800.0 * t) / (2.0 * math.pi)) + 2
+            total = mpmath.fsum(
+                mpmath.exp(-(x_ - y_ - 2 * j * mpmath.pi) ** 2 / (4 * t_))
+                - mpmath.exp(-(x_ + y_ - 2 * j * mpmath.pi) ** 2 / (4 * t_))
+                for j in range(-n, n + 1))
+            return total / mpmath.sqrt(4 * mpmath.pi * t_)
+        total = mpmath.fsum(mpmath.exp(-k * k * t_) * mpmath.sin(k * x_) * mpmath.sin(k * y_)
+                            for k in range(1, int(math.sqrt(200.0 / t)) + 2))
+        return 2 * total / mpmath.pi
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e),
+       x=st.floats(0.01, math.pi - 0.01), y=st.one_of(st.none(), st.floats(0.01, math.pi - 0.01)))
+@example(t=2e-4, x=math.pi - 0.01, y=None)      # x + y - 2 pi cancels: 7x the u a_j form
+@example(t=1e-6, x=0.01, y=math.pi - 0.01)      # every Gaussian underflows
+@example(t=1e6, x=1.0, y=2.0)
+def test_heat_interval_image_sum_is_within_its_estimate(t, x, y):
+    """The image sum (= closed form) keeps its bits and lies within its
+    estimate of the kernel at 60 digits."""
+    y = x if y is None else y
+    got = sc.heat_kernel("interval", t, x, y, "image_sum")
+    assert got.value == _ref_heat_images(t, x, y)
+    assert sc.heat_kernel("interval", t, x, y) == got
+    assert abs(got.value - _mp_heat_interval(t, x, y)) <= got.error_estimate
+
+
 def _ulp_bound(terms, value):
     """4 units of rounding of the magnitudes involved, plus one smallest
     subnormal per term for products that underflow."""
