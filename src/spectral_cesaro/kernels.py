@@ -160,7 +160,8 @@ def heat_kernel(case: str, t: float, x: float, y: float,
 
     line: closed form (4 pi t)^{-1/2} exp(-(x-y)^2/4t), with error estimate
     u (5 + (x-y)^2/t)|v| (u = 2^-53) and a ParameterError where (x-y)^2
-    overflows. spectral_sum is the Fourier integral (1/2pi) int exp(-k^2 t)
+    overflows, or 4 pi t (t above about 1.43e307), the latter naming
+    spectral_sum. spectral_sum is the Fourier integral (1/2pi) int exp(-k^2 t)
     cos(k(x-y)) dk by the trapezoidal rule of :func:`_heat_line_trapezoid`:
     nodes n h, with h = 2 pi/(2|x-y| + 4 sqrt(10 t)) so that the Poisson
     aliases add at most 2.1 e^{-40} of the value. Its ``truncation`` is the
@@ -192,6 +193,8 @@ def heat_kernel(case: str, t: float, x: float, y: float,
             except OverflowError:
                 raise ParameterError(f"(x-y)^2 overflows at x-y={x - y!r}") from None
             r = math.sqrt(4.0 * math.pi * t)
+            if r == math.inf:
+                raise ParameterError(f"4 pi t overflows at t={t!r}; use method spectral_sum")
             v = math.exp(-a) / r
             # exp(-a) is within (4a + 2)u, r and the quotient add 2.2u, and a
             # subnormal exp(-a) or v at most 2^-1074 before and after dividing

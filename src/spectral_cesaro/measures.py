@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -58,6 +59,9 @@ _FIRST_CHUNK, _MAX_CHUNK = 256, 1 << 18
 # something else on arrays (int64 overflow, a branch on n). On mpmath the
 # distance is a few ulps at the working precision, 2**(3 - prec).
 _AGREE_RTOL = 1e-12
+# the lams whose lam - mu one mpmath table keeps: twice a probe grid of 24,
+# so that each order of a sweep finds the previous order's terms
+_TERMS_CAP = 48
 
 
 def _agree(a, b, rtol):
@@ -74,7 +78,16 @@ class _AtomTable:
     n = 1074, so a table can cover 1e8 atoms and hold a thousand. Both hold
     read-only positions ``pos`` (floats, or mpfs); the float table holds its
     weights ``wts``, the mpmath table all atoms exactly, for
-    :meth:`riesz_sum`: ``exact`` and ``first_complex``.
+    :meth:`riesz_sum`: ``exact`` and ``first_complex``, and the positions
+    rounded to doubles, ``pos_float``, for :meth:`count_below`.
+
+    The mpmath table also keeps, in ``terms``, the exact integers lam - mu
+    of the atoms below each lam it summed at, with the integer terms
+    w (lam - mu)**k of the last order k, so that orders 0, 1, 2, ... at one
+    lam take one multiply each (per part of w) and no power. It holds the
+    ``_TERMS_CAP`` lams first summed at most recently and lives
+    as long as the table (its measure). An entry is replaced, never changed
+    in place, so a reader never sees one half extended.
     """
 
     def __init__(self, backend):
@@ -84,9 +97,10 @@ class _AtomTable:
         if backend is None:
             self.pos, self.wts = np.empty(0), np.empty(0)
         else:
-            self.pos = np.empty(0, object)
+            self.pos, self.pos_float = np.empty(0, object), np.empty(0)
             self.exact = [np.empty(0, object), np.empty(0, np.int64)] * 3
             self.first_complex = math.inf
+            self.terms = OrderedDict()  # (j, lam) -> (lo, lam - mu, k, [w (lam - mu)**k])
 
     def covers(self, lam, n_atoms):
         """Whether every atom below lam is in the table; DataError past _MAX_ATOMS."""
@@ -107,20 +121,47 @@ class _AtomTable:
                    [im or fzero for _, im in re_im])
         new = [a for raw in columns for a in _mantissas(raw)]
         self.exact = [np.concatenate(pair) for pair in zip(self.exact, new)]
+        pos_float = np.concatenate((self.pos_float, [float(p) for p in pos]))
+        pos_float.flags.writeable = False
+        self.pos_float = pos_float
+
+    def count_below(self, lam):
+        """The number of positions below lam (strictly), as ``np.searchsorted``
+        over ``pos`` finds it: found on ``pos_float``, whose rounding keeps
+        the order, and settled by exact comparisons among the positions whose
+        double ties with lam's."""
+        f = float(lam)
+        j = int(np.searchsorted(self.pos_float, f))
+        hi = int(np.searchsorted(self.pos_float, f, side="right"))
+        return j + int(np.searchsorted(self.pos[j:hi], lam)) if hi > j else j
 
     def riesz_sum(self, j, lam, k):
         """Sum of w (1 - mu/lam)**k over the first j atoms: the exact sum, rounded once."""
         prec, rnd = mp.mp._prec_rounding
         sign, man, lam_exp, _ = lam._mpf_
         lam_man = -man if sign else man
-        pos_man, pos_exp, re_man, re_exp, im_man, im_exp = (a[:j] for a in self.exact)
-        lo = np.minimum(pos_exp, lam_exp)         # the exponent of each lam - mu
-        powers = ((lam_man << (lam_exp - lo).astype(object))
-                  - (pos_man << (pos_exp - lo).astype(object))) ** k
+        parts = [a[:j] for a in self.exact[2:4 + 2 * (self.first_complex < j)]]
+        key = (j, lam._mpf_)
+        held = self.terms.get(key)
+        if held is None:
+            pos_man, pos_exp = self.exact[0][:j], self.exact[1][:j]
+            lo = np.minimum(pos_exp, lam_exp)         # the exponent of each lam - mu
+            diffs = ((lam_man << (lam_exp - lo).astype(object))
+                     - (pos_man << (pos_exp - lo).astype(object)))
+            terms = [m * diffs ** k for m in parts[::2]]
+        else:
+            lo, diffs, last, terms = held
+            if k == last + 1:
+                terms = [t * diffs for t in terms]
+            elif k != last:
+                terms = [m * diffs ** k for m in parts[::2]]
+        if held is None or k != held[2]:
+            self.terms[key] = (lo, diffs, k, terms)
+            if len(self.terms) > _TERMS_CAP:
+                self.terms.popitem(last=False)
         den = from_man_exp(lam_man ** k, k * lam_exp)
-        parts = [(re_man, re_exp), (im_man, im_exp)][:1 + (self.first_complex < j)]
-        raw = [mpf_div(from_man_exp(*_shifted_sum(m * powers, e + k * lo)), den,
-                       prec, rnd) for m, e in parts]
+        raw = [mpf_div(from_man_exp(*_shifted_sum(t, e + k * lo)), den, prec, rnd)
+               for t, e in zip(terms, parts[1::2])]
         return mp.mp.make_mpc(tuple(raw)) if len(raw) == 2 else mp.mp.make_mpf(raw[0])
 
 
@@ -408,8 +449,12 @@ def riesz_mean(measure: SpectralMeasure, k: int, lam: float, dps: Optional[int] 
     weights is (:meth:`_AtomTable.riesz_sum`). Both backends read their
     atoms from the measure's table for the backend (the float one through
     :meth:`SpectralMeasure.atom_arrays`, the mpmath one by a search of its
-    positions and a sum over its exact copy) and the continuous part from
-    ``density_riesz``. Raises :class:`DomainError` for a lam that is zero,
+    positions' doubles settled by exact comparisons, and a sum over its exact
+    copy) and the continuous part from ``density_riesz``. The mpmath table
+    keeps lam - mu and the last order's terms of its most recent few dozen
+    lam (see :class:`_AtomTable`), so that the orders of one lam take one
+    multiply each; they live as long as the measure, and no bit depends on
+    them. Raises :class:`DomainError` for a lam that is zero,
     not finite or not above the support, before any atom is enumerated, and
     :class:`FloatingPointError` where a float atom function overflows.
     """
@@ -442,7 +487,7 @@ def riesz_mean(measure: SpectralMeasure, k: int, lam: float, dps: Optional[int] 
         total = mp.mpf(0)
         if measure.atom_fn is not None:
             t = measure._table(lam_mp, mp)
-            j = int(np.searchsorted(t.pos, lam_mp))
+            j = t.count_below(lam_mp)
             if j:
                 total += t.riesz_sum(j, lam_mp, int(k))
         if measure.density_riesz is not None:

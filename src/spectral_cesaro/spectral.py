@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -78,6 +79,9 @@ _OFFDIAG_BETA = -4.0
 _OFFDIAG_MAX_ORDER = 8
 _OFFDIAG_DPS = 30
 _OFFDIAG_RATIO_THRESHOLD = 0.1
+# the (lam, precision) pairs one free-line density closure keeps: a probe
+# grid of 24 at the few guards its orders take (30 pairs at the default check)
+_DENSITY_MEMO_CAP = 64
 
 
 def evaluate_named_density(name: str, x: float, y: float, lam: float,
@@ -412,8 +416,17 @@ def _free_line_density_riesz(c: float):
     There B(1/2, k+1) = 2^{2k+1} (k!)^2 / (2k+1)! is rounded once from the
     exact ratio of integers, so the float c = 0 values are the float
     expression S * B / (2 pi) with a correctly rounded B.
+
+    The closure keeps, for each (lam, precision with guard), S, z, cos z and
+    the j_0 .. j_m found so far, so that the orders of one lam extend one
+    recurrence rather than restart it; an order is then the same operations
+    at the same precision as a fresh call, and no bit moves. It holds the
+    ``_DENSITY_MEMO_CAP`` pairs first seen most recently and lives as long
+    as the closure (its measure). An entry is replaced, never changed in
+    place, so a reader never sees one half extended.
     """
     log2_c = math.log2(c) if c > 0.0 else -math.inf
+    memo = OrderedDict()    # (lam, wp) -> (S, z, cos z, (j_0, ..., j_m))
 
     def density_riesz(k, lam, B):
         if B is not mp:
@@ -428,16 +441,27 @@ def _free_line_density_riesz(c: float):
             return mp.sqrt(lam) * beta / (2 * mp.pi)
         guard = 20 + math.ceil(max(0.0, (2 * k + 2) * math.log2(2 * k + 1)
                                    - (2 * k + 1) * log2_z))
+        key = (getattr(lam, "_mpf_", lam), prec + guard)
         with mp.workprec(prec + guard):
-            S = mp.sqrt(lam)
-            z = c * S
-            cos_z, sin_z = mp.cos_sin(z)
-            j = sin_z / z                           # j_0
-            if k > 0:
-                j_prev, j = j, (j - cos_z) / z      # j_1
-                for m in range(1, k):
-                    j_prev, j = j, (2 * m + 1) * j / z - j_prev
-            I = mp.ldexp(mp.factorial(k) * j, k) / z ** k
+            held = memo.get(key)
+            if held is None:
+                S = mp.sqrt(lam)
+                z = c * S
+                cos_z, sin_z = mp.cos_sin(z)
+                js = [sin_z / z]                        # j_0
+            else:
+                S, z, cos_z, js = held
+            if len(js) <= k:
+                js = list(js)
+                if len(js) == 1:
+                    js.append((js[0] - cos_z) / z)      # j_1
+                for m in range(len(js) - 1, k):
+                    js.append((2 * m + 1) * js[m] / z - js[m - 1])
+            if held is None or len(js) > len(held[3]):
+                memo[key] = (S, z, cos_z, tuple(js))
+                if len(memo) > _DENSITY_MEMO_CAP:
+                    memo.popitem(last=False)
+            I = mp.ldexp(mp.factorial(k) * js[k], k) / z ** k
             value = S * I / mp.pi
         return +value
 
@@ -452,10 +476,13 @@ def free_line_density_measure(x: float, y: float) -> SpectralMeasure:
 
 def interval_minus_free_measure(x: float, y: float) -> SpectralMeasure:
     """Difference measure: interval sine-series atoms minus free-line density."""
-    base = _free_line_density_riesz(abs(x - y))
+    return _interval_minus(x, y, _free_line_density_riesz(abs(x - y)))
 
+
+def _interval_minus(x, y, density_riesz):
+    """The interval atoms at (x, y) minus the density of ``density_riesz``."""
     def neg_density_riesz(k, lam, B):
-        return -base(k, lam, B)
+        return -density_riesz(k, lam, B)
 
     return SpectralMeasure(
         atom_fn=interval_measure(x, y).atom_fn, density_riesz=neg_density_riesz)
@@ -482,6 +509,13 @@ def offdiagonal_equivalence_check(x: float, y: float, k: int,
     Precision: cancellation loses what the 30-digit weights and density carry,
     not the summation. At (1, 2), order 8 and lam = 1e6 the mean, -1.84e-23,
     is within 3.4e-9 relative of a 90-digit run (1.1e-13 at lam = 1e5).
+
+    One free-line density closure serves the difference measure and the
+    free-line measure, so the ratio's free-line means reuse the order test's
+    per-lam work (S, z, cos z and the j_k; at most ``_DENSITY_MEMO_CAP``
+    (lam, precision) pairs), and the difference measure's mpmath table keeps
+    lam - mu of its most recent few dozen lam. All of it is freed with the
+    check's measures when the check returns; none changes a bit.
     """
     if not (0.0 < x < math.pi):
         raise ParameterError("x must lie in (0, pi)")
@@ -501,13 +535,13 @@ def offdiagonal_equivalence_check(x: float, y: float, k: int,
                             residual=float("nan"),
                             details={"reason": "near-diagonal degradation"})
 
-    diff = interval_minus_free_measure(x, y)
+    free = free_line_density_measure(x, y)
+    diff = _interval_minus(x, y, free.density_riesz)
     report = cesaro_order_test(diff, _OFFDIAG_BETA, _OFFDIAG_MAX_ORDER,
                                lambdas=probes, dps=_OFFDIAG_DPS,
                                allow_excluded_beta=True)
     means = report.details.pop("riesz_means")
 
-    free = free_line_density_measure(x, y)
     if k not in means:      # the order test stopped below order k
         means[k] = [riesz_mean(diff, k, lam, dps=_OFFDIAG_DPS) for lam in probes]
     num = [float(abs(v)) for v in means[k]]

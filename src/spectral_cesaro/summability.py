@@ -123,28 +123,31 @@ def cesaro_limit(measure: SpectralMeasure, max_order: int = 4,
 
 # ---------------------------------------------------------- Cesaro order test
 
-def _divided_difference_points(lambdas, F, N):
+def _divided_difference_points(lambdas, F, N, gaps):
     """Order-N divided differences over sliding windows of N+1 probes.
 
     Annihilates polynomials of degree <= N-1 exactly. Each window yields
     (geometric-mean lambda, |dd| / W) where W = sum_l 1/prod_{j!=l}|x_l-x_j|
     normalizes the difference so the result is on the scale of the remainder
     itself. One Newton table gives each window its differences, by the same operations.
+    ``gaps[j - 1]`` holds the differences x_{m+j} - x_m, with their absolute
+    values as floats, that the orders of one test share; the orders j <= N
+    that it lacks are appended.
     """
     P = len(lambdas)
+    for order in range(len(gaps) + 1, N + 1):
+        diffs = [lambdas[m + order] - lambdas[m] for m in range(P - order)]
+        gaps.append((diffs, [abs(float(d)) for d in diffs]))
     table = list(F)
     for order in range(1, N + 1):
-        table = [(table[m + 1] - table[m]) / (lambdas[m + order] - lambdas[m])
-                 for m in range(P - order)]
-    dist = {(a, b): abs(float(lambdas[a] - lambdas[b]))
-            for a in range(P) for b in range(a + 1, min(P, a + N + 1))}
+        table = [(table[m + 1] - table[m]) / d for m, d in enumerate(gaps[order - 1][0])]
     logs = np.log([float(x) for x in lambdas])
     pts = []
     for i in range(P - N):
         W = 0.0
         for l in range(i, i + N + 1):
-            W += 1.0 / math.prod((dist[min(l, j), max(l, j)] for j in range(i, i + N + 1)
-                                  if j != l), start=1.0)
+            W += 1.0 / math.prod((gaps[abs(l - j) - 1][1][min(l, j)]
+                                  for j in range(i, i + N + 1) if j != l), start=1.0)
         pts.append((float(np.exp(np.mean(logs[i:i + N + 1]))), abs(table[i]) / W))
     return pts
 
@@ -214,6 +217,7 @@ def cesaro_order_test(measure: SpectralMeasure, beta: float, max_order: int,
         at_dps = mp.workdps(dps)
         with at_dps:
             xs = [mp.mpf(x) for x in lambdas]
+    gaps = []
     history = []
     means = {}
     fitted = float("nan")
@@ -222,7 +226,7 @@ def cesaro_order_test(measure: SpectralMeasure, beta: float, max_order: int,
         R = means[N - 1] = [riesz_mean(measure, N - 1, lam, dps=dps) for lam in lambdas]
         with at_dps:
             F = [x ** (N - 1) * r / math.factorial(N - 1) for x, r in zip(xs, R)]
-            pts = _divided_difference_points(xs, F, N)
+            pts = _divided_difference_points(xs, F, N, gaps)
         slope, rms = _loglog_slope(pts)
         if slope is None:
             # remainder annihilated to zero: stronger than any power law

@@ -953,12 +953,30 @@ def test_heat_line_closed_form_is_within_its_estimate(t, x, y):
         assert abs(got.value - ref) <= got.error_estimate + 4 * _U * ref
 
 
-def test_heat_line_closed_form_refuses_an_overflowing_square():
-    """(x - y) ** 2 overflows from |x - y| of about 1.34e154: a ParameterError,
-    where it used to be a bare OverflowError (the cylinder's is among
-    test_cylinder_closed_form_refusals)."""
-    with pytest.raises(ParameterError, match="overflows"):
-        sc.heat_kernel("line", 1.0, 1e200, -1.0)
+@pytest.mark.parametrize("t, x, y, match", [
+    (1.0, 1e200, -1.0, "overflows"),        # (x - y) ** 2
+    (1e308, 0.0, 1.0, "spectral_sum"),      # 4 pi t: the value read 0.0
+    (1.44e307, 0.0, 1.0, "spectral_sum"),
+], ids=["square", "modulus", "modulus-edge"])
+def test_heat_line_closed_form_refuses_what_overflows(t, x, y, match):
+    """(x - y) ** 2 overflows from |x - y| of about 1.34e154, 4 pi t from t of
+    about 1.43e307: a ParameterError, where it used to be a bare OverflowError
+    or a value 0.0 (the cylinder's is among test_cylinder_closed_form_refusals).
+    The 4 pi t refusal names spectral_sum, whose value holds there."""
+    for method in ("closed_form", "image_sum"):
+        with pytest.raises(ParameterError, match=match):
+            sc.heat_kernel("line", t, x, y, method)
+    if match == "spectral_sum":
+        got = sc.heat_kernel("line", t, x, y, "spectral_sum")
+        ref = 1.0 / (2.0 * math.sqrt(math.pi) * math.sqrt(t))
+        assert abs(got.value - ref) <= got.error_estimate + 4 * _U * ref
+
+
+def test_heat_line_closed_form_keeps_its_bits_below_the_overflow():
+    t = 1.4e307
+    got = sc.heat_kernel("line", t, 0.0, 1.0)
+    assert got.value == math.exp(-(1.0 ** 2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
+    assert got.value > 0.0
 
 
 @settings(max_examples=300, deadline=None)

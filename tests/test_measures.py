@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp, from_rational
+from mpmath.libmp import from_man_exp, from_rational, mpf_div
 
 import spectral_cesaro as sc
 from spectral_cesaro import measures
@@ -685,6 +685,99 @@ def test_second_order_at_a_lambda_calls_no_atom_fn():
     for k in range(1, 8):
         sc.riesz_mean(m, k, 50.0, dps=30)
     assert len(calls) == enumerated
+
+
+def fresh_riesz_sum(t, j, lam, k):
+    """Reference: _AtomTable.riesz_sum with nothing kept, lam - mu rebuilt
+    and raised ** k at every call."""
+    prec, rnd = mpmath.mp._prec_rounding
+    sign, man, lam_exp, _ = lam._mpf_
+    lam_man = -man if sign else man
+    pos_man, pos_exp, re_man, re_exp, im_man, im_exp = (a[:j] for a in t.exact)
+    lo = np.minimum(pos_exp, lam_exp)
+    powers = ((lam_man << (lam_exp - lo).astype(object))
+              - (pos_man << (pos_exp - lo).astype(object))) ** k
+    den = from_man_exp(lam_man ** k, k * lam_exp)
+    parts = [(re_man, re_exp), (im_man, im_exp)][:1 + (t.first_complex < j)]
+    got = tuple(mpf_div(from_man_exp(*measures._shifted_sum(m * powers, e + k * lo)),
+                        den, prec, rnd) for m, e in parts)
+    return got if len(got) == 2 else got[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(measure=_MP_MEASURES, dps=st.sampled_from([15, 30, 50]),
+       offs=st.lists(st.sampled_from([0.7, 3.0, 40.0, 250.0]) | st.floats(1e-3, 400),
+                     min_size=1, max_size=3),
+       steps=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 9)), min_size=1,
+                      max_size=16))
+@example(measure=SpectralMeasure.from_atoms([-3.0, 0.0, 2.0], [1 + 2j, 0.5, -1j]),
+         dps=30, offs=[5.5, 8.0], steps=[(0, 2), (0, 3), (1, 0), (0, 9), (0, 9), (0, 1),
+                                        (1, 1), (1, 2), (1, 4)])
+def test_riesz_sum_is_the_fresh_power_sum(measure, dps, offs, steps):
+    """Orders in any sequence at a few lam (ascending, descending, repeated,
+    skipped) give the raw value of a sum that raises lam - mu ** k afresh."""
+    with mpmath.workdps(dps):
+        for i, k in steps:
+            lam = mpmath.mpf(measure.support_lower_bound + offs[i % len(offs)])
+            if lam == 0 or measure.atom_fn is None:
+                continue
+            t = measure._table(lam, mpmath)
+            j = int(np.searchsorted(t.pos, lam))
+            if j:
+                assert raw(t.riesz_sum(j, lam, k)) == fresh_riesz_sum(t, j, lam, k), (k, lam)
+
+
+def test_riesz_sum_memo_is_bounded():
+    """A long lam sweep keeps at most _TERMS_CAP entries on the table."""
+    m = sc.interval_measure(1.0, 2.0)
+    lams = np.geomspace(2.0, 1e4, 3 * measures._TERMS_CAP)
+    for lam in lams:
+        sc.riesz_mean(m, 1, lam, dps=30)
+    t = m._cache["mp", 103]
+    assert len(t.terms) == measures._TERMS_CAP
+    with mpmath.workdps(30):
+        lam = mpmath.mpf(lams[0])
+        j = int(np.searchsorted(t.pos, lam))
+        assert raw(t.riesz_sum(j, lam, 3)) == fresh_riesz_sum(t, j, lam, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(atoms=st.lists(st.tuples(st.integers(1, 1000), st.integers(0, 2**20)),
+                      min_size=1, max_size=30, unique=True),
+       dps=st.sampled_from([30, 50]))
+@example(atoms=[(5, 0), (5, 1), (5, 2), (6, 0)], dps=30)
+def test_position_search_matches_searchsorted_over_the_mpfs(atoms, dps):
+    """Positions base + off 2**-80 tie in double precision for one base; the
+    count below lam equals np.searchsorted over the mpf positions for lam at
+    an atom, between two tied atoms and between the bases."""
+    atoms = sorted(atoms)
+    tiny = mpmath.mpf(2) ** -80
+
+    def atom_fn(n, B):
+        base, off = atoms[int(n) - 1]
+        return B.mpf(base) + off * tiny, B.mpf(1)
+
+    m = SpectralMeasure(atom_fn=atom_fn, n_atoms=len(atoms))
+    with mpmath.workdps(dps):
+        t = m._table(mpmath.mpf(2000), mpmath)
+        assert len(t.pos) == len(atoms)
+        probes = [p + d for p in t.pos for d in (0, tiny / 2, -tiny / 2)]
+        probes += [mpmath.mpf(b + d) for b, _ in atoms for d in (-0.5, 0.0, 0.5)]
+        for lam in probes:
+            assert t.count_below(lam) == int(np.searchsorted(t.pos, lam)), lam
+
+
+def test_position_search_excludes_an_atom_at_lam():
+    """At lam = n**2, an atom of the interval measure, the strict inequality
+    leaves it out, as np.searchsorted over the mpf positions does."""
+    m = sc.interval_measure(1.0, 2.0)
+    with mpmath.workdps(30):
+        t = m._table(mpmath.mpf(1e4), mpmath)
+        for n in range(1, 100):
+            for lam in (n * n - 0.5, n * n, n * n + 0.5):
+                lam = mpmath.mpf(lam)
+                assert t.count_below(lam) == int(np.searchsorted(t.pos, lam)) \
+                    == n - 1 + (lam > n * n)
 
 
 def test_each_precision_rounds_its_own_sum():

@@ -3,10 +3,12 @@
 import math
 import struct
 import weakref
+from collections import OrderedDict
 
 import mpmath as mp
 import numpy as np
 import pytest
+from mpmath.libmp import from_rational
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -109,6 +111,78 @@ def test_free_line_density_riesz_mpmath_matches_besselj(c, k, lam):
     want = _besselj_density_riesz(c, k, lam)
     with mp.workdps(150):
         assert abs(got - want) <= mp.mpf('1e-27') * mp.sqrt(lam)
+
+
+def fresh_density_riesz(c, k, lam):
+    """Reference: the free-line closed form of one call at the working
+    precision, its j_k recurrence run from j_0 with nothing kept."""
+    prec, rnd = mp.mp._prec_rounding
+    log2_z = (math.log2(c) if c > 0.0 else -math.inf) + 0.5 * math.log2(float(lam))
+    if 2.0 * log2_z < -prec:
+        f = math.factorial(k)
+        beta = mp.mp.make_mpf(from_rational(f * f << (2 * k + 1),
+                                            math.factorial(2 * k + 1), prec, rnd))
+        return mp.sqrt(lam) * beta / (2 * mp.pi)
+    guard = 20 + math.ceil(max(0.0, (2 * k + 2) * math.log2(2 * k + 1)
+                               - (2 * k + 1) * log2_z))
+    with mp.workprec(prec + guard):
+        S = mp.sqrt(lam)
+        z = c * S
+        cos_z, sin_z = mp.cos_sin(z)
+        j = sin_z / z
+        if k > 0:
+            j_prev, j = j, (j - cos_z) / z
+            for m in range(1, k):
+                j_prev, j = j, (2 * m + 1) * j / z - j_prev
+        I = mp.ldexp(mp.factorial(k) * j, k) / z ** k
+        value = S * I / mp.pi
+    return +value
+
+
+@settings(max_examples=150, deadline=None)
+@given(c=st.one_of(st.just(0.0), st.floats(-4.0, 1.0).map(lambda e: 10.0 ** e)),
+       lams=st.lists(st.floats(-2.0, 7.0).map(lambda e: 10.0 ** e), min_size=1,
+                     max_size=3),
+       steps=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 14),
+                                st.sampled_from([None, 15, 30, 50])),
+                      min_size=1, max_size=16))
+@example(c=1e-3, lams=[10.0], steps=[(0, k, 30) for k in (0, 3, 9, 9, 2, 14, 1)])
+@example(c=1.0, lams=[1e2, 1e6], steps=[(i, k, 30) for k in range(7) for i in (0, 1)]
+         + [(i, 2, 30) for i in (0, 1)])
+@example(c=0.5, lams=[3.0], steps=[(0, k, None) for k in (5, 4, 6, 0, 6)])
+def test_free_line_density_riesz_keeps_no_bit_of_its_memo(c, lams, steps):
+    """One closure, called over orders in any sequence (ascending, descending,
+    repeated) at several lam and precisions, returns each time the bits of a
+    fresh computation: where z is small the guard, and so the entry, changes
+    with k; ``dps=None`` is the float backend."""
+    density = _free_line_density_riesz(c)
+    for i, k, dps in steps:
+        lam = lams[i % len(lams)]
+        if dps is None:
+            with mp.workprec(53):
+                want = float(fresh_density_riesz(c, k, lam))
+            assert density(k, lam, sc.measures._FloatBackend).hex() == want.hex()
+            continue
+        with mp.workdps(dps):
+            got = density(k, mp.mpf(lam), mp)
+            want = fresh_density_riesz(c, k, mp.mpf(lam))
+        assert got._mpf_ == want._mpf_, (k, lam, dps)
+
+
+def test_free_line_density_memo_is_bounded():
+    """A long lam sweep keeps at most _DENSITY_MEMO_CAP entries, and a lam
+    swept out of it is computed again to the same bits."""
+    density = _free_line_density_riesz(1.0)
+    memo, = [cell.cell_contents for cell in density.__closure__
+             if isinstance(cell.cell_contents, OrderedDict)]
+    lams = np.geomspace(1e2, 1e6, 3 * sc.spectral._DENSITY_MEMO_CAP)
+    with mp.workdps(30):
+        first = [density(k, mp.mpf(lam), mp)._mpf_ for lam in lams[:4] for k in (0, 3)]
+        for lam in lams:
+            density(2, mp.mpf(lam), mp)
+        assert len(memo) == sc.spectral._DENSITY_MEMO_CAP
+        again = [density(k, mp.mpf(lam), mp)._mpf_ for lam in lams[:4] for k in (0, 3)]
+    assert again == first
 
 
 class TestFreeSpaceDensity:
@@ -306,6 +380,21 @@ class TestOffdiagonalEquivalence:
         assert interior["order_used"] == 7
         assert interior["cancellation_ratio"] == 0.030507754323043635
         assert boundary["fitted_slope"] == -3.8954922014360287
+        assert boundary["cancellation_ratio"] == 1.0
+
+    @pytest.mark.parametrize("x, y, k, slope, ratio", [
+        (0.5, 2.5, 2, -4.01125071263251, 0.18517447111478927),
+        (2.2, 0.6, 5, -4.1879515993265795, 0.11514970186702163),
+    ])
+    def test_other_points_keep_their_numbers(self, x, y, k, slope, ratio):
+        """Off the default point, the orders sharing their per-lam work move
+        no bit: slope, order and both cancellation ratios."""
+        report, _ = run_experiment(ExperimentConfig(
+            experiment="offdiag-equivalence", x=x, y=y, k=k))
+        interior, boundary = report.probes
+        assert report.verdict == "fail"
+        assert (interior["fitted_slope"], interior["order_used"]) == (slope, 7)
+        assert interior["cancellation_ratio"] == ratio
         assert boundary["cancellation_ratio"] == 1.0
 
     def test_diagonal_redirects(self):

@@ -303,25 +303,36 @@ def old_divided_difference_points(lambdas, F, N):
     return pts
 
 
+def points_after_lower_orders(lambdas, F, N):
+    """The order-N points from a gap table that orders 1 .. N-1 filled, as in one order test."""
+    gaps = []
+    for n in range(1, N):
+        sc.summability._divided_difference_points(lambdas, F, n, gaps)
+    return sc.summability._divided_difference_points(lambdas, F, N, gaps)
+
+
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), N=st.integers(1, 8), use_mp=st.booleans())
-def test_newton_table_matches_the_sliding_windows(data, N, use_mp):
-    """One Newton table gives every window's points bit for bit, float or 30-digit F."""
+@given(data=st.data(), N=st.integers(1, 8), use_mp=st.booleans(), shared=st.booleans())
+def test_newton_table_matches_the_sliding_windows(data, N, use_mp, shared):
+    """One Newton table gives every window's points bit for bit, float or
+    30-digit F, with a fresh gap table or one the lower orders filled."""
     lambdas = sorted(data.draw(st.lists(st.floats(1e-2, 1e7), min_size=N + 1,
                                         max_size=24, unique=True)))
     F = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(lambdas),
                            max_size=len(lambdas)))
+    points = (points_after_lower_orders if shared else
+              lambda xs, fs, n: sc.summability._divided_difference_points(xs, fs, n, []))
     if use_mp:
         with mp.workdps(30):
             xs = [mp.mpf(x) for x in lambdas]
             fs = [mp.mpf(f) / 3 for f in F]
-            new = sc.summability._divided_difference_points(xs, fs, N)
+            new = points(xs, fs, N)
             old = old_divided_difference_points(xs, fs, N)
         assert all(type(t) is mp.mpf for _, t in new)
         new = [(x, t._mpf_) for x, t in new]
         old = [(x, t._mpf_) for x, t in old]
     else:
-        new = sc.summability._divided_difference_points(lambdas, F, N)
+        new = points(lambdas, F, N)
         old = old_divided_difference_points(lambdas, F, N)
     assert len(new) == len(lambdas) - N
     assert new == old
