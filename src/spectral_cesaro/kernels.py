@@ -6,10 +6,12 @@ at least two independent evaluation paths (eigen-series / image sum / closed
 form), plus small-t expansion extraction and smeared ("averaged") evaluation.
 
 Every interval eigen-series is ``spectral._sine_series`` with the kernel's
-profile g(k); every interval image sum runs over :func:`_images`. The line
-heat kernel's Fourier integral and the Schrodinger smear are trapezoidal
-rules with estimated Poisson aliases (:func:`_heat_line_trapezoid`,
-:func:`averaged_smear`); the line cylinder kernel's is QUADPACK in u = k t.
+profile g(k); every interval image sum runs over :func:`_images` or its
+array form. The line heat kernel's Fourier integral and every smear with a
+compactly supported test function are trapezoidal rules with estimated
+Poisson aliases (:func:`_heat_line_trapezoid`, :func:`averaged_smear`: one
+rule in s = 1/t for the heat, cylinder and Schrodinger kernels); the line
+cylinder kernel's is QUADPACK in u = k t.
 A route whose error estimate misses its tolerance raises AccuracyError; one
 that would need more than 10^7 terms, nodes or images, or whose closed form
 cannot be evaluated in doubles, raises ParameterError naming one that can.
@@ -85,6 +87,15 @@ def _images(x, y, n):
         c = 2.0 * j * math.pi
         out += ((a - c, 1.0), (b - c, -1.0))
     return out
+
+
+def _image_array(x, y, n):
+    """:func:`_images` as two arrays, the distances d and the signs, in the
+    same order and with the same IEEE operations."""
+    c = 2.0 * np.arange(-n, n + 1.0) * math.pi
+    d = np.empty(2 * len(c))
+    d[0::2], d[1::2] = (x - y) - c, (x + y) - c
+    return d, np.tile((1.0, -1.0), len(c))
 
 
 def _check_case(case, x, y):
@@ -301,8 +312,28 @@ def cylinder_kernel(case: str, t: float, x: float, y: float,
     t of about 1.5e-8), and naming spectral_sum above t = 710, where cosh t
     overflows. spectral_sum is ``_sine_series`` with profile g(k) = exp(-k t)
     and a geometric tail bound (ParameterError where it would need more than
-    10^7 terms, t below about 4e-6), and image_sum a Lorentzian sum over
-    ``_images`` with an integral tail correction.
+    10^7 terms, t below about 4e-6).
+
+    image_sum is (t/pi) sum_j s_j/(d_j^2 + t^2) over the 1,602 images of
+    ``_image_array`` (|j| <= M = 400), formed as one array with the list
+    form's operations and summed correctly rounded, plus the integral of the
+    images past M over u >= M + 1/2, whose four arctangents fold into
+    -atan(z)/(2 pi t), z = 8 w x y t/(D_- D_+ + 4 y^2 t^2),
+    D_-+ = (w -+ x + y)(w -+ x - y) + t^2, w = 2 pi (M + 1/2). Where some
+    d_j^2 + t^2 falls below the normal doubles (on the diagonal below t of
+    about 1.5e-154) it raises ParameterError. The estimate adds:
+
+    - rounding: d_j is within u (3(x+y) + 3|d_j|), so a term T_j is within
+      u|T_j|(4 + 6|d_j|(x+y+|d_j|)|T_j|); the sum, the arctangent form
+      (40u of itself) and the factor t/pi add u (t/pi)|sum| + 4u|v|, and
+      2^-1074 (1 + |sum|) holds a subnormal t or value.
+    - tail: the images past M against their integral, by the midpoint rule
+      on each cell [j - 1/2, j + 1/2] of P(u) = F(|x-y|, u) - F(x+y, u),
+      F(c, u) = L(c - 2 pi u) + L(c + 2 pi u), L(z) = 1/(z^2 + t^2). As
+      |L^(4)(z)| <= 120/(z^2 + t^2)^3 and P_uu = -int F_uuc dc over
+      [|x-y|, x+y], |P_uu(u)| <= 1920 pi^2 x y/R(u)^3 with
+      R(u) = (2 pi (u - 1))^2 + t^2; the cells past M then add at most
+      10 t x y/(w0 (w0^2 + t^2)^2), w0 = 2 pi (M - 3/2).
     """
     _check_finite(t, x, y)
     if t <= 0:
@@ -355,17 +386,30 @@ def cylinder_kernel(case: str, t: float, x: float, y: float,
         return KernelEval(v, "spectral_sum", kmax, tail)
     if method == "image_sum":
         M = 400
-        total = math.fsum([s / (d ** 2 + t * t) for d, s in _images(x, y, M)])
-        # integral correction for the paired lattice tail (~ xy/(pi^3 n^3))
-        def pair(u):
-            return (1.0 / ((x - y - 2.0 * u * math.pi) ** 2 + t * t)
-                    - 1.0 / ((x + y - 2.0 * u * math.pi) ** 2 + t * t)
-                    + 1.0 / ((x - y + 2.0 * u * math.pi) ** 2 + t * t)
-                    - 1.0 / ((x + y + 2.0 * u * math.pi) ** 2 + t * t))
-        corr = integrate(pair, M + 0.5, math.inf, tol=1e-14).value
-        err = abs(pair(M + 0.5)) / 12.0   # Euler-Maclaurin first correction scale
-        return KernelEval(t / math.pi * (total + corr), "image_sum",
-                          2 * M + 1, t / math.pi * err)
+        d, s = _image_array(x, y, M)
+        q = np.float_power(d, 2.0) + t * t      # libm pow, as d ** 2 on a float
+        if not q.min() >= sys.float_info.min:
+            raise ParameterError(
+                f"(x -+ y - 2 pi j)^2 + t^2 = {float(q.min())!r} in the cylinder interval "
+                f"image sum falls below the normal doubles at t={t!r}, x={x!r}, y={y!r}")
+        terms = s / q
+        total = _exact_sum(terms)
+        # the images past M: int_{M+1/2}^inf of the pair u -> +-(x -+ y -+ 2 pi u),
+        # four arctangents folded into one, -atan(z)/(2 pi t) with z = g t
+        w = 2.0 * math.pi * (M + 0.5)
+        g = 8.0 * w * x * y / (((w - x + y) * (w - x - y) + t * t)
+                               * ((w + x - y) * (w + x + y) + t * t) + 4.0 * (y * t) * (y * t))
+        z = g * t
+        corr = -(math.atan(z) / z if z else 1.0) * g / (2.0 * math.pi)
+        v = t / math.pi * (total + corr)
+        a, ad = np.abs(terms), np.abs(d)
+        w0 = 2.0 * math.pi * (M - 1.5)
+        r0 = w0 * w0 + t * t
+        err = (_U * (t / math.pi * (float(np.dot(a, 4.0 + 6.0 * ad * (x + y + ad) * a))
+                                    + abs(total) + 40.0 * abs(corr)) + 4.0 * abs(v))
+               + 10.0 * x * y * (t / r0) / (w0 * r0)
+               + 2.0**-1074 * (1.0 + abs(total)))
+        return KernelEval(v, "image_sum", 2 * M + 1, err)
     raise ParameterError(f"unsupported method {method!r} for cylinder {case}")
 
 
@@ -571,11 +615,123 @@ def _smear_nodes(phi, lo: float, hi: float, eps: float, delta: float):
     u = (1.0 / lo - 1.0 / hi) / delta + 1.0
     if not u < _MAX_SERIES_TERMS:
         raise ParameterError(
-            f"schrodinger smear over the support [{lo!r}, {hi!r}] at eps={eps!r} "
-            f"would need {u + 1:.3g} nodes, more than the budget of {_MAX_SERIES_TERMS}")
+            f"smear over the support [{lo!r}, {hi!r}] at eps={eps!r} would need "
+            f"{u + 1:.3g} nodes, more than the budget of {_MAX_SERIES_TERMS}")
     s = 1.0 / hi + delta * np.arange(int(u) + 1)
     t = 1.0 / s
     return s, phi(t) * (t * np.sqrt(t))
+
+
+def _smear_alias(f, step: float) -> float:
+    """2 max |f^(xi)| over [W, 2W] from one FFT of the samples ``f`` at
+    spacing ``step`` = pi/(2W): the rfft's frequencies are 4 W k/m."""
+    m = max(len(f), 64)
+    return 2.0 * step * float(np.abs(np.fft.rfft(f, m))[(m + 3) // 4:].max())
+
+
+def _smear_profile(kind: str, case: str, x: float, y: float, tau):
+    """The heat or cylinder kernel G(tau, x, y) on the array ``tau`` > 0, by
+    its closed form, and a bound on each entry's error (rounding, and for
+    the heat interval images also the truncation); u = 2^-53.
+
+    - heat line: (4 pi tau)^{-1/2} e^{-a}, a = (x-y)^2/(4 tau), within
+      u (7 + 6a)|G|: (x-y)^2 within 4u, tau within u, a within 6u, exp 4u,
+      the root and the quotient 3u; and 2^-1074 (1 + (4 pi tau)^{-1/2}) for
+      a subnormal exp(-a).
+    - heat interval: pref sum_j s_j e^{-a_j} over ``_image_array`` with the
+      image count of ``heat_kernel`` at the largest tau, added in order, and
+      the same tail, four times the first omitted Gaussian; rounding
+      u pref (sum_j e^{-a_j}(7 + 9 a_j + 6 (x+y) a_j/|d_j|) + sum_k |S_k|):
+      the pointwise terms (6 (x+y) a_j/|d_j| = 1.5 (x+y)|d_j|/tau), tau's
+      rounding, and the partial sums S_k of the running sum.
+    - cylinder line: tau/(pi((x-y)^2 + tau^2)), within 10u |G|.
+    - cylinder interval: (2/pi) q(1-q)(1+q) sin x sin y/(D_- D_+) with
+      q = e^{-tau}, 1 - q = -expm1(-tau), D_-+ = (1-q)^2 + 4q sin^2((x-+y)/2),
+      the sinh/cosh form with cosh tau - cos(x-+y) = D_-+/(2q): no
+      difference of close numbers but x + y, which moves sin((x+y)/2) by
+      u|z cot z|, z = (x+y)/2. Within u (40 + 4 tau + 2|z cot z|)|G|, and
+      5 2^-1074/(D_- D_+) for a subnormal numerator.
+
+    Where e^{-a} is 0 the heat bounds take a as 1e3, which keeps them
+    finite. A square or a denominator that leaves the normal doubles is a
+    ParameterError, as in the pointwise closed forms.
+    """
+    if case == "line":
+        try:        # as in the pointwise closed forms
+            r2 = (x - y) ** 2
+        except OverflowError:
+            raise ParameterError(f"(x-y)^2 overflows at x-y={x - y!r}") from None
+    if kind == "heat":
+        root = np.sqrt(4.0 * math.pi * tau)
+        if not root[0] < math.inf:      # tau[0] = eps/s[0] is the largest
+            raise ParameterError(f"4 pi eps t overflows at eps t={float(tau[0])!r}")
+        pref = 1.0 / root
+        floor = 2.0**-1074 * (1.0 + pref)
+        if case == "line":
+            a = r2 / (4.0 * tau)
+            g = np.exp(-a) * pref
+            return g, _U * (7.0 + 6.0 * np.minimum(a, 1e3)) * g + floor
+        nimg = max(2, int(min(math.sqrt(40.0 * tau[0]) / (2.0 * math.pi),
+                              _MAX_SERIES_TERMS)) + 2)
+        if 2 * nimg + 1 > _MAX_SERIES_TERMS:
+            raise ParameterError(
+                f"heat interval smear would need {2 * nimg + 1:.3g} images at "
+                f"eps t={float(tau[0])!r}, more than the budget of {_MAX_SERIES_TERMS}")
+        d, signs = _image_array(x, y, nimg)
+        total, weight = np.zeros_like(tau), np.zeros_like(tau)
+        for dj, sj in zip(d.tolist(), signs.tolist()):
+            a = dj * dj / (4.0 * tau)
+            e = np.exp(-a)
+            total += sj * e
+            weight += e * (7.0 + np.minimum(a, 1e3)
+                           * (9.0 + (6.0 * (x + y) / abs(dj) if dj else 0.0)))
+            weight += np.abs(total)
+        far = 2.0 * math.pi * nimg          # the first omitted image
+        tail = 4.0 * pref * np.exp(-(far * far) / (4.0 * tau))
+        return pref * total, _U * pref * weight + tail + floor * (len(d) + 4)
+    if case == "line":
+        q = r2 + tau * tau
+        if not (q.min() >= sys.float_info.min and q.max() < math.inf):
+            raise ParameterError(
+                f"(x-y)^2 + (eps t)^2 leaves the normal doubles in the cylinder "
+                f"line smear at x-y={x - y!r}, eps t in [{float(tau[-1])!r}, {float(tau[0])!r}]")
+        g = tau / (math.pi * q)
+        return g, 10.0 * _U * g
+    q, one_minus_q = np.exp(-tau), -np.expm1(-tau)
+    sin_minus, sin_plus = math.sin((x - y) / 2.0), math.sin((x + y) / 2.0)
+    d_minus = one_minus_q * one_minus_q + 4.0 * q * (sin_minus * sin_minus)
+    d_plus = one_minus_q * one_minus_q + 4.0 * q * (sin_plus * sin_plus)
+    if not d_minus.min() >= sys.float_info.min:     # d_plus >= d_minus on [0, pi]
+        raise ParameterError(
+            f"(1-q)^2 + 4q sin^2((x-y)/2) falls below the normal doubles in the "
+            f"cylinder interval smear at x={x!r}, y={y!r}, eps t={float(tau[-1])!r}")
+    g = ((2.0 / math.pi) * math.sin(x) * math.sin(y)) * (q * one_minus_q * (1.0 + q)) \
+        / d_minus / d_plus
+    z = 0.5 * (x + y)
+    zc = abs(z * math.cos(z) / math.sin(z)) if z else 1.0
+    return g, _U * (40.0 + 4.0 * tau + 2.0 * zc) * np.abs(g) + 5.0 * 2.0**-1074 / d_minus / d_plus
+
+
+def _decaying_smear(kind: str, case: str, x: float, y: float, phi, lo: float,
+                    hi: float, eps: float, tol: float) -> QuadratureResult:
+    """int G(eps t, x, y) phi(t) dt for phi supported in [lo, hi], 0 < lo, by
+    the trapezoidal rule in s = 1/t of :func:`averaged_smear`;
+    ``evaluations`` is its node count, one kernel value each."""
+    _check_finite(eps, x, y)
+    w = _SMEAR_W * hi * hi / (hi - lo)
+    step = math.pi / (2.0 * w)          # the FFT's spacing: aliases from 4W on
+    s, h = _smear_nodes(phi, lo, hi, eps, step)
+    tau = eps / s
+    if not tau[-1] >= sys.float_info.min:
+        raise ParameterError(f"eps t = {float(tau[-1])!r} falls below the normal doubles "
+                             f"in the {kind} smear")
+    g, bound = _smear_profile(kind, case, x, y, tau)
+    hs = h / np.sqrt(s)
+    f = hs * g
+    value = step * _exact_sum(f)
+    err = _smear_alias(f, step) + step * float(np.dot(np.abs(hs), 24.0 * _U * np.abs(g) + bound))
+    _check_accuracy(value, err, tol)
+    return QuadratureResult(value, err, len(s))
 
 
 def _smear_term(phi, lo: float, hi: float, eps: float, r2: float, w: float,
@@ -596,33 +752,48 @@ def averaged_smear(kind: str, case: str, x: float, y: float,
                    phi: TestFunction, eps: float, tol: float = 1e-12) -> complex:
     """Smeared kernel value <G(eps t, x, y), phi(t)> over t in (0, inf).
 
-    Decaying profiles (heat, cylinder) use plain adaptive quadrature. The
-    Schrodinger kernel sums (4 pi eps t)^{-1/2} e^{-i pi/4} e^{i r^2/(4 eps t)}
+    For phi supported in a compact [a, b], a > 0, every kind is one rule: in
+    s = 1/t the smear is an integral over [1/b, 1/a] of a smooth function
+    with compact support, and the trapezoidal rule, summed correctly
+    rounded, is exact up to its Poisson aliases (Trefethen & Weideman, SIAM
+    Review 56, 2014). With h(s) = phi(1/s) s^{-3/2}, the nodes are those of
+    :func:`_smear_nodes` and W = 2000 b^2/(b-a). A bump's |h^(xi)| decays
+    like exp(-sqrt(xi (b-a)/(2 b^2))), set by h at s = 1/b, so this W makes
+    the rule commute with t -> c t; on [1, 2] (W = 8000) |h^| is 3.2e-15 at
+    6000 and below 1e-16, the sums' rounding, from 8000. The alias estimate
+    is 2 max |f^| over [W, 2W] for the integrand f, by one FFT of f at
+    spacing pi/(2W) per call. There are no lobes, and no quadrature call
+    but that of a Schrodinger diagonal term. An estimate ``integrate``
+    would refuse at ``tol`` raises AccuracyError with the value as best
+    estimate, as for a phi with a kink (|h^| ~ 1/xi^2).
+
+    Decaying profiles (heat, cylinder): f(s) = h(s) s^{-1/2} G(eps/s, x, y)
+    with G by its closed form on the node array (:func:`_smear_profile`;
+    the cylinder interval kernel in q = e^{-eps t}, which does not cancel
+    near the diagonal), summed at the FFT's own spacing pi/(2W). Its
+    aliases sit at |xi| >= 4W, which the estimate over [W, 2W] bounds
+    wherever |f^| decays past W; at spacing 2 pi/W that estimate was missed
+    by 1.2% where the integrand peaks sharply (heat line, (1.25, 2.5),
+    eps = 1e-3, the bump on [0.5, 1.5], value 1.9e-120). The rounding adds
+    (pi/(2W)) sum |h_n s_n^{-1/2}|(24u|G_n| + e_n), e_n the closed form's
+    bound. A phi whose support reaches 0 or infinity (``exp_decay``) is
+    adaptive quadrature over the pointwise kernel instead.
+
+    Schrodinger: the sum of (4 pi eps t)^{-1/2} e^{-i pi/4} e^{i r^2/(4 eps t)}
     over r = x - y (line) or the images ``_images(x, y, 6)`` nearest first,
     up to the first beyond |x| + |y| whose term is below ``tol`` (interval).
     A diagonal term (r = 0) is adaptive quadrature in t = s^2 and takes any
-    decaying ``phi``. Every other term is int h(s) e^{i omega s} ds in
-    s = 1/t, h(s) = phi(1/s) s^{-3/2} on [1/b, 1/a] for phi supported in
-    [a, b], omega = r^2/(4 eps): the trapezoidal rule at spacing
-    Delta = 2 pi/(omega + W), summed correctly rounded, is exact up to its
-    Poisson aliases, all at |xi| >= W (Trefethen & Weideman, SIAM Review 56,
-    2014). There are no lobes and no quadrature call.
+    decaying ``phi``. Every other term is int h(s) e^{i omega s} ds,
+    omega = r^2/(4 eps), at spacing Delta = 2 pi/(omega + W): its aliases
+    are those of h at |xi| >= W, estimated by the FFT of h. Each term adds
+    the rounding u Delta sum |h_n| (24 + 5 omega s_n): the phase is within
+    5u omega s_n, and h_n, cos, sin and the sums add 24u.
 
-    W = 2000 b^2/(b-a). A bump's |h^(xi)| decays like
-    exp(-sqrt(xi (b-a)/(2 b^2))), set by h at s = 1/b, so this W makes the
-    rule commute with t -> c t; on [1, 2] (W = 8000) |h^| is 3.2e-15 at 6000
-    and below 1e-16, the sums' rounding, from 8000. Each term's estimate is
-    the alias 2 max |h^| over [W, 2W], by one FFT of h at spacing pi/(2W)
-    per call, plus the rounding u Delta sum |h_n| (24 + 5 omega s_n): the
-    phase is within 5u omega s_n, and h_n, cos, sin and the sums add 24u.
-    A term ``integrate`` would refuse at ``tol`` raises AccuracyError with
-    its value as best estimate, as for a phi with a kink (|h^| ~ 1/xi^2).
-
-    ``phi`` must accept arrays. Off the diagonal it must be supported in a
-    compact subset of t > 0, and a term or FFT past ``_MAX_SERIES_TERMS``
-    nodes (a support reaching toward 0, a tiny eps) is refused, both by
-    ParameterError before any array is built; so is an eps that is not a
-    positive finite number, before any quadrature.
+    ``phi`` must accept arrays. Off the diagonal a Schrodinger smear needs
+    it supported in a compact subset of t > 0; a sum or FFT past
+    ``_MAX_SERIES_TERMS`` nodes (a support reaching toward 0, a tiny eps) is
+    refused, by ParameterError before any array is built; so is an eps that
+    is not a positive finite number, before any quadrature.
     """
     if not 0 < eps < math.inf:
         raise ParameterError(f"eps must be a positive finite number, got {eps!r}")
@@ -633,6 +804,8 @@ def averaged_smear(kind: str, case: str, x: float, y: float,
     lo = max(lo, 0.0)
 
     if kind in ("heat", "cylinder"):
+        if 0.0 < lo and hi < math.inf:
+            return complex(_decaying_smear(kind, case, x, y, phi, lo, hi, eps, tol).value)
         kernel = heat_kernel if kind == "heat" else cylinder_kernel
         f = lambda t: kernel(case, eps * t, x, y).value * phi(t)
         return complex(integrate(f, lo, hi, tol=tol).value)
@@ -653,9 +826,7 @@ def averaged_smear(kind: str, case: str, x: float, y: float,
                 f"got support {phi.support}")
         w = _SMEAR_W * hi * hi / (hi - lo)
         step = math.pi / (2.0 * w)      # the FFT's frequencies: 4 w k/m
-        h = _smear_nodes(phi, lo, hi, eps, step)[1]
-        m = max(len(h), 64)
-        alias = 2.0 * step * float(np.abs(np.fft.rfft(h, m))[(m + 3) // 4:].max())
+        alias = _smear_alias(_smear_nodes(phi, lo, hi, eps, step)[1], step)
 
     pref = cmath.exp(-1j * math.pi / 4.0) / math.sqrt(4.0 * math.pi * eps)
     total = 0.0 + 0.0j

@@ -457,6 +457,11 @@ def riesz_mean(measure: SpectralMeasure, k: int, lam: float, dps: Optional[int] 
     them. Raises :class:`DomainError` for a lam that is zero,
     not finite or not above the support, before any atom is enumerated, and
     :class:`FloatingPointError` where a float atom function overflows.
+
+    The mpmath backend sets mpmath's process-global precision
+    (``mp.workdps`` here, ``mp.workprec`` in the free-line density), so it
+    must not run in several threads at once: one thread's working precision
+    would change another's bits. The float backend has no such state.
     """
     if k < 0 or int(k) != k:
         raise ParameterError("Riesz order k must be a nonnegative integer")

@@ -515,7 +515,9 @@ def offdiagonal_equivalence_check(x: float, y: float, k: int,
     per-lam work (S, z, cos z and the j_k; at most ``_DENSITY_MEMO_CAP``
     (lam, precision) pairs), and the difference measure's mpmath table keeps
     lam - mu of its most recent few dozen lam. All of it is freed with the
-    check's measures when the check returns; none changes a bit.
+    check's measures when the check returns; none changes a bit. The 30-digit
+    means set mpmath's process-global precision (``mp.workdps``,
+    ``mp.workprec``), so two checks must not run in threads at once.
     """
     if not (0.0 < x < math.pi):
         raise ParameterError("x must lie in (0, pi)")

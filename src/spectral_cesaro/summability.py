@@ -194,7 +194,9 @@ def cesaro_order_test(measure: SpectralMeasure, beta: float, max_order: int,
     ``details["riesz_means"][k]`` lists the order-k Riesz means over the
     sorted probes, for each order k the test reached, so that a caller
     needing some of them does not compute them again. With ``dps``, they
-    and the primitives and divided differences are formed at that precision.
+    and the primitives and divided differences are formed at that precision,
+    which is mpmath's process-global one (``mp.workdps``, ``mp.workprec``):
+    a test with ``dps`` must not run in several threads at once.
     """
     if (not allow_excluded_beta and beta < 0
             and abs(beta - round(beta)) < _EXCLUDED_BETA_TOL):

@@ -300,6 +300,16 @@ class TestCliKernel:
         assert captured.out == ""
         assert captured.err.startswith("usage error: ") and "use method" in captured.err
 
+    def test_cylinder_interval_image_sum_underflow_is_usage_error(self, capsys):
+        """On the diagonal at t = 1e-200 the nearest image's d^2 + t^2 is 0.0:
+        this ended in a ZeroDivisionError traceback (exit 1)."""
+        rc = cli.main(["kernel", "cylinder", "interval", "--t", "1e-200", "--x", "1",
+                       "--y", "1", "--method", "image_sum"])
+        captured = capsys.readouterr()
+        assert rc == 64
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ") and "normal doubles" in captured.err
+
     def test_overflowing_square_is_usage_error(self, capsys):
         """(x - y) ** 2 overflows at x - y = 1e200: it used to end in a bare
         OverflowError (a traceback, exit 1). The cylinder's twin is among

@@ -760,13 +760,14 @@ def _ref_cylinder_images(t, x, y):
         vals.append(1.0 / ((x - y - 2.0 * n * math.pi) ** 2 + t * t))
         vals.append(-1.0 / ((x + y - 2.0 * n * math.pi) ** 2 + t * t))
     total = math.fsum(vals)
-
-    def pair(u):
-        return (1.0 / ((x - y - 2.0 * u * math.pi) ** 2 + t * t)
-                - 1.0 / ((x + y - 2.0 * u * math.pi) ** 2 + t * t)
-                + 1.0 / ((x - y + 2.0 * u * math.pi) ** 2 + t * t)
-                - 1.0 / ((x + y + 2.0 * u * math.pi) ** 2 + t * t))
-    corr = sc.integrate(pair, M + 0.5, math.inf, tol=1e-14).value
+    # int_{M+1/2}^inf of the four Lorentzians in u, 1/((c -+ 2 pi u)^2 + t^2)
+    # (c = x -+ y, signed), is the sum of atan(t/(w -+ c))/(2 pi t), w = 2 pi (M + 1/2),
+    # which folds into one arctangent
+    w = 2.0 * math.pi * (M + 0.5)
+    g = 8.0 * w * x * y / (((w - x + y) * (w - x - y) + t * t)
+                           * ((w + x - y) * (w + x + y) + t * t) + 4.0 * (y * t) * (y * t))
+    z = g * t
+    corr = -(math.atan(z) / z if z else 1.0) * g / (2.0 * math.pi)
     return t / math.pi * (total + corr)
 
 
@@ -832,6 +833,49 @@ def test_images_list_the_dirichlet_reflections_in_order(x, y, n):
     assert sc.kernels._images(x, y, n) == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(t=st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e), x=_X, y=_X)
+def test_cylinder_image_array_sum_is_the_list_sum(t, x, y):
+    """The interval cylinder image sum forms its Lorentzians as one array:
+    the same distances, squares and quotients as the list form, bit for bit,
+    and the same correctly rounded sum."""
+    d, s = sc.kernels._image_array(x, y, 400)
+    assert list(zip(d.tolist(), s.tolist())) == sc.kernels._images(x, y, 400)
+    listed = [sj / (dj ** 2 + t * t) for dj, sj in sc.kernels._images(x, y, 400)]
+    arrayed = s / (np.float_power(d, 2.0) + t * t)
+    assert arrayed.tolist() == listed
+    assert _exact_sum(arrayed) == math.fsum(listed)
+    assert sc.cylinder_kernel("interval", t, x, y, "image_sum").value == \
+        _ref_cylinder_images(t, x, y)
+
+
+def _mp_cylinder_interval(t, x, y):
+    """(1/pi) Re(z_-/(1 - z_-) - z_+/(1 - z_+)), z_-+ = e^{-t + i(x -+ y)}, at 40 digits."""
+    with mpmath.workdps(40):
+        t_, x_, y_ = mpmath.mpf(t), mpmath.mpf(x), mpmath.mpf(y)
+        zm, zp = mpmath.exp(-t_ + 1j * (x_ - y_)), mpmath.exp(-t_ + 1j * (x_ + y_))
+        return mpmath.re(zm / (1 - zm) - zp / (1 - zp)) / mpmath.pi
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e),
+       x=st.floats(0.01, math.pi - 0.01), y=st.floats(0.01, math.pi - 0.01),
+       on_diagonal=st.integers(0, 9).map(lambda k: k == 0))
+# QUADPACK's tail integral was 7.6e-16, 9.1e-15 and 6.1e-25 off here, and the
+# estimate read 9.7e-18, 4.2e-19 and 0.0
+@example(t=10.0, x=1.0, y=6.103515625e-05, on_diagonal=False)
+@example(t=1e6, x=1.0, y=2.0, on_diagonal=False)
+@example(t=1e10, x=1.0, y=2.0, on_diagonal=False)
+@example(t=1e-6, x=math.pi - 0.01, y=1.0, on_diagonal=True)    # x + y - 2 pi cancels
+def test_cylinder_interval_image_sum_is_within_its_estimate(t, x, y, on_diagonal):
+    """The image sum lies within its estimate, plus 4u of the value, of the
+    kernel at 40 digits; y = x one draw in ten."""
+    y = x if on_diagonal else y
+    got = sc.cylinder_kernel("interval", t, x, y, "image_sum")
+    ref = _mp_cylinder_interval(t, x, y)
+    assert abs(got.value - ref) <= got.error_estimate + 4 * _U * abs(ref)
+
+
 @settings(max_examples=25, deadline=None)
 @given(x=st.floats(0.1, 3.0), y=st.floats(0.1, 3.0), eps=st.floats(1e-3, 0.1))
 def test_averaged_smear_visits_the_reference_pairs_in_order(x, y, eps):
@@ -850,17 +894,119 @@ def test_averaged_smear_visits_the_reference_pairs_in_order(x, y, eps):
     assert seen and seen == want[:len(seen)]
 
 
+def _mp_decaying_smear(kind, case, x, y, eps, support, dps=40):
+    """int G(eps t, x, y) phi(t) dt for the bump phi on ``support``, at
+    ``dps`` digits by mpmath's tanh-sinh, split where the integrand peaks
+    (heat at small eps peaks near the top of the support, as sharply as
+    exp(-(x-y)^2/(4 eps t)) rises): the heat interval kernel by its
+    images up to exponent 200, the cylinder interval one as
+    (1/pi) Re(z_-/(1 - z_-) - z_+/(1 - z_+)), z_-+ = e^{-t + i(x -+ y)}."""
+    with mpmath.workdps(dps):
+        e, x_, y_ = mpmath.mpf(eps), mpmath.mpf(x), mpmath.mpf(y)
+        a, b = (mpmath.mpf(v) for v in support)
+        pi = mpmath.pi
+
+        def kernel(t):
+            if kind == "heat" and case == "line":
+                return mpmath.exp(-(x_ - y_) ** 2 / (4 * t)) / mpmath.sqrt(4 * pi * t)
+            if kind == "heat":
+                n = int(math.sqrt(800.0 * float(t)) / (2.0 * math.pi)) + 2
+                return mpmath.fsum(mpmath.exp(-(x_ - y_ - 2 * j * pi) ** 2 / (4 * t))
+                                   - mpmath.exp(-(x_ + y_ - 2 * j * pi) ** 2 / (4 * t))
+                                   for j in range(-n, n + 1)) / mpmath.sqrt(4 * pi * t)
+            if case == "line":
+                return t / (pi * ((x_ - y_) ** 2 + t * t))
+            zm, zp = mpmath.exp(-t + 1j * (x_ - y_)), mpmath.exp(-t + 1j * (x_ + y_))
+            return mpmath.re(zm / (1 - zm) - zp / (1 - zp)) / pi
+
+        def f(t):
+            u = (2 * t - a - b) / (b - a)
+            q = 1 - u * u       # a node may round onto an end of the support
+            return kernel(e * t) * mpmath.exp(-1 / q) if q > 0 else mpmath.mpf(0)
+
+        # quad stops on an absolute error, and a value of 1e-147 has none:
+        # scale the integrand to 1 at its largest value on a grid, split there
+        top, at = max((abs(f(t)), t) for t in mpmath.linspace(a, b, 201)[1:-1])
+        if not top:
+            return mpmath.mpf(0)
+        return top * mpmath.quad(lambda t: f(t) / top, [a, at, b])
+
+
+def _decaying_smear_outcome(kind, case, x, y, phi, eps):
+    """averaged_smear's value and the estimate of its trapezoidal sum, or the
+    AccuracyError it raises."""
+    seen = []
+    rule = sc.kernels._decaying_smear
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sc.kernels, "_decaying_smear",
+                   lambda *args: seen.append(rule(*args)) or seen[-1])
+        value = sc.averaged_smear(kind, case, x, y, phi, eps)
+    assert len(seen) == 1 and value == seen[0].value
+    return value, seen[0].error_estimate
+
+
 @settings(max_examples=15, deadline=None)
 @given(kind=st.sampled_from(["heat", "cylinder"]),
        case=st.sampled_from(["line", "interval"]),
        x=st.floats(0.1, 3.0), y=st.floats(0.1, 3.0), eps=st.floats(1e-3, 0.1))
-# both sides raise the same AccuracyError here
+# the QUADPACK route raised AccuracyError here: the sinh/cosh closed form
+# cancels on the diagonal at eps t ~ 1e-3, the q = e^{-t} form does not
 @example(kind="cylinder", case="interval", x=1.0, y=1.0, eps=1e-3)
-def test_averaged_smear_decaying_profiles_bit_for_bit(kind, case, x, y, eps):
-    kernel = {"heat": sc.heat_kernel, "cylinder": sc.cylinder_kernel}[kind]
+@example(kind="heat", case="interval", x=1.0, y=1.0, eps=0.1)
+def test_averaged_smear_decaying_profiles_are_within_their_estimate(kind, case, x, y, eps):
+    """Each heat and cylinder smear with a bump lies within its estimate,
+    plus 4u of itself, of the smear at 40 digits; a refusal is one that the
+    QUADPACK route over the kernel's pointwise closed form refuses too."""
     phi = sc.make_bump(0.5, 1.5)
+    ref = _mp_decaying_smear(kind, case, x, y, eps, (0.5, 1.5))
+    try:
+        got, estimate = _decaying_smear_outcome(kind, case, x, y, phi, eps)
+    except AccuracyError:
+        kernel = {"heat": sc.heat_kernel, "cylinder": sc.cylinder_kernel}[kind]
+        with pytest.raises(AccuracyError):
+            sc.integrate(lambda t: kernel(case, eps * t, x, y).value * phi(t),
+                         0.5, 1.5, tol=1e-12)
+        return
+    assert type(got) is complex
+    assert abs(got - ref) <= estimate + 4 * _U * abs(ref)
+
+
+def test_heat_line_smear_pin():
+    """At this bench point the QUADPACK route returned 3.482716732441589e-13,
+    1.8e-6 relative off the smear at 40 digits."""
+    got, estimate = _decaying_smear_outcome(
+        "heat", "line", 2.2465434657609142, 0.8663952475519332, sc.make_bump(1.0, 2.0), 0.01)
+    assert abs(got - 3.482723112453722e-13) <= estimate
+    assert abs(got - 3.482716732441589e-13) > 1e3 * estimate
+
+
+@pytest.mark.parametrize("kind, case, x, y, eps, match", [
+    ("heat", "line", 1e200, -1.0, 0.01, "overflows"),
+    ("cylinder", "line", 1e200, -1.0, 0.01, "overflows"),
+    ("heat", "interval", 1.0, 2.0, 1e-320, "normal doubles"),
+    ("cylinder", "line", 1.0, 1.0, 1e-160, "normal doubles"),
+    ("cylinder", "interval", 1.0, 1.0, 1e-160, "normal doubles"),
+    ("heat", "interval", 1.0, 2.0, 1e300, "budget"),
+])
+def test_decaying_smear_refuses_what_doubles_cannot_hold(kind, case, x, y, eps, match):
+    """A square that overflows, an eps t or a denominator below the normal
+    doubles, or more images than the budget: a ParameterError, not a NaN,
+    an inf or a 0.0."""
+    with pytest.raises(ParameterError, match=match):
+        sc.averaged_smear(kind, case, x, y, sc.make_bump(1.0, 2.0), eps)
+
+
+@pytest.mark.parametrize("kind", ["heat", "cylinder"])
+@pytest.mark.parametrize("case", ["line", "interval"])
+@pytest.mark.parametrize("x, y", [(1.0, 2.0), (1.0, 1.0)])
+def test_averaged_smear_exp_decay_keeps_the_quadrature_route(monkeypatch, kind, case, x, y):
+    """A phi whose support reaches 0 or infinity is QUADPACK over the
+    pointwise closed form, bit for bit."""
+    kernel = {"heat": sc.heat_kernel, "cylinder": sc.cylinder_kernel}[kind]
+    phi, eps = sc.make_exp_decay(1.0), 0.05
     f = lambda t: kernel(case, eps * t, x, y).value * phi(t)
-    want = _outcome(lambda: complex(sc.integrate(f, 0.5, 1.5, tol=1e-12).value))
+    want = _outcome(lambda: complex(sc.integrate(f, 0.0, math.inf, tol=1e-12).value))
+    monkeypatch.setattr(sc.kernels, "_decaying_smear", None)
     assert _outcome(sc.averaged_smear, kind, case, x, y, phi, eps) == want
 
 
