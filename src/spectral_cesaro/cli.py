@@ -9,6 +9,7 @@ Subcommands:
 Exit codes: 0 pass, 1 fail, 2 inconclusive, 64 usage error, 74 I/O error.
 A kernel whose quadrature misses its tolerance is inconclusive: ``kernel``
 writes the best estimate to stderr, nothing to stdout, and exits 2.
+``kernel`` and ``riesz`` print strict JSON, with a non-finite number as null.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from pathlib import Path
 
 from . import kernels
 from .errors import AccuracyError
-from .experiments import EXIT_CODES, ExperimentConfig, parse_grid, run_experiment
+from .experiments import (EXIT_CODES, ExperimentConfig, _csv_rows, _finite_or_none,
+                          parse_grid, run_experiment)
 from .measures import SpectralMeasure, riesz_mean
 from .spectral import NAMED_DENSITIES, evaluate_named_density
 
@@ -123,14 +125,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_kernel(args) -> int:
     try:
-        if args.kind == "heat":
-            ev = kernels.heat_kernel(args.case, args.t, args.x, args.y, args.method)
-        elif args.kind == "schrodinger":
-            ev = kernels.schrodinger_kernel(args.case, args.t, args.x, args.y,
-                                            args.method)
-        elif args.kind == "cylinder":
-            ev = kernels.cylinder_kernel(args.case, args.t, args.x, args.y,
-                                         args.method)
+        if args.kind != "wightman":
+            kernel = {"heat": kernels.heat_kernel, "schrodinger": kernels.schrodinger_kernel,
+                      "cylinder": kernels.cylinder_kernel}[args.kind]
+            ev = kernel(args.case, args.t, args.x, args.y, args.method)
         else:
             if args.case != "interval":
                 sys.stderr.write("usage error: wightman kernel is interval-only\n")
@@ -144,12 +142,12 @@ def _cmd_kernel(args) -> int:
         sys.stderr.write(f"inconclusive: {err} (best estimate {err.best_estimate})\n")
         return EXIT_CODES["inconclusive"]
     value = complex(ev.value)
-    print(json.dumps({
+    print(json.dumps(_finite_or_none({
         "t": args.t, "x": args.x, "y": args.y,
         "re": value.real, "im": value.imag,
         "method": ev.method, "truncation": ev.truncation,
         "error_estimate": ev.error_estimate,
-    }, indent=2, sort_keys=True, default=float))
+    }), indent=2, sort_keys=True, default=float, allow_nan=False))
     return 0
 
 
@@ -164,23 +162,22 @@ def _cmd_riesz(args) -> int:
         sys.stderr.write(f"usage error: {err}\n")
         return EX_USAGE
     value = complex(value)
-    print(json.dumps({"order": args.order, "lambda": args.lam,
-                      "re": value.real, "im": value.imag}, sort_keys=True))
+    print(json.dumps(_finite_or_none({"order": args.order, "lambda": args.lam,
+                                      "re": value.real, "im": value.imag}),
+                     sort_keys=True, allow_nan=False))
     return 0
 
 
 def _cmd_density(args) -> int:
     try:
         grid = parse_grid(args.lambda_grid)
-        rows = []
-        for lam in grid:
-            ev = evaluate_named_density(args.name, args.x, args.y, float(lam),
-                                        dimension=args.dimension)
-            rows.append(f"{float(lam)!r},{ev.value!r}")
+        rows = [(lam, evaluate_named_density(args.name, args.x, args.y, float(lam),
+                                             dimension=args.dimension).value)
+                for lam in grid]
     except ValueError as err:
         sys.stderr.write(f"usage error: {err}\n")
         return EX_USAGE
-    text = "lambda,value\n" + "\n".join(rows) + "\n"
+    text = _csv_rows(["lambda", "value"], rows)
     if args.out:
         try:
             Path(args.out).write_text(text)

@@ -6,12 +6,13 @@ at least two independent evaluation paths (eigen-series / image sum / closed
 form), plus small-t expansion extraction and smeared ("averaged") evaluation.
 
 Every interval eigen-series is ``spectral._sine_series`` with the kernel's
-profile g(k); every interval image sum runs over :func:`_images` or its
-array form. The line heat kernel's Fourier integral and every smear with a
-compactly supported test function are trapezoidal rules with estimated
-Poisson aliases (:func:`_heat_line_trapezoid`, :func:`averaged_smear`: one
-rule in s = 1/t for the heat, cylinder and Schrodinger kernels); the line
-cylinder kernel's is QUADPACK in u = k t.
+profile g(k), every interval image sum runs over :func:`_image_array`,
+and the heat and cylinder line closed forms are :func:`_smear_profile` on
+a point or on a smear's nodes. The line heat kernel's Fourier integral and
+every smear with a compactly supported test function are trapezoidal rules
+with estimated Poisson aliases (:func:`_heat_line_trapezoid`,
+:func:`averaged_smear`: one rule in s = 1/t for the heat, cylinder and
+Schrodinger kernels); the line cylinder kernel's is QUADPACK in u = k t.
 A route whose error estimate misses its tolerance raises AccuracyError; one
 that would need more than 10^7 terms, nodes or images, or whose closed form
 cannot be evaluated in doubles, raises ParameterError naming one that can.
@@ -80,22 +81,24 @@ def _check_finite(t, x, y):
         raise DomainError(f"t={t}, x={x}, y={y} must be finite")
 
 
-def _images(x, y, n):
-    """Dirichlet images: (x - y - 2 pi j, +1.0), (x + y - 2 pi j, -1.0), j = -n..n."""
-    a, b, out = x - y, x + y, []
-    for j in range(-n, n + 1):
-        c = 2.0 * j * math.pi
-        out += ((a - c, 1.0), (b - c, -1.0))
-    return out
-
-
 def _image_array(x, y, n):
-    """:func:`_images` as two arrays, the distances d and the signs, in the
-    same order and with the same IEEE operations."""
+    """Dirichlet images as two arrays, the distances d and the signs:
+    x - y - 2 pi j (+1.0) and x + y - 2 pi j (-1.0) for j = -n..n, in that
+    order, with 2 pi j formed as (2.0 * j) * pi."""
     c = 2.0 * np.arange(-n, n + 1.0) * math.pi
     d = np.empty(2 * len(c))
     d[0::2], d[1::2] = (x - y) - c, (x + y) - c
     return d, np.tile((1.0, -1.0), len(c))
+
+
+def _heat_images(x, y, t, hint=""):
+    """The heat interval images at t: n = max(2, int(sqrt(40 t)/(2 pi)) + 2)
+    and ``_image_array(x, y, n)``; past the budget a ParameterError + ``hint``."""
+    n = max(2, int(min(math.sqrt(40.0 * t) / (2.0 * math.pi), _MAX_SERIES_TERMS)) + 2)
+    if 2 * n + 1 > _MAX_SERIES_TERMS:
+        raise ParameterError(f"the heat interval image sum would need {2 * n + 1:.3g} images "
+                             f"at t={t!r}, more than the budget of {_MAX_SERIES_TERMS}{hint}")
+    return (n, *_image_array(x, y, n))
 
 
 def _check_case(case, x, y):
@@ -165,14 +168,23 @@ def _heat_line_trapezoid(t: float, d: float) -> KernelEval:
     return KernelEval(value, "spectral_sum", nodes, err)
 
 
+def _line_closed_form(kind: str, t: float, x: float, y: float) -> KernelEval:
+    """The heat or cylinder line closed form at one t: :func:`_smear_profile`
+    on [t], whose overflows it refuses, naming spectral_sum, not warns of."""
+    with np.errstate(over="ignore"):
+        g, bound = _smear_profile(kind, "line", x, y, np.array([t]),
+                                  "; use method spectral_sum")
+    return KernelEval(float(g[0]), "closed_form", None, float(bound[0]))
+
+
 def heat_kernel(case: str, t: float, x: float, y: float,
                 method: str = "closed_form") -> KernelEval:
     """Heat kernel K(t,x,y) on the line or the Dirichlet interval.
 
-    line: closed form (4 pi t)^{-1/2} exp(-(x-y)^2/4t), with error estimate
-    u (5 + (x-y)^2/t)|v| (u = 2^-53) and a ParameterError where (x-y)^2
-    overflows, or 4 pi t (t above about 1.43e307), the latter naming
-    spectral_sum. spectral_sum is the Fourier integral (1/2pi) int exp(-k^2 t)
+    line: closed form (4 pi t)^{-1/2} exp(-(x-y)^2/4t), the one-node
+    :func:`_smear_profile` with its estimate, refusing an (x-y)^2 that
+    overflows, and 4 pi t (t above about 1.43e307) naming spectral_sum.
+    spectral_sum is the Fourier integral (1/2pi) int exp(-k^2 t)
     cos(k(x-y)) dk by the trapezoidal rule of :func:`_heat_line_trapezoid`:
     nodes n h, with h = 2 pi/(2|x-y| + 4 sqrt(10 t)) so that the Poisson
     aliases add at most 2.1 e^{-40} of the value. Its ``truncation`` is the
@@ -180,11 +192,19 @@ def heat_kernel(case: str, t: float, x: float, y: float,
     bounds the aliases, the nodes past N and the rounding. It raises
     AccuracyError (with the value as best estimate) where that bound misses
     tol 1e-12, as for t << (x-y)^2 at t below about 1e-5, and ParameterError
-    naming closed_form where it would need more than 10^7 nodes. interval:
-    spectral_sum is ``_sine_series`` with profile g(k) = exp(-k^2 t),
-    image_sum (and closed_form) the reflected-Gaussian sum over ``_images``;
-    both are truncated with explicit tail bounds. The image sum
-    pref sum_j s_j e^{-a_j}, a_j = d_j^2/4t, adds to its tail the rounding
+    naming closed_form where it would need more than 10^7 nodes.
+
+    interval: spectral_sum is ``_sine_series`` with profile g(k) = exp(-k^2 t)
+    over k <= K = max(8, int(sqrt(40/t)) + 1), image_sum the reflected-Gaussian
+    sum over ``_image_array``, and closed_form the image sum below t = 1 and
+    the 8-term series from t = 1 on, where the signed images cancel. Each
+    adds its rounding to a tail bound. The series' is u ((2/pi) B + |v|) +
+    4K 2^-1074, B = sum_{k>=1} e^{-a_k}(30 + a_k + k (x+y)), a_k = k^2 t, in
+    closed form (each unimodal sum is at most its integral over [1, inf) plus
+    its largest term): k x and k y are within u k x and u k y, which moves
+    each sine by as much; 2/pi, the sines and exp (4 ulp each), a_k (u a_k)
+    and three products add (28 + a_k)u, with |sin| <= 1; the sum u|v|; a
+    subnormal operation 2^-1074. The image sum pref sum_j s_j e^{-a_j}, a_j = d_j^2/4t, adds
     u pref sum_j e^{-a_j}(7 + 8 a_j + 1.5 (x+y)|d_j|/t) and 2^-1074 (1 + pref
     (n + 4)) for subnormals: d_j is within u (3(x+y) + 3|d_j|), far above
     u|d_j| where x + y - 2 pi cancels, the square and quotient add 2u a_j,
@@ -199,42 +219,32 @@ def heat_kernel(case: str, t: float, x: float, y: float,
     _check_case(case, x, y)
     if case == "line":
         if method in ("closed_form", "image_sum"):
-            try:        # not d * d, which rounds differently from ** 2 at times
-                a = (x - y) ** 2 / (4.0 * t)
-            except OverflowError:
-                raise ParameterError(f"(x-y)^2 overflows at x-y={x - y!r}") from None
-            r = math.sqrt(4.0 * math.pi * t)
-            if r == math.inf:
-                raise ParameterError(f"4 pi t overflows at t={t!r}; use method spectral_sum")
-            v = math.exp(-a) / r
-            # exp(-a) is within (4a + 2)u, r and the quotient add 2.2u, and a
-            # subnormal exp(-a) or v at most 2^-1074 before and after dividing
-            err = (_U * (5.0 + 4.0 * a) * v if v else 0.0) + 2.0**-1074 * (1.0 + 1.0 / r)
-            return KernelEval(v, "closed_form", None, err)
+            return _line_closed_form("heat", t, x, y)
         return _heat_line_trapezoid(t, abs(x - y))
-    if method == "spectral_sum":
+    if method == "spectral_sum" or (method == "closed_form" and t >= 1.0):
         kmax = max(8, _series_length(math.sqrt(40.0 / t), "closed_form or image_sum"))
         v = _sine_series(x, y, kmax, lambda k: np.exp(-k**2 * t))
         # tail: sum_{k>K} e^{-k^2 t} < e^{-K^2 t} e^{-2Kt} / (1 - e^{-2Kt})
         q = math.exp(-2.0 * kmax * t)
         tail = (2.0 / math.pi) * math.exp(-kmax * kmax * t) * q / (1.0 - q)
-        return KernelEval(v, "spectral_sum", kmax, tail)
+        # B's sums over k >= 1: e^{-a_k} is e1 + i0, k e^{-a_k} s1 and a_k e^{-a_k} s2
+        e1, i0 = math.exp(-t), math.sqrt(math.pi / t) / 2.0 * math.erfc(math.sqrt(t))
+        s1 = e1 / (2.0 * t) + (e1 if t >= 0.5 else (2.0 * math.e * t) ** -0.5)
+        s2 = (e1 + i0) / 2.0 + (t * e1 if t >= 1.0 else 1.0 / math.e)
+        err = (tail + _U * ((2.0 / math.pi) * (30.0 * (e1 + i0) + s2 + (x + y) * s1) + abs(v))
+               + 4.0 * kmax * 2.0**-1074)
+        return KernelEval(v, "spectral_sum", kmax, err)
     if method in ("image_sum", "closed_form"):
-        nimg = max(2, int(min(math.sqrt(40.0 * t) / (2.0 * math.pi),
-                              _MAX_SERIES_TERMS)) + 2)
-        if 2 * nimg + 1 > _MAX_SERIES_TERMS:
-            raise ParameterError(
-                f"image_sum would need {2 * nimg + 1:.3g} images, more than the "
-                f"budget of {_MAX_SERIES_TERMS}; use method spectral_sum")
+        nimg, d, signs = _heat_images(x, y, t, "; use method spectral_sum")
         pref = 1.0 / math.sqrt(4.0 * math.pi * t)
         vals, weight, k = [], 0.0, 1.5 * (x + y) / t
-        for d, s in _images(x, y, nimg):
-            a = d ** 2 / (4.0 * t)
+        for dj, s in zip(d.tolist(), signs.tolist()):
+            a = dj ** 2 / (4.0 * t)
             vals.append(s * math.exp(-a))
-            weight += abs(vals[-1]) * (7.0 + 8.0 * a + k * abs(d))
+            weight += abs(vals[-1]) * (7.0 + 8.0 * a + k * abs(dj))
         # first omitted Gaussian dominates the tail
-        d = 2.0 * (nimg + 1) * math.pi - 2.0 * math.pi
-        tail = 4.0 * pref * math.exp(-(d ** 2) / (4.0 * t))
+        far = 2.0 * (nimg + 1) * math.pi - 2.0 * math.pi
+        tail = 4.0 * pref * math.exp(-(far ** 2) / (4.0 * t))
         err = tail + _U * pref * weight + 2.0**-1074 * (1.0 + pref * (len(vals) + 4))
         return KernelEval(pref * math.fsum(vals), "image_sum", 2 * nimg + 1, err)
     raise ParameterError(f"unsupported method {method!r} for heat {case}")
@@ -283,8 +293,9 @@ def schrodinger_kernel(case: str, t: float, x: float, y: float,
         raise ParameterError("interval schrodinger kernel has no closed form; "
                              "use image_sum or averaged_smear")
     total = 0j      # not sum(): it compensates complex addends on newer Pythons
-    for d, s in _images(x, y, _SCHRODINGER_IMAGES):
-        total += s * cmath.exp(1j * d ** 2 / (4.0 * t))
+    d, signs = _image_array(x, y, _SCHRODINGER_IMAGES)
+    for dj, s in zip(d.tolist(), signs.tolist()):
+        total += s * cmath.exp(1j * dj ** 2 / (4.0 * t))
     return KernelEval(pref * total, "image_sum", 2 * _SCHRODINGER_IMAGES + 1, math.inf)
 
 
@@ -294,9 +305,10 @@ def cylinder_kernel(case: str, t: float, x: float, y: float,
                     method: str = "closed_form") -> KernelEval:
     """Cylinder kernel T(t,x,y) = kernel of exp(-t sqrt(H)).
 
-    line closed form t/(pi((x-y)^2+t^2)), a ParameterError naming
-    spectral_sum where (x-y)^2 + t^2 falls below the normal doubles (both
-    below about 1.5e-154) or overflows (|x-y| or t above about 1.3e154). Its
+    line closed form t/(pi((x-y)^2+t^2)), the one-node :func:`_smear_profile`
+    with estimate 10u|v| (u = 2^-53), a ParameterError naming spectral_sum
+    where (x-y)^2 + t^2 falls below the normal doubles (both below about
+    1.5e-154) or overflows (|x-y| or t above about 1.3e154). Its
     spectral_sum is the Fourier integral (1/2pi) int exp(-|k| t) cos(k(x-y)) dk
     in u = k t, i.e. (1/(2pi t)) int exp(-|u|) cos(u (x-y)/t) du, whose
     integrand decays on the scale 1 at every t. It is taken as a cosine
@@ -341,16 +353,7 @@ def cylinder_kernel(case: str, t: float, x: float, y: float,
     _check_case(case, x, y)
     if case == "line":
         if method in ("closed_form", "image_sum"):
-            try:
-                q = (x - y) ** 2 + t * t
-            except OverflowError:
-                q = math.inf
-            if not sys.float_info.min <= q < math.inf:  # digits lost, or 1/q = 0
-                raise ParameterError(
-                    f"(x-y)^2 + t^2 = {q!r} in the cylinder line closed form at "
-                    f"t={t!r}, x-y={x - y!r}; use method spectral_sum")
-            v = t / (math.pi * q)
-            return KernelEval(v, "closed_form", None, 5e-17 * abs(v))
+            return _line_closed_form("cylinder", t, x, y)
         r, two_pi_t, exp, cos = (x - y) / t, 2.0 * math.pi * t, math.exp, math.cos
         res = integrate(lambda u: exp(-u) * cos(u * r) / two_pi_t * 2.0,
                         0.0, math.inf, tol=_LINE_TOL)
@@ -629,17 +632,18 @@ def _smear_alias(f, step: float) -> float:
     return 2.0 * step * float(np.abs(np.fft.rfft(f, m))[(m + 3) // 4:].max())
 
 
-def _smear_profile(kind: str, case: str, x: float, y: float, tau):
+def _smear_profile(kind: str, case: str, x: float, y: float, tau, hint: str = ""):
     """The heat or cylinder kernel G(tau, x, y) on the array ``tau`` > 0, by
     its closed form, and a bound on each entry's error (rounding, and for
-    the heat interval images also the truncation); u = 2^-53.
+    the heat interval images also the truncation); u = 2^-53. ``tau`` is
+    a smear's node array, or [t] for a pointwise line closed form.
 
     - heat line: (4 pi tau)^{-1/2} e^{-a}, a = (x-y)^2/(4 tau), within
       u (7 + 6a)|G|: (x-y)^2 within 4u, tau within u, a within 6u, exp 4u,
       the root and the quotient 3u; and 2^-1074 (1 + (4 pi tau)^{-1/2}) for
       a subnormal exp(-a).
-    - heat interval: pref sum_j s_j e^{-a_j} over ``_image_array`` with the
-      image count of ``heat_kernel`` at the largest tau, added in order, and
+    - heat interval: pref sum_j s_j e^{-a_j} over the images of
+      :func:`_heat_images` at the largest tau, added in order, and
       the same tail, four times the first omitted Gaussian; rounding
       u pref (sum_j e^{-a_j}(7 + 9 a_j + 6 (x+y) a_j/|d_j|) + sum_k |S_k|):
       the pointwise terms (6 (x+y) a_j/|d_j| = 1.5 (x+y)|d_j|/tau), tau's
@@ -654,30 +658,26 @@ def _smear_profile(kind: str, case: str, x: float, y: float, tau):
 
     Where e^{-a} is 0 the heat bounds take a as 1e3, which keeps them
     finite. A square or a denominator that leaves the normal doubles is a
-    ParameterError, as in the pointwise closed forms.
+    ParameterError, whose message ends in ``hint`` but for the heat kernel's
+    overflowing (x-y)^2; t in its message is eps t in a smear.
     """
     if case == "line":
-        try:        # as in the pointwise closed forms
+        try:        # not d * d, which rounds differently from ** 2 at times
             r2 = (x - y) ** 2
         except OverflowError:
-            raise ParameterError(f"(x-y)^2 overflows at x-y={x - y!r}") from None
+            raise ParameterError(f"(x-y)^2 overflows at x-y={x - y!r}"
+                                 + (hint if kind == "cylinder" else "")) from None
     if kind == "heat":
         root = np.sqrt(4.0 * math.pi * tau)
         if not root[0] < math.inf:      # tau[0] = eps/s[0] is the largest
-            raise ParameterError(f"4 pi eps t overflows at eps t={float(tau[0])!r}")
+            raise ParameterError(f"4 pi t overflows at t={float(tau[0])!r}{hint}")
         pref = 1.0 / root
         floor = 2.0**-1074 * (1.0 + pref)
         if case == "line":
             a = r2 / (4.0 * tau)
             g = np.exp(-a) * pref
             return g, _U * (7.0 + 6.0 * np.minimum(a, 1e3)) * g + floor
-        nimg = max(2, int(min(math.sqrt(40.0 * tau[0]) / (2.0 * math.pi),
-                              _MAX_SERIES_TERMS)) + 2)
-        if 2 * nimg + 1 > _MAX_SERIES_TERMS:
-            raise ParameterError(
-                f"heat interval smear would need {2 * nimg + 1:.3g} images at "
-                f"eps t={float(tau[0])!r}, more than the budget of {_MAX_SERIES_TERMS}")
-        d, signs = _image_array(x, y, nimg)
+        nimg, d, signs = _heat_images(x, y, float(tau[0]))
         total, weight = np.zeros_like(tau), np.zeros_like(tau)
         for dj, sj in zip(d.tolist(), signs.tolist()):
             a = dj * dj / (4.0 * tau)
@@ -693,8 +693,8 @@ def _smear_profile(kind: str, case: str, x: float, y: float, tau):
         q = r2 + tau * tau
         if not (q.min() >= sys.float_info.min and q.max() < math.inf):
             raise ParameterError(
-                f"(x-y)^2 + (eps t)^2 leaves the normal doubles in the cylinder "
-                f"line smear at x-y={x - y!r}, eps t in [{float(tau[-1])!r}, {float(tau[0])!r}]")
+                f"(x-y)^2 + t^2 leaves the normal doubles in the cylinder line closed "
+                f"form at x-y={x - y!r}, t in [{float(tau[-1])!r}, {float(tau[0])!r}]{hint}")
         g = tau / (math.pi * q)
         return g, 10.0 * _U * g
     q, one_minus_q = np.exp(-tau), -np.expm1(-tau)
@@ -780,7 +780,7 @@ def averaged_smear(kind: str, case: str, x: float, y: float,
     adaptive quadrature over the pointwise kernel instead.
 
     Schrodinger: the sum of (4 pi eps t)^{-1/2} e^{-i pi/4} e^{i r^2/(4 eps t)}
-    over r = x - y (line) or the images ``_images(x, y, 6)`` nearest first,
+    over r = x - y (line) or the images ``_image_array(x, y, 6)`` nearest first,
     up to the first beyond |x| + |y| whose term is below ``tol`` (interval).
     A diagonal term (r = 0) is adaptive quadrature in t = s^2 and takes any
     decaying ``phi``. Every other term is int h(s) e^{i omega s} ds,
@@ -812,11 +812,9 @@ def averaged_smear(kind: str, case: str, x: float, y: float,
     if kind != "schrodinger":
         raise ParameterError(f"averaged_smear unsupported for kind {kind!r}")
 
-    pairs = [(x - y, +1.0)]
-    if case == "interval":   # nearest images dominate
-        pairs = sorted(_images(x, y, 6), key=lambda p: abs(p[0]))
-    if any(d * d != 0.0 for d, _ in pairs):
-        # the phase r2/(4 eps t) of an off-diagonal term has no value at t = 0
+    if case == "interval" or (x - y) * (x - y) != 0.0:
+        # the phase r2/(4 eps t) of an off-diagonal term has no value at t = 0;
+        # every interval smear has images off the diagonal
         if not math.isfinite(hi):
             raise ParameterError(
                 "off-diagonal schrodinger smear needs compactly supported phi")
@@ -827,6 +825,10 @@ def averaged_smear(kind: str, case: str, x: float, y: float,
         w = _SMEAR_W * hi * hi / (hi - lo)
         step = math.pi / (2.0 * w)      # the FFT's frequencies: 4 w k/m
         alias = _smear_alias(_smear_nodes(phi, lo, hi, eps, step)[1], step)
+    pairs = [(x - y, +1.0)]
+    if case == "interval":   # nearest images dominate
+        d, signs = _image_array(x, y, 6)
+        pairs = sorted(zip(d.tolist(), signs.tolist()), key=lambda p: abs(p[0]))
 
     pref = cmath.exp(-1j * math.pi / 4.0) / math.sqrt(4.0 * math.pi * eps)
     total = 0.0 + 0.0j

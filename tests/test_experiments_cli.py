@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import spectral_cesaro
-from spectral_cesaro import cli, experiments, kernels
+from spectral_cesaro import cli, experiments, kernels, spectral
 from spectral_cesaro.errors import ParameterError
 from spectral_cesaro.experiments import (ExperimentConfig, experiment_names,
                                          run_experiment)
@@ -93,6 +93,10 @@ def test_every_config_field_is_read_by_an_experiment():
             assert re.search(rf"\bcfg\.{f.name}\b", source), f.name
 
 
+def _strict(const):
+    raise ValueError(f"{const} is not JSON")
+
+
 class TestCliVerify:
     def test_pass_exit_code_and_artifacts(self, tmp_path, capsys):
         rc = cli.main(["verify", "wkb-constant", "--out", str(tmp_path)])
@@ -150,16 +154,13 @@ class TestCliVerify:
     def test_inconclusive_check_is_inconclusive(self, tmp_path, capsys, x, y,
                                                 inconclusive):
         """Either check inconclusive (x near y, x near 0): exit 2, JSON null."""
-        def strict(const):
-            raise ValueError(f"{const} is not JSON")
-
         rc = cli.main(["verify", "offdiag-equivalence", "--x", x, "--y", y,
                        "--out", str(tmp_path)])
         assert rc == 2
         out = capsys.readouterr().out
         summary = (tmp_path / "offdiag-equivalence.summary.json").read_text()
         for text in (out, summary):
-            report = json.loads(text, parse_constant=strict)
+            report = json.loads(text, parse_constant=_strict)
             assert report["verdict"] == "inconclusive"
             probe = report["probes"][inconclusive]
             assert probe["verdict"] == "inconclusive"
@@ -240,6 +241,23 @@ class TestCliVerify:
 
 
 class TestCliKernel:
+    def test_infinite_estimate_is_json_null(self, capsys):
+        """The Schrodinger interval image sum's estimate is infinite: the JSON
+        reads null there, where it printed Infinity, which is not JSON."""
+        rc = cli.main(["kernel", "schrodinger", "interval", "--t", "0.3", "--x", "1",
+                       "--y", "2", "--method", "image_sum"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=_strict)
+        assert out["error_estimate"] is None and out["method"] == "image_sum"
+        want = kernels.schrodinger_kernel("interval", 0.3, 1.0, 2.0, "image_sum").value
+        assert complex(out["re"], out["im"]) == want
+
+    def test_heat_interval_closed_form_at_large_t_is_the_series(self, capsys):
+        rc = cli.main(["kernel", "heat", "interval", "--t", "200", "--x", "1", "--y", "2"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=_strict)
+        assert (out["method"], out["truncation"]) == ("spectral_sum", 8)
+
     def test_heat_point(self, capsys):
         rc = cli.main(["kernel", "heat", "line", "--t", "0.25", "--x", "1",
                        "--y", "0"])
@@ -293,7 +311,7 @@ class TestCliKernel:
         """Each of these never returned or ended in a traceback (exit 1)."""
         def no_images(*args):
             raise AssertionError("images listed past the budget")
-        monkeypatch.setattr(kernels, "_images", no_images)
+        monkeypatch.setattr(kernels, "_image_array", no_images)
         rc = cli.main(["kernel", *argv])
         captured = capsys.readouterr()
         assert rc == 64
@@ -390,6 +408,20 @@ class TestCliDensity:
         assert captured.err == "usage error: grid '1:inf:3': stop inf is not finite\n"
         assert len(recwarn) == 0
 
+    def test_rows_are_the_experiments_csv_writer(self, capsys):
+        """The rows go through experiments._csv_rows: the repr of each double,
+        byte for byte the lines the command wrote before."""
+        rc = cli.main(["density", "interval_staircase", "--x", "1", "--y", "2",
+                       "--lambda-grid", "1:1e3:7"])
+        assert rc == 0
+        grid = experiments.parse_grid("1:1e3:7")
+        values = [spectral.evaluate_named_density("interval_staircase", 1.0, 2.0,
+                                                  float(lam)).value for lam in grid]
+        text = capsys.readouterr().out
+        assert text == experiments._csv_rows(["lambda", "value"], zip(grid, values))
+        assert text == "lambda,value\n" + "".join(
+            f"{float(lam)!r},{v!r}\n" for lam, v in zip(grid, values))
+
     def test_staircase_density_to_file(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         rc = cli.main(["density", "interval_staircase", "--x", "1.0",
@@ -409,6 +441,18 @@ class TestCliRiesz:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert abs(out["re"] - 1.6) < 1e-12
+
+    def test_infinite_mean_is_json_null(self, tmp_path, capsys):
+        """(1 - mu/lam)^2 overflows at mu = -1e300, lam = 1e-5: the mean is
+        inf, which the JSON reads as null, not Infinity."""
+        path = tmp_path / "m.csv"
+        path.write_text("lambda,weight_re,weight_im\n-1e300,1.0,0.0\n")
+        with np.errstate(over="ignore"):
+            rc = cli.main(["riesz", "--measure", str(path), "--order", "2",
+                           "--lambda", "1e-5"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=_strict)
+        assert out["re"] is None and out["im"] == 0.0
 
     def test_missing_file_exit_74(self, capsys):
         rc = cli.main(["riesz", "--measure", "/nope.csv", "--order", "0",

@@ -649,19 +649,25 @@ def test_cylinder_line_route_regressions(t, x, y):
 def test_heat_interval_image_sum_refuses_more_than_the_image_budget(monkeypatch, method, t):
     """From t of about 2.47e13 the image sum would need more than 10^7
     images (at t = 1e300 it never ended): refused, naming the eigen-series,
-    before any image is listed. The series itself takes 8 terms there."""
+    before any image is listed. The series itself takes 8 terms there, and
+    from t = 1 on it is the closed form."""
     def no_images(*args):
         raise AssertionError("images listed past the budget")
-    monkeypatch.setattr(sc.kernels, "_images", no_images)
+    monkeypatch.setattr(sc.kernels, "_image_array", no_images)
+    series = sc.heat_kernel("interval", t, 1.0, 2.0, "spectral_sum")
+    assert series.truncation == 8
+    if method == "closed_form":
+        assert sc.heat_kernel("interval", t, 1.0, 2.0, method) == series
+        return
     with pytest.raises(ParameterError, match="budget of 10000000; use method spectral_sum"):
         sc.heat_kernel("interval", t, 1.0, 2.0, method)
-    assert sc.heat_kernel("interval", t, 1.0, 2.0, "spectral_sum").truncation == 8
 
 
 def test_heat_interval_image_budget_is_the_image_count(monkeypatch):
     """The last t whose 2 nimg + 1 images fit the budget still lists them."""
     seen = []
-    monkeypatch.setattr(sc.kernels, "_images", lambda x, y, n: seen.append(n) or [])
+    monkeypatch.setattr(sc.kernels, "_image_array",
+                        lambda x, y, n: seen.append(n) or (np.empty(0), np.empty(0)))
     monkeypatch.setattr(sc.kernels, "_MAX_SERIES_TERMS", 2 * 1002 + 1)
     t = lambda j: (2.0 * math.pi * (j + 0.5)) ** 2 / 40.0   # int(sqrt(40 t)/2pi) = j
     assert sc.heat_kernel("interval", t(1000), 1.0, 2.0, "image_sum").truncation == 2005
@@ -726,7 +732,7 @@ def test_cylinder_interval_closed_form_estimate_at_small_t():
 
 # ------------------------------------------ one eigen-series, one image list
 # Each interval series and image sum as it was written out by hand before
-# every kernel went through spectral._sine_series and kernels._images. The
+# every kernel went through spectral._sine_series and kernels._image_array. The
 # shared constructions must give these doubles bit for bit.
 
 def _ref_heat_series(t, x, y):
@@ -823,14 +829,20 @@ def test_interval_image_sums_bit_for_bit(t, x, y):
         assert got == _ref_schrodinger_images(s, x, y)
 
 
-@settings(max_examples=100, deadline=None)
-@given(x=_X, y=_X, n=st.integers(0, 400))
-def test_images_list_the_dirichlet_reflections_in_order(x, y, n):
+def _ref_images(x, y, n):
+    """The Dirichlet images (x -+ y - 2 pi j, +-1.0), j = -n..n, as a list."""
     want = []
     for j in range(-n, n + 1):
         want.append((x - y - 2.0 * j * math.pi, +1.0))
         want.append((x + y - 2.0 * j * math.pi, -1.0))
-    assert sc.kernels._images(x, y, n) == want
+    return want
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_X, y=_X, n=st.integers(0, 400))
+def test_images_list_the_dirichlet_reflections_in_order(x, y, n):
+    d, s = sc.kernels._image_array(x, y, n)
+    assert list(zip(d.tolist(), s.tolist())) == _ref_images(x, y, n)
 
 
 @settings(max_examples=200, deadline=None)
@@ -840,8 +852,8 @@ def test_cylinder_image_array_sum_is_the_list_sum(t, x, y):
     the same distances, squares and quotients as the list form, bit for bit,
     and the same correctly rounded sum."""
     d, s = sc.kernels._image_array(x, y, 400)
-    assert list(zip(d.tolist(), s.tolist())) == sc.kernels._images(x, y, 400)
-    listed = [sj / (dj ** 2 + t * t) for dj, sj in sc.kernels._images(x, y, 400)]
+    assert list(zip(d.tolist(), s.tolist())) == _ref_images(x, y, 400)
+    listed = [sj / (dj ** 2 + t * t) for dj, sj in _ref_images(x, y, 400)]
     arrayed = s / (np.float_power(d, 2.0) + t * t)
     assert arrayed.tolist() == listed
     assert _exact_sum(arrayed) == math.fsum(listed)
@@ -1088,15 +1100,63 @@ def test_schrodinger_interval_smear_is_its_signed_image_sum(x, y, eps, lo, width
 @example(t=1.46e-3, x=1.83, y=0.0)          # off by 445 times the old 5e-17 |v|
 @example(t=1e-6, x=5.0, y=-5.0)             # exp(-2.5e7) is 0.0
 def test_heat_line_closed_form_is_within_its_estimate(t, x, y):
-    """The line closed form keeps its bits and lies within its estimate, plus
-    4u of itself, of (4 pi t)^{-1/2} exp(-(x-y)^2/4t) at 40 digits."""
+    """The line closed form is the node-array form e^{-a} (4 pi t)^{-1/2} on
+    numpy's exp and lies within its estimate, plus 4u of itself, of
+    (4 pi t)^{-1/2} exp(-(x-y)^2/4t) at 40 digits."""
     y = x if y is None else y
     got = sc.heat_kernel("line", t, x, y)
-    assert got.value == math.exp(-((x - y) ** 2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
+    tau = np.array([t])
+    assert got.value == (np.exp(-((x - y) ** 2 / (4.0 * tau)))
+                         * (1.0 / np.sqrt(4.0 * math.pi * tau)))[0]
     with mpmath.workdps(40):
         t_, d = mpmath.mpf(t), mpmath.mpf(x) - mpmath.mpf(y)
         ref = mpmath.exp(-d * d / (4 * t_)) / mpmath.sqrt(4 * mpmath.pi * t_)
         assert abs(got.value - ref) <= got.error_estimate + 4 * _U * ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["heat", "cylinder"]),
+       t=st.floats(-320.0, 308.0).map(lambda e: 10.0 ** e),
+       x=st.floats(-1e3, 1e3), y=st.one_of(st.none(), st.floats(-1e3, 1e3)))
+@example(kind="cylinder", t=1e200, x=1.0, y=1.0)    # t * t overflows
+@example(kind="heat", t=1e308, x=0.0, y=1.0)        # 4 pi t overflows
+@example(kind="heat", t=1e-320, x=1.0, y=1.0)
+def test_line_closed_forms_are_the_one_node_profile(kind, t, x, y):
+    """The pointwise heat and cylinder line closed forms (under both of their
+    method names) are the smears' closed form on the one-node array [t]:
+    value and estimate bit for bit, or the same refusal, naming spectral_sum
+    where the profile's t leaves the doubles."""
+    y = x if y is None else y
+    kernel = {"heat": sc.heat_kernel, "cylinder": sc.cylinder_kernel}[kind]
+    try:
+        with np.errstate(over="ignore"):
+            g, bound = sc.kernels._smear_profile(kind, "line", x, y, np.array([t]))
+    except ParameterError as info:
+        for method in ("closed_form", "image_sum"):
+            with pytest.raises(ParameterError, match="use method spectral_sum") as got:
+                kernel("line", t, x, y, method)
+            assert str(got.value).startswith(str(info))
+        return
+    for method in ("closed_form", "image_sum"):
+        got = kernel("line", t, x, y, method)
+        assert type(got.value) is float and got.method == "closed_form"
+        assert got.value == g[0] and got.error_estimate == bound[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e),
+       x=st.floats(-5.0, 5.0), y=st.one_of(st.none(), st.floats(-5.0, 5.0)))
+def test_cylinder_line_closed_form_is_within_its_estimate(t, x, y):
+    """The line closed form keeps its bits and lies within its estimate 10u|v|
+    of t/(pi((x-y)^2 + t^2)) at 40 digits, with no slack; the old 5e-17 |v|
+    was below the error in about two draws of three."""
+    y = x if y is None else y
+    got = sc.cylinder_kernel("line", t, x, y)
+    assert got.value == t / (math.pi * ((x - y) ** 2 + t * t))
+    with mpmath.workdps(40):
+        t_, d = mpmath.mpf(t), mpmath.mpf(x) - mpmath.mpf(y)
+        ref = t_ / (mpmath.pi * (d * d + t_ * t_))
+        assert abs(got.value - ref) <= got.error_estimate
 
 
 @pytest.mark.parametrize("t, x, y, match", [
@@ -1190,12 +1250,45 @@ def _mp_heat_interval(t, x, y):
 @example(t=1e-6, x=0.01, y=math.pi - 0.01)      # every Gaussian underflows
 @example(t=1e6, x=1.0, y=2.0)
 def test_heat_interval_image_sum_is_within_its_estimate(t, x, y):
-    """The image sum (= closed form) keeps its bits and lies within its
-    estimate of the kernel at 60 digits."""
+    """The image sum keeps its bits and lies within its estimate of the
+    kernel at 60 digits. Below t = 1 it is the closed form; from t = 1 on the
+    closed form is the eigen-series, within its estimate too."""
     y = x if y is None else y
     got = sc.heat_kernel("interval", t, x, y, "image_sum")
+    ref = _mp_heat_interval(t, x, y)
     assert got.value == _ref_heat_images(t, x, y)
-    assert sc.heat_kernel("interval", t, x, y) == got
+    assert abs(got.value - ref) <= got.error_estimate
+    closed = sc.heat_kernel("interval", t, x, y)
+    if t < 1.0:
+        assert closed == got
+    else:
+        assert closed.method == "spectral_sum"
+        assert abs(closed.value - ref) <= closed.error_estimate
+
+
+@pytest.mark.parametrize("t", [20.0, 200.0])
+def test_heat_interval_closed_form_is_the_series_at_large_t(t):
+    """The image sum, which the closed form was at every t, returned
+    1.0457e-9 at t = 20 (value 1.0040e-9) and 9.2e-9 at t = 200 (value
+    6.7e-88); from t = 1 on the closed form is the 8-term eigen-series."""
+    got = sc.heat_kernel("interval", t, 1.0, 2.0)
+    assert (got.method, got.truncation) == ("spectral_sum", 8)
+    ref = _mp_heat_interval(t, 1.0, 2.0)
+    assert abs(got.value - ref) <= got.error_estimate <= 1e-13 * abs(ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e),
+       x=st.floats(0.01, math.pi - 0.01), y=st.floats(0.01, math.pi - 0.01))
+@example(t=1e-6, x=1.0, y=2.0)      # the series cancels to 0 from about 886
+@example(t=1e6, x=1.0, y=2.0)       # every term and the tail underflow
+def test_heat_interval_series_is_within_its_estimate(t, x, y):
+    """The eigen-series keeps its bits and lies within its estimate of the
+    kernel at 60 digits: the estimate adds the rounding of the terms and of
+    the phases k x, k y to the tail, which alone reads 0.0 once it
+    underflows and was beyond the error in most draws."""
+    got = sc.heat_kernel("interval", t, x, y, "spectral_sum")
+    assert got.value == _ref_heat_series(t, x, y)
     assert abs(got.value - _mp_heat_interval(t, x, y)) <= got.error_estimate
 
 
