@@ -161,6 +161,9 @@ def _cmd_riesz(args) -> int:
     except ValueError as err:   # a bad header or entry, or a bad order or lambda
         sys.stderr.write(f"usage error: {err}\n")
         return EX_USAGE
+    except OverflowError as err:    # weights whose sum is past the largest double
+        sys.stderr.write(f"usage error: the Riesz sum overflows: {err}\n")
+        return EX_USAGE
     value = complex(value)
     print(json.dumps(_finite_or_none({"order": args.order, "lambda": args.lam,
                                       "re": value.real, "im": value.imag}),

@@ -13,7 +13,9 @@ index arrays and one call per atom where it does not. On floats a generator
 gets one numpy namespace for one index or an index array; one-index calls
 raise numpy's overflow, division and invalid-operation errors. The mpmath
 table keeps its weights only as integer mantissas, so the atom part of an
-mpmath Riesz mean is one exact integer sum rounded once.
+mpmath Riesz mean is one exact integer sum rounded once. For its
+``_TERMS_CAP`` most recent lams, as long as the measure lives, the float
+table keeps the rounded atom sum of each order; no bit depends on it.
 """
 
 from __future__ import annotations
@@ -59,8 +61,9 @@ _FIRST_CHUNK, _MAX_CHUNK = 256, 1 << 18
 # something else on arrays (int64 overflow, a branch on n). On mpmath the
 # distance is a few ulps at the working precision, 2**(3 - prec).
 _AGREE_RTOL = 1e-12
-# the lams whose lam - mu one mpmath table keeps: twice a probe grid of 24,
-# so that each order of a sweep finds the previous order's terms
+# the lams whose Riesz work one table keeps: twice a probe grid of 24, so
+# that each order of a sweep finds the previous order's terms (on mpmath)
+# and a repeated (lam, k) its sum (on floats)
 _TERMS_CAP = 48
 
 
@@ -81,13 +84,17 @@ class _AtomTable:
     :meth:`riesz_sum`: ``exact`` and ``first_complex``, and the positions
     rounded to doubles, ``pos_float``, for :meth:`count_below`.
 
-    The mpmath table also keeps, in ``terms``, the exact integers lam - mu
+    The float table keeps, in ``sums``, the correctly rounded atom sum of
+    each order k it summed at each lam and whether its terms were complex,
+    so a repeated (lam, k) is a lookup and no bit depends on the record.
+    The mpmath table keeps, in ``terms``, the exact integers lam - mu
     of the atoms below each lam it summed at, with the integer terms
     w (lam - mu)**k of the last order k, so that orders 0, 1, 2, ... at one
-    lam take one multiply each (per part of w) and no power. It holds the
-    ``_TERMS_CAP`` lams first summed at most recently and lives
-    as long as the table (its measure). An entry is replaced, never changed
-    in place, so a reader never sees one half extended.
+    lam take one multiply each (per part of w) and no power. Each holds the
+    ``_TERMS_CAP`` lams first summed at most recently, evicts the oldest
+    first and lives as long as the table (its measure). An entry is
+    replaced, never changed in place, so a reader never sees one half
+    extended.
     """
 
     def __init__(self, backend):
@@ -96,6 +103,7 @@ class _AtomTable:
         self.vectorized = True      # index-array calls, until a chunk falls back
         if backend is None:
             self.pos, self.wts = np.empty(0), np.empty(0)
+            self.sums = OrderedDict()   # lam -> {k: (atom sum, whether complex)}
         else:
             self.pos, self.pos_float = np.empty(0, object), np.empty(0)
             self.exact = [np.empty(0, object), np.empty(0, np.int64)] * 3
@@ -110,6 +118,18 @@ class _AtomTable:
             raise DataError(f"atom enumeration passed {_MAX_ATOMS:.0e} atoms "
                             f"without a position reaching lam={lam}")
         return False
+
+    def atom_sum(self, pos, wts, k, lam):
+        """The rounded sum of w (1 - mu/lam)**k over (pos, wts), the atoms below
+        lam, and whether the terms are complex; stored once the sum returns."""
+        key = float(lam)
+        held = self.sums.get(key, {})
+        if k not in held:
+            terms = wts * (1.0 - pos / lam) ** k
+            held = self.sums[key] = {**held, k: (_exact_sum(terms), np.iscomplexobj(terms))}
+            if len(self.sums) > _TERMS_CAP:
+                self.sums.popitem(last=False)
+        return held[k]
 
     def extend_exact(self, pos, wts):
         """Append new atoms to ``exact``: positions, real and imaginary weight parts."""
@@ -450,18 +470,23 @@ def riesz_mean(measure: SpectralMeasure, k: int, lam: float, dps: Optional[int] 
     atoms from the measure's table for the backend (the float one through
     :meth:`SpectralMeasure.atom_arrays`, the mpmath one by a search of its
     positions' doubles settled by exact comparisons, and a sum over its exact
-    copy) and the continuous part from ``density_riesz``. The mpmath table
-    keeps lam - mu and the last order's terms of its most recent few dozen
-    lam (see :class:`_AtomTable`), so that the orders of one lam take one
-    multiply each; they live as long as the measure, and no bit depends on
-    them. Raises :class:`DomainError` for a lam that is zero,
-    not finite or not above the support, before any atom is enumerated, and
-    :class:`FloatingPointError` where a float atom function overflows.
+    copy) and the continuous part from ``density_riesz``, called every time.
+    For its ``_TERMS_CAP`` most recent lams the float table keeps the rounded
+    atom sum of each order (a repeated (lam, k) is a lookup), the mpmath
+    table lam - mu and the last order's terms (see :class:`_AtomTable`);
+    they live as long as the measure, and no bit depends on them. Raises
+    :class:`DomainError` for a lam that is zero, not finite or not above the
+    support, before any atom is enumerated, :class:`FloatingPointError` where
+    a float atom function overflows, and ``OverflowError`` where ``math.fsum``
+    overflows on the float terms (two weights of 1e308); a sum that raises
+    is not kept, so the same call raises again.
 
     The mpmath backend sets mpmath's process-global precision
     (``mp.workdps`` here, ``mp.workprec`` in the free-line density), so it
     must not run in several threads at once: one thread's working precision
-    would change another's bits. The float backend has no such state.
+    would change another's bits. The float backend sets no global state, and
+    the sums its table keeps are replaced whole, never changed in place, so
+    threads sharing a measure whose table covers their lams read serial bits.
     """
     if k < 0 or int(k) != k:
         raise ParameterError("Riesz order k must be a nonnegative integer")
@@ -480,9 +505,8 @@ def riesz_mean(measure: SpectralMeasure, k: int, lam: float, dps: Optional[int] 
         is_complex = False
         pos, wts = measure.atom_arrays(lam)
         if len(pos):
-            terms = wts * (1.0 - pos / lam) ** k
-            is_complex = np.iscomplexobj(terms)
-            total += _exact_sum(terms)
+            part, is_complex = measure._cache["float"].atom_sum(pos, wts, k, lam)
+            total += part
         if measure.density_riesz is not None:
             total += measure.density_riesz(k, lam, _FloatBackend)
         return complex(total) if is_complex or total.imag != 0 else total.real

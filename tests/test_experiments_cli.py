@@ -487,6 +487,19 @@ class TestCliRiesz:
         assert captured.out == ""
         assert captured.err.startswith("usage error: ")
 
+    def test_overflowing_sum_is_usage_error(self, tmp_path, capsys):
+        """Two weights of 1e308 add past the largest double: math.fsum raises
+        OverflowError, which the command reports as a usage error."""
+        path = tmp_path / "m.csv"
+        path.write_text("lambda,weight_re,weight_im\n1.0,1e308,0\n2.0,1e308,0\n")
+        rc = cli.main(["riesz", "--measure", str(path), "--order", "0",
+                       "--lambda", "10"])
+        assert rc == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
+        assert "overflow" in captured.err
+
     def test_zero_lambda_is_usage_error(self, tmp_path, capsys):
         # the negative atom puts the support bound below lam = 0
         path = tmp_path / "m.csv"

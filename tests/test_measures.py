@@ -1,6 +1,8 @@
 """Spectral measures: construction, CSV round trip, Riesz means."""
 
 import math
+import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -190,17 +192,18 @@ def test_from_atoms_fills_the_table_from_index_arrays(weight):
 def test_float_riesz_sweep_runtime_budget():
     """Orders 0-3 on 17 lam up to 1e10 (1e5 atoms), up and down, in 0.1 s.
 
-    The table is built beforehand, so this times the summation alone. On a
-    2-vCPU Xeon VM: about 0.025 s with the extracting exact sum (0.04 s with
-    the exponent buckets before it), about 0.22 s with math.fsum walking
-    each array.
+    Each round sweeps a fresh measure whose table is built beforehand, so
+    this times the summation (the way up) and the lookups of the sums the
+    table keeps (the way down). On a 2-vCPU Xeon VM: about 0.009 s; 0.017 s
+    with nothing kept, 0.04 s with the exponent buckets before the
+    extracting exact sum, about 0.22 s with math.fsum walking each array.
     """
-    m = sc.interval_measure(1.0, 2.0)
     grid = [float(v) for v in np.geomspace(1e2, 1e10, 17)]
-    pos, wts = m.atom_arrays(grid[-1])
     sweep = [(k, lam) for lam in grid + grid[::-1] for k in range(4)]
     elapsed = math.inf
     for _ in range(3):      # the best of three, against a host's slow spells
+        m = sc.interval_measure(1.0, 2.0)
+        pos, wts = m.atom_arrays(grid[-1])
         t0 = time.perf_counter()
         vals = [sc.riesz_mean(m, k, lam) for k, lam in sweep]
         elapsed = min(elapsed, time.perf_counter() - t0)
@@ -223,6 +226,117 @@ def test_interval_riesz_columns_are_fsum_bit_for_bit():
         for k in range(6):
             assert sc.riesz_mean(m, k, lam).hex() == \
                 fsum_riesz(pos[:j], wts[:j], k, lam).hex(), (k, lam)
+
+
+def bits(v):
+    """The type of a value and the hex of each part, so the sign of a zero counts."""
+    parts = (v.real, v.imag) if isinstance(v, complex) else (v,)
+    return (type(v), *(x.hex() for x in parts))
+
+
+def _complex_atoms():
+    # real weights below lam = 36/7, complex ones above: the type changes with lam
+    n = range(1, 301)
+    return SpectralMeasure.from_atoms(
+        [i * i / 7.0 for i in n],
+        [1.0 / i if i < 6 else complex(math.cos(i), math.sin(3 * i)) / i for i in n])
+
+
+def _atoms_and_density():
+    return SpectralMeasure(atom_fn=lambda n, B: (B.mpf(n) * B.mpf(n), B.sin(B.mpf(n)) / n),
+                           density_riesz=lambda k, lam, B: lam / (k + 1))
+
+
+_KEPT_SUM_MEASURES = {"interval": lambda: sc.interval_measure(1.0, 2.0),
+                      "complex_atoms": _complex_atoms,
+                      "atoms_and_density": _atoms_and_density}
+# more lams than a float table keeps, and a few at atoms
+_KEPT_SUM_LAMS = sorted({float(v) for v in np.geomspace(0.5, 3e4, measures._TERMS_CAP + 12)}
+                        | {4.0, 100.0, 2500.0})
+_LONG = len(_KEPT_SUM_LAMS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_KEPT_SUM_MEASURES)),
+       runs=st.lists(st.tuples(st.sampled_from(["asc", "desc", "repeat"]),
+                               st.integers(0, _LONG - 1), st.integers(1, 30),
+                               st.lists(st.integers(0, 5), min_size=1, max_size=4)),
+                     min_size=1, max_size=6))
+@example(name="interval", runs=[("asc", 0, _LONG, [0, 1]), ("desc", 0, _LONG, [1, 0, 2])])
+@example(name="complex_atoms", runs=[("desc", 0, _LONG, [3, 0]), ("repeat", 0, _LONG, [0])])
+@example(name="atoms_and_density",
+         runs=[("asc", 0, _LONG, [2]), ("asc", 0, 5, [2, 1]), ("desc", 0, _LONG, [2])])
+def test_kept_float_sums_are_the_fresh_sums(name, runs):
+    """Float Riesz means in any sequence (ascending, descending, repeated,
+    orders interleaved, more lams than the table keeps) have the bits, type
+    and sign of zero of the same call on a fresh measure."""
+    make = _KEPT_SUM_MEASURES[name]
+    m = make()
+    for kind, start, length, orders in runs:
+        lams = _KEPT_SUM_LAMS[start:start + length]
+        for lam in (lams[::-1] if kind == "desc" else lams):
+            for k in orders:
+                for _ in range(1 + (kind == "repeat")):
+                    got = sc.riesz_mean(m, k, lam)
+                    assert bits(got) == bits(sc.riesz_mean(make(), k, lam)), (k, lam)
+    assert len(m._cache["float"].sums) <= measures._TERMS_CAP
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_float_sum_that_raises_is_not_kept():
+    """A power that overflows (an error under error::RuntimeWarning) and a sum
+    past the largest double raise again on the same call; a lam out of the
+    domain raises before the table's record is read."""
+    m = SpectralMeasure.from_atoms([-1e200, 1.0], [1.0, 1.0])
+    assert sc.riesz_mean(m, 1, 2.0) == 5e199
+    for _ in range(2):      # (1 + 5e199)**2 overflows
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            sc.riesz_mean(m, 2, 2.0)
+    sums = m._cache["float"].sums
+    assert list(sums) == [2.0] and list(sums[2.0]) == [1]
+    for lam in (-2e200, 0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            sc.riesz_mean(m, 1, lam)
+    assert list(sums) == [2.0]
+
+    big = SpectralMeasure.from_atoms([1.0, 2.0], [1e308, 1e308])
+    for _ in range(2):
+        with pytest.raises(OverflowError, match="overflow"):
+            sc.riesz_mean(big, 0, 10.0)
+    assert not big._cache["float"].sums
+
+
+def test_threads_sharing_a_grown_table_read_the_serial_bits():
+    """Four threads sweep orders 0-3 on 17 lam up to 1e10, each in its own
+    order, over one measure whose table is grown beforehand, switching every
+    microsecond: every value has the bits of a serial sweep."""
+    grid = [float(v) for v in np.geomspace(1e2, 1e10, 17)]
+    calls = [(lam, k) for lam in grid for k in range(4)]
+    ref = sc.interval_measure(1.0, 2.0)
+    serial = {(lam, k): bits(sc.riesz_mean(ref, k, lam)) for lam, k in calls}
+    m = sc.interval_measure(1.0, 2.0)
+    m.atom_arrays(grid[-1])
+    shuffled = [calls[i] for i in np.random.default_rng(0).permutation(len(calls))]
+    sequences = [calls, calls[::-1], sorted(calls, key=lambda c: (c[1], -c[0])), shuffled]
+    barrier = threading.Barrier(len(sequences))
+    got = [None] * len(sequences)
+
+    def sweep(i):
+        barrier.wait(timeout=60)
+        got[i] = {(lam, k): bits(sc.riesz_mean(m, k, lam)) for lam, k in sequences[i]}
+
+    threads = [threading.Thread(target=sweep, args=(i,)) for i in range(len(sequences))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [serial] * len(sequences)
 
 
 def test_disagreeing_array_output_is_not_used():
