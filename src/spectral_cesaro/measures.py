@@ -61,9 +61,8 @@ _FIRST_CHUNK, _MAX_CHUNK = 256, 1 << 18
 # something else on arrays (int64 overflow, a branch on n). On mpmath the
 # distance is a few ulps at the working precision, 2**(3 - prec).
 _AGREE_RTOL = 1e-12
-# the lams whose Riesz work one table keeps: twice a probe grid of 24, so
-# that each order of a sweep finds the previous order's terms (on mpmath)
-# and a repeated (lam, k) its sum (on floats)
+# the lams whose Riesz work one table keeps: twice a probe grid of 24, so that
+# a sweep's next order finds its terms (mpmath) or a repeated (lam, k) its sum
 _TERMS_CAP = 48
 
 
@@ -84,17 +83,15 @@ class _AtomTable:
     :meth:`riesz_sum`: ``exact`` and ``first_complex``, and the positions
     rounded to doubles, ``pos_float``, for :meth:`count_below`.
 
-    The float table keeps, in ``sums``, the correctly rounded atom sum of
-    each order k it summed at each lam and whether its terms were complex,
-    so a repeated (lam, k) is a lookup and no bit depends on the record.
+    The float table keeps, in ``sums``, the finite rounded atom sum of each
+    order k it summed at each lam, and whether its terms were complex.
     The mpmath table keeps, in ``terms``, the exact integers lam - mu
     of the atoms below each lam it summed at, with the integer terms
     w (lam - mu)**k of the last order k, so that orders 0, 1, 2, ... at one
     lam take one multiply each (per part of w) and no power. Each holds the
-    ``_TERMS_CAP`` lams first summed at most recently, evicts the oldest
-    first and lives as long as the table (its measure). An entry is
-    replaced, never changed in place, so a reader never sees one half
-    extended.
+    ``_TERMS_CAP`` lams first summed at most recently and lives
+    as long as the table (its measure). An entry is replaced, never changed
+    in place, so a reader never sees one half extended.
     """
 
     def __init__(self, backend):
@@ -120,15 +117,16 @@ class _AtomTable:
         return False
 
     def atom_sum(self, pos, wts, k, lam):
-        """The rounded sum of w (1 - mu/lam)**k over (pos, wts), the atoms below
-        lam, and whether the terms are complex; stored once the sum returns."""
-        key = float(lam)
-        held = self.sums.get(key, {})
+        """The rounded sum of w (1 - mu/lam)**k over the atoms (pos, wts) below
+        lam and whether its terms are complex, kept once it returns finite (an
+        overflow is formed again, to warn or raise as numpy's settings say)."""
+        held = self.sums.get(float(lam), {})
         if k not in held:
             terms = wts * (1.0 - pos / lam) ** k
-            held = self.sums[key] = {**held, k: (_exact_sum(terms), np.iscomplexobj(terms))}
-            if len(self.sums) > _TERMS_CAP:
-                self.sums.popitem(last=False)
+            held = {**held, k: (_exact_sum(terms), np.iscomplexobj(terms))}
+            if not np.isfinite(held[k][0]):
+                return held[k]
+            _keep(self.sums, float(lam), held)
         return held[k]
 
     def extend_exact(self, pos, wts):
@@ -176,13 +174,18 @@ class _AtomTable:
             elif k != last:
                 terms = [m * diffs ** k for m in parts[::2]]
         if held is None or k != held[2]:
-            self.terms[key] = (lo, diffs, k, terms)
-            if len(self.terms) > _TERMS_CAP:
-                self.terms.popitem(last=False)
+            _keep(self.terms, key, (lo, diffs, k, terms))
         den = from_man_exp(lam_man ** k, k * lam_exp)
         raw = [mpf_div(from_man_exp(*_shifted_sum(t, e + k * lo)), den, prec, rnd)
                for t, e in zip(terms, parts[1::2])]
         return mp.mp.make_mpc(tuple(raw)) if len(raw) == 2 else mp.mp.make_mpf(raw[0])
+
+
+def _keep(record, key, value):
+    """Store value under key, evicting the first-stored key past ``_TERMS_CAP``."""
+    record[key] = value
+    if len(record) > _TERMS_CAP:
+        record.popitem(last=False)
 
 
 def _mantissas(raw):
@@ -471,22 +474,21 @@ def riesz_mean(measure: SpectralMeasure, k: int, lam: float, dps: Optional[int] 
     :meth:`SpectralMeasure.atom_arrays`, the mpmath one by a search of its
     positions' doubles settled by exact comparisons, and a sum over its exact
     copy) and the continuous part from ``density_riesz``, called every time.
-    For its ``_TERMS_CAP`` most recent lams the float table keeps the rounded
-    atom sum of each order (a repeated (lam, k) is a lookup), the mpmath
-    table lam - mu and the last order's terms (see :class:`_AtomTable`);
-    they live as long as the measure, and no bit depends on them. Raises
-    :class:`DomainError` for a lam that is zero, not finite or not above the
-    support, before any atom is enumerated, :class:`FloatingPointError` where
-    a float atom function overflows, and ``OverflowError`` where ``math.fsum``
-    overflows on the float terms (two weights of 1e308); a sum that raises
-    is not kept, so the same call raises again.
+    The float table keeps the rounded atom sum of each order, the mpmath
+    table lam - mu and the last order's terms, for its ``_TERMS_CAP`` most
+    recent lams (see :class:`_AtomTable`), as long as the measure lives; no
+    bit depends on them. Raises :class:`DomainError` for a lam that is zero,
+    not finite or not above the support, before any atom is enumerated,
+    :class:`FloatingPointError` where a float atom function overflows, and
+    ``OverflowError`` where the float atom sum does (two weights of 1e308).
+    Only finite sums are kept, so such a call warns or raises again as
+    numpy's settings then say; a kept sum repeats no underflow report.
 
     The mpmath backend sets mpmath's process-global precision
     (``mp.workdps`` here, ``mp.workprec`` in the free-line density), so it
     must not run in several threads at once: one thread's working precision
-    would change another's bits. The float backend sets no global state, and
-    the sums its table keeps are replaced whole, never changed in place, so
-    threads sharing a measure whose table covers their lams read serial bits.
+    would change another's bits. The float backend has no such state; threads
+    may share a measure whose table covers their lams (entries are replaced whole).
     """
     if k < 0 or int(k) != k:
         raise ParameterError("Riesz order k must be a nonnegative integer")
